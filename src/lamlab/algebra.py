@@ -169,10 +169,14 @@ def solve_unit_image_times(line: RankOneLine, v: Vec):
 def bc_to_matrix(b: float, c: float) -> Mat:
     """Symmetric positive-definite det-1 representative of the (b, c) orbit.
 
-    a = sqrt(1 + b^2 + c^2); returns [[a+b, c], [c, a-b]].
+    a = sqrt(1 + b^2 + c^2); returns [[a+b, c], [c, a-b]].  The smaller
+    diagonal entry is formed as (1 + c^2)/(a + |b|), free of the cancellation
+    in a - |b| at large |b|, so the determinant stays 1 to rounding.
     """
     a = math.sqrt(1.0 + b * b + c * c)
-    return np.array([[a + b, c], [c, a - b]])
+    big = a + abs(b)
+    small = (1.0 + c * c) / big
+    return np.array([[big, c], [c, small]] if b >= 0.0 else [[small, c], [c, big]])
 
 
 def random_det1(rng: np.random.Generator, spread: float = 1.5) -> Mat:

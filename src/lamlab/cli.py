@@ -30,7 +30,7 @@ EXIT_DOMAIN = 3
 DEFAULTS = {
     "slip": {"theta": math.pi / 4},
     "lambda": 0.5,
-    "tolerances": {"manifold": 1e-9, "laminate": 1e-9},
+    "tolerances": {"manifold": 1e-9},
     "grid": {"range": 3.0, "n": 61},
     "oracle": {"n_dirs": 720},
 }
@@ -74,7 +74,32 @@ def load_config(args) -> dict:
         flat.setdefault("grid", {})["n"] = args.grid_n
     if getattr(args, "n_dirs", None) is not None:
         flat["oracle"] = {"n_dirs": args.n_dirs}
-    return _merge(cfg, flat)
+    cfg = _merge(cfg, flat)
+    _check_config(cfg)
+    return cfg
+
+
+def _check_config(cfg: dict) -> None:
+    """Reject config values no command can run with, as usage errors (exit 2)."""
+    try:
+        s = slip_from_config(cfg)
+        tol = float(cfg["tolerances"]["manifold"])
+        bc_range = float(cfg["grid"]["range"])
+        n = float(cfg["grid"]["n"])
+        n_dirs = float(cfg["oracle"]["n_dirs"])
+    except (LamlabError, TypeError) as exc:
+        raise ValueError(f"config: {exc}") from None
+    # comparisons with nan are false, so each check also rejects nan
+    if not math.isfinite(s.theta):
+        raise ValueError("config: the slip frame must be finite")
+    if not 0.0 < tol < math.inf:
+        raise ValueError("config: the manifold tolerance must be positive and finite")
+    if not 0.0 < bc_range < math.inf:
+        raise ValueError("config: the grid half-range must be positive and finite")
+    if not (1.0 <= n < math.inf and n == int(n)):
+        raise ValueError("config: the grid resolution must be an integer >= 1")
+    if not (8.0 <= n_dirs < math.inf and n_dirs == int(n_dirs)):
+        raise ValueError("config: the oracle direction count must be an integer >= 8")
 
 
 def slip_from_config(cfg: dict) -> SlipSystem:
@@ -96,8 +121,14 @@ def _parse_number(token: str) -> float:
     token = token.strip()
     if "/" in token:
         num, den = token.split("/", 1)
-        return float(num) / float(den)
-    return float(token)
+        if float(den) == 0.0:
+            raise ValueError(f"{token!r} divides by zero")
+        x = float(num) / float(den)
+    else:
+        x = float(token)
+    if not math.isfinite(x):
+        raise ValueError(f"{token!r} is not a finite number")
+    return x
 
 
 def _matrix_from_args(args):

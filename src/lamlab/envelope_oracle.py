@@ -6,21 +6,23 @@ target: for each direction the line meets the slip manifolds in at most four
 points, every bracketing pair yields a two-point laminate candidate, and the
 best direction is refined by golden-section search.  Used to certify the
 closed-form envelopes and bounds.
+
+One NumPy kernel evaluates a stack of matrices against their directions; the
+grid scan feeds it every certified cell at once (the coarse scan in chunks of
+fixed size, the refinement in lock-step) and `wlc_numeric` is its
+single-matrix caller.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .algebra import Mat, det2, frobenius_sq
-from .energy import (DEFAULT_TOL, Bounds, ExtendedEnergy, Known, SlipSystem,
-                     INFINITE)
+from .algebra import Mat, bc_to_matrix
+from .energy import DEFAULT_TOL, Bounds, ExtendedEnergy, Known, SlipSystem
 from .errors import OffManifold, PreconditionError
 from .laminate import LaminateDecomposition
 from .regions import RegionCell, region_map
@@ -28,127 +30,155 @@ from .regions import RegionCell, region_map
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 
 _ROOT_EPS = 1e-13
+_REFINE_WIDTH = 1e-8
+
+# Cell x direction elements per coarse-scan chunk (16 cells at 720 directions),
+# so that --n-dirs cannot grow the working set.  Oracle time for the 3721 cells
+# of a 61^2 grid at 720 directions, theta = 0.3 pi (best of 7, two runs; 2-vCPU
+# Xeon VM, NumPy 2.4.6), and peak RSS of the process:
+#   cells per chunk  2     4     8     16         32    64    256   3721
+#   oracle s         1.10  0.57  0.42  0.39-0.42  0.51  0.50  0.68  1.59
+#   peak RSS MB      33    33    33    35         37    42    69    544
+_CHUNK_ELEMENTS = 16 * 720
 
 
-def _direction_best(f: Mat, s: SlipSystem, phi: float):
-    """Best two-point laminate on the line F(I + t m (x) m_perp), m = m(phi).
+def _direction_energy(fs: np.ndarray, cos, sin, s: SlipSystem, pair: bool = False):
+    """Best two-point laminate on the lines F(I + t m (x) m_perp), m = (cos, sin).
 
-    Returns (energy, t_a, t_b) or None when the line yields no bracketing
-    pair of slip-manifold intersections.
+    `fs` is a stack [N, 2, 2]; `cos` and `sin` broadcast against [N, 1]: one
+    row of directions shared by every matrix, or one column of directions per
+    matrix.  The line meets the manifold |F v| = 1 (v = v1, v2) where
+    alpha t^2 + beta t + c0 = 0; each root gets one Newton polish step, and
+    every pair of roots bracketing t = 0 is a laminate candidate.
+
+    Returns the best candidate energy per (matrix, direction), inf where no
+    pair brackets; with `pair` also the roots (lo, hi) of that pair, nan where
+    none.  The per-direction quantities come from G = F^T F and the shared
+    cos^2, sin cos, sin^2.
     """
-    c, sn = math.cos(phi), math.sin(phi)
-    fm = (f[0, 0] * c + f[0, 1] * sn, f[1, 0] * c + f[1, 1] * sn)
-    fmp = (-f[0, 0] * sn + f[0, 1] * c, -f[1, 0] * sn + f[1, 1] * c)
-    am2 = fm[0] * fm[0] + fm[1] * fm[1]
-    drift = fm[0] * fmp[0] + fm[1] * fmp[1]
-    fro = frobenius_sq(f)
-    scale = max(1.0, fro)
-
-    roots = []
-    for v in (s.v1, s.v2):
-        mv = -sn * v[0] + c * v[1]  # m_perp . v
-        fv = (f[0, 0] * v[0] + f[0, 1] * v[1], f[1, 0] * v[0] + f[1, 1] * v[1])
-        c0 = fv[0] * fv[0] + fv[1] * fv[1] - 1.0
-        alpha = mv * mv * am2
-        beta = 2.0 * mv * (fm[0] * fv[0] + fm[1] * fv[1])
-        if alpha <= _ROOT_EPS * scale:
-            if abs(beta) > _ROOT_EPS * scale:
-                roots.append(-c0 / beta)
-            continue
-        disc = beta * beta - 4.0 * alpha * c0
-        if disc < 0.0:
-            continue
-        sq = math.sqrt(disc)
-        q = -(beta + math.copysign(sq, beta)) / 2.0
-        if q == 0.0:
-            r = math.sqrt(max(-c0 / alpha, 0.0))
-            pair = (-r, r)
-        else:
-            pair = (q / alpha, c0 / q)
-        for t in pair:
-            # one Newton polish step on the unit-image constraint
-            g = alpha * t * t + beta * t + c0
-            dg = 2.0 * alpha * t + beta
-            if dg != 0.0:
-                t -= g / dg
-            roots.append(t)
-
-    best = None
-    for i, ta in enumerate(roots):
-        for tb in roots[i + 1:]:
-            lo, hi = (ta, tb) if ta <= tb else (tb, ta)
-            if lo > 0.0 or hi < 0.0 or hi - lo <= 1e-15:
-                continue
-            w_lo = max(fro - 2.0 + 2.0 * lo * drift + lo * lo * am2, 0.0)
-            w_hi = max(fro - 2.0 + 2.0 * hi * drift + hi * hi * am2, 0.0)
-            mu_lo = hi / (hi - lo)
-            energy = mu_lo * w_lo + (1.0 - mu_lo) * w_hi
-            if best is None or energy < best[0]:
-                best = (energy, lo, hi)
-    return best
-
-
-def _scan_directions(f: Mat, s: SlipSystem, phis: np.ndarray) -> np.ndarray:
-    """Vectorized best candidate energy per direction (inf where none)."""
-    c, sn = np.cos(phis), np.sin(phis)
-    m = np.stack([c, sn], axis=-1)
-    mp = np.stack([-sn, c], axis=-1)
-    fm = m @ f.T
-    fmp = mp @ f.T
-    am2 = np.einsum("ki,ki->k", fm, fm)
-    drift = np.einsum("ki,ki->k", fm, fmp)
-    fro = frobenius_sq(f)
-    scale = max(1.0, fro)
-
-    k = phis.shape[0]
-    roots = np.full((k, 4), np.nan)
-    for j, v in enumerate((s.v1, s.v2)):
-        fv = f @ v
-        c0 = float(fv @ fv) - 1.0
-        mv = mp @ v
-        alpha = mv * mv * am2
-        beta = 2.0 * mv * (fm @ fv)
-        lin = (alpha <= _ROOT_EPS * scale) & (np.abs(beta) > _ROOT_EPS * scale)
-        quad = alpha > _ROOT_EPS * scale
-        disc = beta * beta - 4.0 * alpha * c0
-        ok = quad & (disc >= 0.0)
-        sq = np.sqrt(np.where(ok, disc, 0.0))
-        q = -(beta + np.copysign(sq, beta)) / 2.0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            r1 = np.where(ok & (q != 0.0), q / alpha, np.nan)
-            r2 = np.where(ok & (q != 0.0), c0 / q, np.nan)
-            rl = np.where(lin, -c0 / beta, np.nan)
-        # symmetric case beta == 0: pm sqrt(-c0/alpha)
-        sym = ok & (q == 0.0)
-        if np.any(sym):
-            r = np.sqrt(np.maximum(-c0 / np.where(sym, alpha, 1.0), 0.0))
-            r1 = np.where(sym, -r, r1)
-            r2 = np.where(sym, r, r2)
-        r1 = np.where(lin, rl, r1)
-        for col, t in ((2 * j, r1), (2 * j + 1, r2)):
-            g = alpha * t * t + beta * t + c0
-            dg = 2.0 * alpha * t + beta
-            with np.errstate(divide="ignore", invalid="ignore"):
-                t = np.where(np.isfinite(t) & (dg != 0.0), t - g / dg, t)
-            roots[:, col] = t
-
-    best = np.full(k, np.inf)
+    f00, f01, f10, f11 = (fs[:, i, j, None] for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)))
+    g00 = f00 * f00 + f10 * f10
+    g01 = f00 * f01 + f10 * f11
+    g11 = f01 * f01 + f11 * f11
+    fro = f00 * f00 + f01 * f01 + f10 * f10 + f11 * f11
+    eps = _ROOT_EPS * np.maximum(1.0, fro)
+    cc, cs, ss = cos * cos, cos * sin, sin * sin
+    am2 = g00 * cc + 2.0 * g01 * cs + g11 * ss       # |F m|^2
+    drift2 = 2.0 * ((g11 - g00) * cs + g01 * (cc - ss))  # 2 F m . F m_perp
     w0 = fro - 2.0
-    for i in range(4):
-        ta = roots[:, i]
-        for jj in range(i + 1, 4):
-            tb = roots[:, jj]
-            lo = np.minimum(ta, tb)
-            hi = np.maximum(ta, tb)
-            valid = np.isfinite(lo) & np.isfinite(hi) & (lo <= 0.0) & (hi >= 0.0) \
-                & (hi - lo > 1e-15)
-            w_lo = np.maximum(w0 + 2.0 * lo * drift + lo * lo * am2, 0.0)
-            w_hi = np.maximum(w0 + 2.0 * hi * drift + hi * hi * am2, 0.0)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                mu_lo = hi / (hi - lo)
-                cand = mu_lo * w_lo + (1.0 - mu_lo) * w_hi
-            best = np.where(valid & (cand < best), cand, best)
-    return best
+
+    roots, energies = [], []
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for v0, v1 in (s.v1, s.v2):
+            fv0, fv1 = f00 * v0 + f01 * v1, f10 * v0 + f11 * v1
+            c0 = fv0 * fv0 + fv1 * fv1 - 1.0
+            mv = cos * v1 - sin * v0  # m_perp . v
+            alpha = mv * mv * am2
+            # F m . F v = m . (F^T F v)
+            beta = 2.0 * mv * (cos * (f00 * fv0 + f10 * fv1) + sin * (f01 * fv0 + f11 * fv1))
+            quad = alpha > eps
+            # nan outside the quadratic case carries through both roots
+            a = np.where(quad, alpha, np.nan)
+            q = -0.5 * (beta + np.copysign(np.sqrt(beta * beta - 4.0 * a * c0), beta))
+            r1, r2 = q / a, c0 / q
+            sym = q == 0.0  # beta == 0: roots +- sqrt(-c0 / alpha)
+            if sym.any():
+                r = np.sqrt(np.maximum(-c0 / np.where(sym, alpha, 1.0), 0.0))
+                r1, r2 = np.where(sym, -r, r1), np.where(sym, r, r2)
+            lin = ~quad & (np.abs(beta) > eps)
+            if lin.any():
+                r1 = np.where(lin, -c0 / beta, r1)
+            for t in (r1, r2):
+                dg = 2.0 * alpha * t + beta
+                t = np.where(dg != 0.0, t - ((alpha * t + beta) * t + c0) / dg, t)
+                roots.append(t)
+                energies.append(np.maximum(w0 + (drift2 + t * am2) * t, 0.0))
+
+        best = np.full(am2.shape, np.inf)
+        lo = hi = np.full(am2.shape, np.nan)
+        for i in range(4):
+            for j in range(i + 1, 4):
+                ta, tb = roots[i], roots[j]
+                gap = tb - ta
+                # the chord through both endpoints evaluated at t = 0
+                cand = (tb * energies[i] - ta * energies[j]) / gap
+                better = (ta * tb <= 0.0) & (np.abs(gap) > 1e-15) & (cand < best)
+                best = np.where(better, cand, best)
+                if pair:
+                    lo = np.where(better, np.minimum(ta, tb), lo)
+                    hi = np.where(better, np.maximum(ta, tb), hi)
+    return (best, lo, hi) if pair else best
+
+
+def _at(fs: np.ndarray, s: SlipSystem, phi: np.ndarray, pair: bool = False):
+    """The kernel at one direction per matrix."""
+    out = _direction_energy(fs, np.cos(phi)[:, None], np.sin(phi)[:, None], s, pair)
+    return tuple(x[:, 0] for x in out) if pair else out[:, 0]
+
+
+def _golden(fs: np.ndarray, s: SlipSystem, center: np.ndarray, half: float) -> np.ndarray:
+    """Golden-section minimization of the per-direction energy, all matrices in lock-step.
+
+    Every bracket [center - half, center + half] has the same width, so every
+    matrix takes the same number of steps: as many as shrink the gap between
+    the two interior points to at most _REFINE_WIDTH.  Each step evaluates one
+    new direction per matrix.
+    """
+    a, b = center - half, center + half
+    steps, gap = 0, 2.0 * half * (2.0 / GOLDEN - 1.0)
+    while gap > _REFINE_WIDTH:
+        gap /= GOLDEN
+        steps += 1
+    c = b - (b - a) / GOLDEN
+    d = a + (b - a) / GOLDEN
+    fc, fd = _at(fs, s, c), _at(fs, s, d)
+    for _ in range(steps):
+        left = fc < fd
+        a, b = np.where(left, a, c), np.where(left, d, b)
+        x = np.where(left, b - (b - a) / GOLDEN, a + (b - a) / GOLDEN)
+        fx = _at(fs, s, x)
+        c, d = np.where(left, x, d), np.where(left, c, x)
+        fc, fd = np.where(left, fx, fd), np.where(left, fc, fx)
+    return 0.5 * (a + b)
+
+
+@dataclass(frozen=True)
+class _Batch:
+    value: np.ndarray     # min(coarse, refined, single), not yet clamped at 0
+    single: np.ndarray    # max(|F|^2 - 2, 0) where F lies on a slip manifold, else inf
+    phi_best: np.ndarray  # direction of the better of the coarse and refined candidates
+    phi_star: np.ndarray  # golden-section direction
+
+
+def _oracle(fs: np.ndarray, s: SlipSystem, n_dirs: int, tol: float) -> _Batch:
+    """Oracle energies of a stack of unit-determinant matrices [N, 2, 2]."""
+    if n_dirs < 8:
+        raise PreconditionError("the direction grid needs at least 8 points")
+    det = fs[:, 0, 0] * fs[:, 1, 1] - fs[:, 0, 1] * fs[:, 1, 0]
+    if np.any(np.abs(det - 1.0) > tol):
+        raise OffManifold("oracle targets must have unit determinant")
+
+    step = math.pi / n_dirs
+    phis = np.arange(n_dirs) * step
+    cos, sin = np.cos(phis), np.sin(phis)
+    n = len(fs)
+    coarse, phi_coarse = np.empty(n), np.empty(n)
+    chunk = max(1, _CHUNK_ELEMENTS // n_dirs)
+    for start in range(0, n, chunk):
+        energy = _direction_energy(fs[start:start + chunk], cos, sin, s)
+        i_best = np.argmin(energy, axis=1)
+        coarse[start:start + chunk] = energy[np.arange(len(i_best)), i_best]
+        phi_coarse[start:start + chunk] = phis[i_best]
+
+    phi_star = _golden(fs, s, phi_coarse, step)
+    refined = _at(fs, s, phi_star)
+    off = np.minimum(np.abs(np.linalg.norm(fs @ s.v1, axis=-1) - 1.0),
+                     np.abs(np.linalg.norm(fs @ s.v2, axis=-1) - 1.0))
+    fro = fs[:, 0, 0] ** 2 + fs[:, 0, 1] ** 2 + fs[:, 1, 0] ** 2 + fs[:, 1, 1] ** 2
+    single = np.where(off <= tol, np.maximum(fro - 2.0, 0.0), np.inf)
+    return _Batch(value=np.minimum(np.minimum(coarse, refined), single), single=single,
+                  phi_best=np.where(refined <= coarse, phi_star, phi_coarse),
+                  phi_star=phi_star)
 
 
 @dataclass(frozen=True)
@@ -159,28 +189,6 @@ class OracleResult:
     refined_angle: float
 
 
-def _refine_phi(f: Mat, s: SlipSystem, a: float, b: float, width: float = 1e-8) -> float:
-    """Golden-section minimization of the per-direction candidate energy."""
-
-    def value(phi: float) -> float:
-        best = _direction_best(f, s, phi)
-        return best[0] if best is not None else math.inf
-
-    c = b - (b - a) / GOLDEN
-    d = a + (b - a) / GOLDEN
-    fc, fd = value(c), value(d)
-    while abs(c - d) > width:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - (b - a) / GOLDEN
-            fc = value(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + (b - a) / GOLDEN
-            fd = value(d)
-    return 0.5 * (a + b)
-
-
 def wlc_numeric(f: Mat, s: SlipSystem, n_dirs: int = 720,
                 tol: float = DEFAULT_TOL) -> OracleResult:
     """Numeric lamination envelope at a unit-determinant matrix.
@@ -189,43 +197,19 @@ def wlc_numeric(f: Mat, s: SlipSystem, n_dirs: int = 720,
     best one by golden-section search, and includes the single-point
     candidate when F itself lies on a slip manifold.
     """
-    if n_dirs < 8:
-        raise PreconditionError("the direction grid needs at least 8 points")
-    if abs(det2(f) - 1.0) > tol:
-        raise OffManifold("oracle targets must have unit determinant")
-
-    single = None
-    d1 = abs(float(np.linalg.norm(f @ s.v1)) - 1.0)
-    d2 = abs(float(np.linalg.norm(f @ s.v2)) - 1.0)
-    if min(d1, d2) <= tol:
-        single = max(frobenius_sq(f) - 2.0, 0.0)
-
-    phis = np.arange(n_dirs) * (math.pi / n_dirs)
-    per_dir = _scan_directions(f, s, phis)
-    i_best = int(np.argmin(per_dir))
-    step = math.pi / n_dirs
-    phi_star = _refine_phi(f, s, phis[i_best] - step, phis[i_best] + step)
-    refined = _direction_best(f, s, phi_star)
-    coarse = float(per_dir[i_best])
-    candidates = [x for x in (coarse, refined[0] if refined else None, single)
-                  if x is not None]
-    if not candidates:
-        return OracleResult(value=INFINITE, best=None,
-                            directions_scanned=n_dirs, refined_angle=phi_star)
-    value = min(candidates)
+    fs = np.asarray(f, dtype=float)[None]
+    batch = _oracle(fs, s, n_dirs, tol)
+    value, single = float(batch.value[0]), float(batch.single[0])
 
     best_dec = None
-    if single is not None and single <= value:
-        value = single
+    if math.isfinite(single) and single <= value:
         best_dec = LaminateDecomposition(
             f_plus=f.copy(), f_minus=f.copy(), mu=0.5,
             direction=(s.v3, s.v3_perp), energy=single, kind="CaseOnManifold")
     else:
-        src = refined if (refined and refined[0] <= coarse) else \
-            _direction_best(f, s, float(phis[i_best]))
-        if src is not None:
-            _, lo, hi = src
-            phi = phi_star if (refined and refined[0] <= coarse) else float(phis[i_best])
+        phi = float(batch.phi_best[0])
+        energy, lo, hi = (float(x[0]) for x in _at(fs, s, batch.phi_best, pair=True))
+        if math.isfinite(energy):
             m = np.array([math.cos(phi), math.sin(phi)])
             mperp = np.array([-m[1], m[0]])
             f_lo = f @ (np.eye(2) + lo * np.outer(m, mperp))
@@ -234,7 +218,7 @@ def wlc_numeric(f: Mat, s: SlipSystem, n_dirs: int = 720,
                 f_plus=f_hi, f_minus=f_lo, mu=-lo / (hi - lo),
                 direction=(m, mperp), energy=value, kind="UpperBoundOnly")
     return OracleResult(value=ExtendedEnergy.finite(max(value, 0.0)), best=best_dec,
-                        directions_scanned=n_dirs, refined_angle=phi_star)
+                        directions_scanned=n_dirs, refined_angle=float(batch.phi_star[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -256,23 +240,15 @@ class ScanRow:
     slack_hi: Optional[float]     # upper - oracle on Bounds cells
 
 
-def _worker_count() -> int:
-    raw = os.environ.get("LAMLAB_THREADS", "0")
-    try:
-        n = int(raw)
-    except ValueError:
-        n = 0
-    return n if n > 0 else (os.cpu_count() or 1)
+def _skipped(cell: RegionCell) -> bool:
+    return cell.label.on_boundary or cell.label.tag == "OffManifold"
 
 
-def _scan_cell(cell: RegionCell, s: SlipSystem, n_dirs: int, tol: float) -> ScanRow:
-    if cell.label.on_boundary or cell.label.tag == "OffManifold":
+def _scan_row(cell: RegionCell, oracle: Optional[float]) -> ScanRow:
+    if oracle is None:
         return ScanRow(b=cell.b, c=cell.c, region=cell.label.tag, skipped=True,
                        closed=None, lower=None, upper=None, oracle=None,
                        discrepancy=None, slack_lo=None, slack_hi=None)
-    from .algebra import bc_to_matrix
-    f = bc_to_matrix(cell.b, cell.c)
-    oracle = wlc_numeric(f, s, n_dirs=n_dirs, tol=tol).value.as_float()
     if isinstance(cell.energy, Known):
         closed = cell.energy.value.as_float()
         return ScanRow(b=cell.b, c=cell.c, region=cell.label.tag, skipped=False,
@@ -290,13 +266,11 @@ def envelope_scan(s: SlipSystem, bc_range: float, n: int, n_dirs: int = 720,
     """Certify the closed-form envelope against the oracle on a (b, c) grid.
 
     Returns ScanRow entries in the deterministic row-major grid order;
-    boundary-band cells are emitted but marked skipped.
+    boundary-band cells are emitted but marked skipped.  The oracle runs once
+    over all certified cells; each value equals `wlc_numeric` at that cell.
     """
     cells = region_map(s, bc_range, n, tol)
-    workers = _worker_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(lambda cc: _scan_cell(cc, s, n_dirs, tol), cells))
-    else:
-        rows = [_scan_cell(cc, s, n_dirs, tol) for cc in cells]
-    return rows
+    live = [cell for cell in cells if not _skipped(cell)]
+    fs = np.array([bc_to_matrix(cell.b, cell.c) for cell in live]).reshape(-1, 2, 2)
+    values = iter(np.maximum(_oracle(fs, s, n_dirs, tol).value, 0.0).tolist())
+    return [_scan_row(cell, None if _skipped(cell) else next(values)) for cell in cells]

@@ -118,3 +118,12 @@ def test_bc_to_matrix():
         assert abs(det2(m) - 1.0) <= 1e-12 * max(1.0, frobenius_sq(m))
         assert np.allclose(m, m.T)
         assert np.linalg.eigvalsh(m).min() > 0.0
+
+
+def test_bc_to_matrix_large_b_keeps_unit_determinant():
+    # a - |b| cancels at large |b|; the residual used to reach 1.7e-8 at b = 1e4
+    for b in (1e4, -1e4, 1e6, -1e6):
+        for c in (0.0, 0.1, 3.0):
+            m = bc_to_matrix(b, c)
+            assert abs(det2(m) - 1.0) <= 1e-12
+            assert (m[0, 0] > m[1, 1]) == (b > 0) and m[0, 1] == m[1, 0] == c

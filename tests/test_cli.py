@@ -57,6 +57,16 @@ def test_classify_usage_errors(capsys):
     assert main(["classify", "--matrix", "1,0,0,1", "--bc", "0,0"]) == 2
 
 
+def test_non_finite_input_is_usage_error(capsys):
+    for argv in (["classify", "--matrix", "nan,0,0,1"],
+                 ["classify", "--matrix", "1,0,0,inf"],
+                 ["classify", "--bc=-inf,0"],
+                 ["laminate", "--bc", "0,nan"],
+                 ["classify", "--bc", "1/0,0"]):
+        assert main(argv) == 2, argv
+    assert capsys.readouterr().out == ""
+
+
 def test_laminate_roundtrip(capsys):
     code, out = run(capsys, ["laminate", "--bc", "0.8,0.3"])
     assert code == 0
@@ -67,6 +77,12 @@ def test_laminate_roundtrip(capsys):
     assert data["residuals"]["convex_combination"] <= 1e-10
     assert np.linalg.matrix_rank(f_plus - f_minus, tol=1e-8) <= 1
     assert 0.0 <= mu <= 1.0
+
+
+def test_laminate_large_b(capsys):
+    code, out = run(capsys, ["--theta", "0.9", "laminate", "--bc", "1e5,0.1"])
+    assert code == 0
+    assert json.loads(out)["residuals"]["convex_combination"] <= 1e-10
 
 
 def test_general_bounds_json(capsys):
@@ -131,3 +147,7 @@ def test_bad_config_is_usage_error(tmp_path):
     assert main(["--config", str(bad), "classify", "--bc", "0,0"]) == 2
     missing = tmp_path / "missing.json"
     assert main(["--config", str(missing), "classify", "--bc", "0,0"]) == 2
+    out = str(tmp_path / "scan.csv")
+    for flags in (["--lambda", "1.5"], ["--n", "0"], ["--range", "-1"], ["--n-dirs", "4"],
+                  ["--tol", "0"], ["--theta", "nan"]):
+        assert main(["--n", "3", *flags, "verify-envelope", "--out", out]) == 2, flags

@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from lamlab.algebra import random_det1
+from lamlab.algebra import bc_to_matrix, random_det1
 from lamlab.energy import SlipSystem, f_majorant, h, h_perp, w_hom_orthogonal
-from lamlab.envelope_oracle import (_scan_directions, envelope_scan,
+from lamlab.envelope_oracle import (_direction_energy, envelope_scan,
                                     wlc_numeric)
 from lamlab.errors import OffManifold, PreconditionError
 
@@ -62,10 +62,12 @@ def test_never_undershoots_convex_lower_bound():
 
 def test_direction_grid_monotonicity():
     rng = np.random.default_rng(43)
+    coarse_phis = np.arange(90) * (math.pi / 90)
+    fine_phis = np.arange(180) * (math.pi / 180)
     for _ in range(100):
         f = random_det1(rng, spread=2.0)
-        coarse = _scan_directions(f, ORTHO, np.arange(90) * (math.pi / 90)).min()
-        fine = _scan_directions(f, ORTHO, np.arange(180) * (math.pi / 180)).min()
+        coarse = _direction_energy(f[None], np.cos(coarse_phis), np.sin(coarse_phis), ORTHO).min()
+        fine = _direction_energy(f[None], np.cos(fine_phis), np.sin(fine_phis), ORTHO).min()
         assert fine <= coarse + 1e-15
 
 
@@ -79,9 +81,7 @@ def test_scan_rows_and_known_agreement():
             assert row.oracle == pytest.approx(0.0, abs=1e-10)
         if row.discrepancy is not None:
             assert row.discrepancy <= 1e-5
-        ref = w_hom_orthogonal(
-            __import__("lamlab.algebra", fromlist=["bc_to_matrix"]).bc_to_matrix(row.b, row.c),
-            ORTHO).as_float()
+        ref = w_hom_orthogonal(bc_to_matrix(row.b, row.c), ORTHO).as_float()
         assert row.closed == pytest.approx(ref)
 
 
@@ -95,9 +95,13 @@ def test_scan_bounds_cells_general():
         assert row.slack_hi >= -1e-5
 
 
-def test_scan_thread_count_does_not_change_results(monkeypatch):
-    monkeypatch.setenv("LAMLAB_THREADS", "1")
-    serial = envelope_scan(ORTHO, 2.0, 9, n_dirs=120)
-    monkeypatch.setenv("LAMLAB_THREADS", "4")
-    threaded = envelope_scan(ORTHO, 2.0, 9, n_dirs=120)
-    assert [(r.b, r.c, r.oracle) for r in serial] == [(r.b, r.c, r.oracle) for r in threaded]
+def test_scan_matches_per_cell_oracle():
+    # more certified cells than one coarse-scan chunk holds at 120 directions (96)
+    for theta in (math.pi / 4, 0.3 * math.pi):
+        s = SlipSystem.from_theta(theta, 0.5)
+        rows = [r for r in envelope_scan(s, 2.0, 15, n_dirs=120) if not r.skipped]
+        assert len(rows) > 96
+        assert any(r.slack_lo is not None for r in rows) == (theta != math.pi / 4)
+        for row in rows:
+            ref = wlc_numeric(bc_to_matrix(row.b, row.c), s, n_dirs=120).value.as_float()
+            assert abs(row.oracle - ref) <= 1e-12
