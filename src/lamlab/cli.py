@@ -261,9 +261,17 @@ def cmd_homogenize(args) -> int:
         gamma, edge = chunk.split(":")
         bands.append((_parse_number(gamma), _parse_number(edge)))
     eps_list = [_parse_number(tok) for tok in args.eps_list.split(",")]
-    reports = run_sweep(s, np.eye(2), bands, eps_list, laminate_period=args.hlam,
+    hlam = _parse_number(args.hlam)
+    if not all(eps > 0.0 for eps in eps_list):
+        raise ValueError("--eps-list entries must be positive")
+    if not hlam > 0.0:
+        raise ValueError("--hlam must be positive")
+    if args.cells_per_feature < 4:
+        raise ValueError("--cells-per-feature must be at least 4, the fewest cells "
+                         "a feature may span")
+    reports = run_sweep(s, np.eye(2), bands, eps_list, laminate_period=hlam,
                         cells_per_feature=args.cells_per_feature)
-    table = [[fmt(r.epsilon), fmt(args.hlam), fmt(r.e_eps), fmt(r.target),
+    table = [[fmt(r.epsilon), fmt(hlam), fmt(r.e_eps), fmt(r.target),
               fmt(r.rel_error), fmt(r.flagged_area)] for r in reports]
     _write_csv(args.out, ["epsilon", "hlam", "e_eps", "target", "rel_error",
                           "flagged_area"], table)
@@ -329,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gamma-bands", required=True,
                    help="comma list gamma:right_edge, edges ending at the domain side")
     p.add_argument("--eps-list", required=True, help="comma list of layer periods")
-    p.add_argument("--hlam", type=float, default=0.25,
+    p.add_argument("--hlam", default="0.25",
                    help="laminate period as a fraction of eps*lambda")
     p.add_argument("--cells-per-feature", type=int, default=8)
     p.add_argument("--out", required=True)

@@ -20,6 +20,12 @@ from .laminate import decompose
 
 CELL_ENERGY_TOL = 1e-6
 
+# Soft grid rows the rasterizer evaluates per step.  Building a 4096^2 grid at
+# eps = 1/64 (one band or three, 2 vCPUs) took a best of 0.16-0.20 s for any
+# block of 8-512 rows, 0.25 s at 2048 rows, and 0.43 s (one band) to 1.15 s
+# (three bands) with whole-grid arrays.
+_ROW_BLOCK = 64
+
 
 def shear_from_gamma(gamma: float, lam: float, rotation: Mat) -> Mat:
     """Soft-layer gradient N solving lam N + (1-lam) R = R(I + gamma e1 (x) e2)."""
@@ -46,8 +52,8 @@ class MicrostructureSpec:
         l = self.domain_side
         if not 0.0 < self.epsilon <= l:
             raise PreconditionError("layer period must lie in (0, domain side]")
-        if self.laminate_period <= 0.0:
-            raise PreconditionError("laminate period fraction must be positive")
+        if not 0.0 < self.laminate_period < math.inf:
+            raise PreconditionError("laminate period fraction must be positive and finite")
         edges = [t for _, t in self.gammas]
         if not edges or abs(edges[-1] - l) > 1e-12 * max(1.0, l):
             raise PreconditionError("band edges must end at the domain side")
@@ -74,18 +80,21 @@ class GradientField:
 
 
 def build_gradient_field(spec: MicrostructureSpec) -> GradientField:
-    """Rasterize the layered pattern with grafted laminates onto the grid."""
+    """Rasterize the layered pattern with grafted laminates onto the grid.
+
+    Rigid rows and columns outside every band keep label 0, so the laminate
+    is evaluated only on the soft rows of each band's column range, a block
+    of rows at a time.
+    """
     gn, l, eps = spec.grid_n, spec.domain_side, spec.epsilon
     lam = spec.slip.lam
     xs = (np.arange(gn) + 0.5) * (l / gn)
-    x1 = xs[None, :]
-    x2 = xs[:, None]
-    frac2 = np.mod(x2 / eps, 1.0)
-    soft = frac2 < lam
+    soft_rows = np.flatnonzero(np.mod(xs / eps, 1.0) < lam)
+    x2 = xs[soft_rows]
+    x2_in_strip = x2 - np.floor(x2 / eps) * eps
     labels = np.zeros((gn, gn), dtype=np.int16)
     values = [spec.rotation.copy()]
     h_abs = spec.laminate_period * eps * lam
-    strip_bottom = np.floor(x2 / eps) * eps
 
     left = 0.0
     for band_index, (gamma, right) in enumerate(spec.gammas):
@@ -98,15 +107,19 @@ def build_gradient_field(spec: MicrostructureSpec) -> GradientField:
         x_lo = math.ceil(left / eps - 1e-9) * eps
         x_hi = math.floor(right / eps + 1e-9) * eps
         left = right
-        if x_hi <= x_lo:
+        # cell centres are sorted: the columns with x_lo <= x1 < x_hi
+        i0, i1 = np.searchsorted(xs, [x_lo, x_hi])
+        if i1 <= i0:
             continue
-        in_band = soft & (x1 >= x_lo) & (x1 < x_hi)
         normal = np.asarray(dec.direction[1], dtype=float)
         n_hat = normal / np.linalg.norm(normal)
-        u = (x1 - x_lo) * n_hat[0] + (x2 - strip_bottom) * n_hat[1]
-        plus = np.mod(u / h_abs, 1.0) < dec.mu
-        labels = np.where(in_band & plus, lab_plus, labels)
-        labels = np.where(in_band & ~plus, lab_plus + 1, labels)
+        u1 = (xs[i0:i1] - x_lo) * n_hat[0]
+        for r0 in range(0, soft_rows.size, _ROW_BLOCK):
+            r1 = r0 + _ROW_BLOCK
+            u = u1 + (x2_in_strip[r0:r1, None] * n_hat[1])
+            plus = np.mod(u / h_abs, 1.0) < dec.mu
+            # plus cells take lab_plus, minus cells lab_plus + 1
+            labels[soft_rows[r0:r1], i0:i1] = np.subtract(lab_plus + 1, plus, dtype=np.int16)
     return GradientField(labels=labels, values=values, spec=spec)
 
 
@@ -134,7 +147,8 @@ def energy_of_field(field: GradientField, spec: MicrostructureSpec) -> EnergyRep
     """Grid energy of the pattern against the homogenized band-weighted target."""
     gn, l = spec.grid_n, spec.domain_side
     cell_area = (l / gn) ** 2
-    counts = np.bincount(field.labels.ravel(), minlength=len(field.values))
+    lab = field.labels
+    counts = np.array([np.count_nonzero(lab == label) for label in range(len(field.values))])
     e_eps = 0.0
     for label, value in enumerate(field.values):
         if counts[label] == 0:
@@ -145,12 +159,13 @@ def energy_of_field(field: GradientField, spec: MicrostructureSpec) -> EnergyRep
         e_eps += counts[label] * w.value * cell_area
 
     # interface cells: any 4-neighbour with a different label
-    lab = field.labels
-    flagged = np.zeros_like(lab, dtype=bool)
-    flagged[1:, :] |= lab[1:, :] != lab[:-1, :]
-    flagged[:-1, :] |= lab[:-1, :] != lab[1:, :]
-    flagged[:, 1:] |= lab[:, 1:] != lab[:, :-1]
-    flagged[:, :-1] |= lab[:, :-1] != lab[:, 1:]
+    flagged = np.zeros(lab.shape, dtype=bool)
+    differs = lab[1:, :] != lab[:-1, :]
+    flagged[1:, :] |= differs
+    flagged[:-1, :] |= differs
+    differs = lab[:, 1:] != lab[:, :-1]
+    flagged[:, 1:] |= differs
+    flagged[:, :-1] |= differs
     flagged_area = float(np.count_nonzero(flagged)) * cell_area
 
     area = l * l
@@ -181,6 +196,8 @@ def run_sweep(slip: SlipSystem, rotation: Mat, gammas, eps_list, laminate_period
     for eps in eps_list:
         lam = slip.lam
         finest = min(eps * lam, laminate_period * eps * lam)
+        if not finest > 0.0:
+            raise PreconditionError("layer period and laminate period must be positive")
         gn = min(int(math.ceil(cells_per_feature * domain_side / finest)), grid_cap)
         spec = MicrostructureSpec(slip=slip, rotation=rotation, gammas=tuple(gammas),
                                   epsilon=eps, laminate_period=laminate_period,

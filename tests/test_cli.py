@@ -57,12 +57,16 @@ def test_classify_usage_errors(capsys):
     assert main(["classify", "--matrix", "1,0,0,1", "--bc", "0,0"]) == 2
 
 
-def test_non_finite_input_is_usage_error(capsys):
+def test_non_finite_input_is_usage_error(tmp_path, capsys):
+    sweep = ["homogenize", "--gamma-bands", "0.4:1", "--eps-list", "1/4",
+             "--out", str(tmp_path / "sweep.csv")]
     for argv in (["classify", "--matrix", "nan,0,0,1"],
                  ["classify", "--matrix", "1,0,0,inf"],
                  ["classify", "--bc=-inf,0"],
                  ["laminate", "--bc", "0,nan"],
-                 ["classify", "--bc", "1/0,0"]):
+                 ["classify", "--bc", "1/0,0"],
+                 [*sweep, "--hlam", "nan"],
+                 [*sweep, "--hlam", "inf"]):
         assert main(argv) == 2, argv
     assert capsys.readouterr().out == ""
 
@@ -151,3 +155,9 @@ def test_bad_config_is_usage_error(tmp_path):
     for flags in (["--lambda", "1.5"], ["--n", "0"], ["--range", "-1"], ["--n-dirs", "4"],
                   ["--tol", "0"], ["--theta", "nan"]):
         assert main(["--n", "3", *flags, "verify-envelope", "--out", out]) == 2, flags
+    sweep = ["homogenize", "--gamma-bands", "0.4:1", "--out", str(tmp_path / "sweep.csv")]
+    for flags in (["--eps-list", "0"], ["--eps-list", "1/8,-1/8"],
+                  ["--eps-list", "1/4", "--hlam", "0"], ["--eps-list", "1/4", "--hlam", "-1"],
+                  ["--eps-list", "1/4", "--cells-per-feature", "0"],
+                  ["--eps-list", "1/4", "--cells-per-feature", "3"]):
+        assert main([*sweep, *flags]) == 2, flags

@@ -3,11 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from lamlab.energy import SlipSystem
+from lamlab import homogenize
+from lamlab.energy import SlipSystem, w_condensed
 from lamlab.errors import PreconditionError
 from lamlab.homogenize import (MicrostructureSpec, averaging_check,
                                build_gradient_field, energy_of_field,
                                run_sweep, shear_from_gamma)
+from lamlab.laminate import decompose
 
 SLIP = SlipSystem.orthogonal(v1=(1 / math.sqrt(2), 1 / math.sqrt(2)), lam=0.5)
 R = np.eye(2)
@@ -29,6 +31,11 @@ def test_spec_validation():
         make_spec(gammas=((0.4, 0.5),))
     with pytest.raises(PreconditionError):
         make_spec(gammas=((0.4, 0.7), (0.1, 0.6), (0.0, 1.0)))
+    with pytest.raises(PreconditionError):
+        make_spec(laminate_period=math.nan)
+    for eps_list, hlam in (([0.0], 0.25), ([1 / 4], 0.0)):
+        with pytest.raises(PreconditionError):
+            run_sweep(SLIP, R, [(0.4, 1.0)], eps_list, laminate_period=hlam)
 
 
 def test_zero_shear_field_is_rigid():
@@ -73,6 +80,79 @@ def test_on_manifold_band_is_single_valued():
     vals = [field.values[i] for i in soft_labels]
     for v in vals:
         assert np.allclose(v, n)
+
+
+def reference_raster(spec):
+    """Whole-grid rasterization and scoring: labels, label counts, flagged area."""
+    gn, l, eps = spec.grid_n, spec.domain_side, spec.epsilon
+    lam = spec.slip.lam
+    xs = (np.arange(gn) + 0.5) * (l / gn)
+    x1 = xs[None, :]
+    x2 = xs[:, None]
+    soft = np.mod(x2 / eps, 1.0) < lam
+    labels = np.zeros((gn, gn), dtype=np.int16)
+    h_abs = spec.laminate_period * eps * lam
+    strip_bottom = np.floor(x2 / eps) * eps
+    left = 0.0
+    for band_index, (gamma, right) in enumerate(spec.gammas):
+        dec = decompose(shear_from_gamma(gamma, lam, spec.rotation), spec.slip)
+        x_lo = math.ceil(left / eps - 1e-9) * eps
+        x_hi = math.floor(right / eps + 1e-9) * eps
+        left = right
+        in_band = soft & (x1 >= x_lo) & (x1 < x_hi)
+        n_hat = np.asarray(dec.direction[1], dtype=float)
+        n_hat = n_hat / np.linalg.norm(n_hat)
+        u = (x1 - x_lo) * n_hat[0] + (x2 - strip_bottom) * n_hat[1]
+        plus = np.mod(u / h_abs, 1.0) < dec.mu
+        labels = np.where(in_band & plus, 1 + 2 * band_index, labels)
+        labels = np.where(in_band & ~plus, 2 + 2 * band_index, labels)
+    flagged = np.zeros_like(labels, dtype=bool)
+    flagged[1:, :] |= labels[1:, :] != labels[:-1, :]
+    flagged[:-1, :] |= labels[:-1, :] != labels[1:, :]
+    flagged[:, 1:] |= labels[:, 1:] != labels[:, :-1]
+    flagged[:, :-1] |= labels[:, :-1] != labels[:, 1:]
+    counts = np.bincount(labels.ravel(), minlength=1 + 2 * len(spec.gammas))
+    return labels, counts, float(np.count_nonzero(flagged)) * (l / gn) ** 2
+
+
+ROTATION = np.array([[math.cos(0.4), -math.sin(0.4)], [math.sin(0.4), math.cos(0.4)]])
+
+
+@pytest.mark.parametrize("kw", [
+    {},
+    {"gammas": ((0.2, 9 / 32), (0.5, 23 / 32), (-0.3, 1.0))},
+    {"laminate_period": 1 / 3},
+    {"domain_side": 2.0, "gammas": ((0.3, 0.7), (-0.2, 2.0)), "epsilon": 0.25, "grid_n": 600},
+    {"rotation": ROTATION},
+    # tilted laminate normals; the band energy there is unknown, so no target
+    {"slip": SlipSystem.from_theta(0.3 * math.pi, 0.5), "gammas": ((-0.6, 0.4), (0.8, 1.0))},
+    # 125.125 grid rows per layer period
+    {"grid_n": 1001},
+], ids=["single", "three_bands", "hlam_third", "side_2", "rotated", "theta_0.3pi", "grid_1001"])
+def test_raster_matches_reference(kw, monkeypatch):
+    spec = make_spec(**kw)
+    ref_labels, ref_counts, ref_flagged = reference_raster(spec)
+    # the soft rows span at least three row blocks
+    assert np.count_nonzero(ref_labels.any(axis=1)) > 2 * homogenize._ROW_BLOCK
+    field = build_gradient_field(spec)
+    assert field.labels.dtype == np.int16
+    assert np.array_equal(field.labels, ref_labels)
+    assert np.array_equal(np.bincount(field.labels.ravel(), minlength=ref_counts.size),
+                          ref_counts)
+    if not spec.slip.is_orthogonal:
+        monkeypatch.setattr(homogenize, "_whom_value", lambda n_mat, s: 0.0)
+    rep = energy_of_field(field, spec)
+    cell_area = (spec.domain_side / spec.grid_n) ** 2
+    e_eps = 0.0
+    avg = np.zeros((2, 2))
+    for count, value in zip(ref_counts, field.values):
+        if count:
+            w = w_condensed(value, spec.slip, tol=homogenize.CELL_ENERGY_TOL)
+            e_eps += count * w.value * cell_area
+        avg = avg + (count / ref_labels.size) * value
+    assert rep.e_eps == e_eps
+    assert rep.flagged_area == ref_flagged
+    assert np.array_equal(rep.avg_gradient, avg)
 
 
 def test_sweep_monotone_and_accurate():
