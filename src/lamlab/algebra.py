@@ -81,16 +81,6 @@ def identity_f2(f: Mat, a: Vec, b: Vec) -> float:
     return num / denom**2
 
 
-class DegenerateConstant:
-    """Sentinel: the unit-image constraint holds identically along the line."""
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return "DegenerateConstant"
-
-
-DEGENERATE_CONSTANT = DegenerateConstant()
-
-
 @dataclass(frozen=True)
 class RankOneLine:
     """The line t -> base (I + t a (x) n).
@@ -114,54 +104,40 @@ class RankOneLine:
         return self.base @ (np.eye(2) + t * np.outer(self.left, self.normal))
 
 
-def solve_quadratic(alpha: float, beta: float, c0: float, scale: float = 1.0):
-    """Real roots of alpha t^2 + beta t + c0, ascending, double root once.
-
-    Uses the numerically stable form q = -(beta + sign(beta) sqrt(disc)) / 2.
-    """
-    if alpha == 0.0:
-        if beta == 0.0:
-            return []
-        return [-c0 / beta]
-    disc = beta * beta - 4.0 * alpha * c0
-    if disc < -EPS * scale:
-        return []
-    if disc <= EPS * scale:
-        return [-beta / (2.0 * alpha)]
-    sq = math.sqrt(disc)
-    q = -(beta + math.copysign(sq, beta)) / 2.0
-    if q == 0.0:  # beta == 0
-        r = math.sqrt(-c0 / alpha)
-        return [-r, r]
-    r1, r2 = q / alpha, c0 / q
-    return sorted((r1, r2))
-
-
 def solve_unit_image_times(line: RankOneLine, v: Vec):
-    """All real t with |line.point(t) v| = 1, ascending.
+    """All real t with |line.point(t) v| = 1, ascending, a double root once.
 
-    Returns DEGENERATE_CONSTANT when n.v = 0 and |Fv| = 1, i.e. the
-    constraint holds for every t; an empty list when no real root exists.
-    Each root gets one Newton polish step.
+    Along the line F(t) v = Fv + t (n.v) Fa, so s = (n.v) t solves
+    |Fa|^2 s^2 + 2 (Fa.Fv) s + |Fv|^2 - 1 = 0.  Its reduced discriminant
+    |Fa|^2 - det(F)^2 (a_perp.v)^2 comes from identity (F1), free of the
+    cancellation of the expanded coefficients at large |F|.  Returns an
+    empty list when no real root exists or when n.v = 0 (F(t) v does not
+    move).  Each root gets one Newton step on the vector residual.
     """
     f, a, n = line.base, line.left, line.normal
     fa, fv = f @ a, f @ v
     nv = float(n @ v)
-    c0 = float(fv @ fv) - 1.0
-    scale = max(1.0, frobenius_sq(f))
-    if abs(nv) < EPS * scale:
-        if abs(c0) <= EPS * scale:
-            return DEGENERATE_CONSTANT
+    if abs(nv) <= EPS * math.hypot(n[0], n[1]) * math.hypot(v[0], v[1]):
         return []
-    alpha = nv * nv * float(fa @ fa)
-    beta = 2.0 * nv * float(fa @ fv)
-    roots = solve_quadratic(alpha, beta, c0, scale=scale * scale)
+    faa = float(fa @ fa)
+    fafv = float(fa @ fv)
+    cross = det2(f) * float(perp(a) @ v)
+    disc = faa - cross * cross
+    tol = EPS * max(1.0, frobenius_sq(f))
+    if disc < -tol:
+        return []
+    if disc <= tol:
+        roots = [-fafv / (nv * faa)]
+    else:
+        q = -(fafv + math.copysign(math.sqrt(disc), fafv))
+        c0 = float(fv @ fv) - 1.0
+        roots = sorted((q / (nv * faa), c0 / (nv * q)))
     polished = []
     for t in roots:
-        g = alpha * t * t + beta * t + c0
-        dg = 2.0 * alpha * t + beta
+        w = fv + (t * nv) * fa
+        dg = 2.0 * nv * float(fa @ w)
         if dg != 0.0:
-            t -= g / dg
+            t -= (float(w @ w) - 1.0) / dg
         polished.append(t)
     return polished
 

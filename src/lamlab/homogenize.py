@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import Mat
-from .energy import SlipSystem, w_condensed, w_hom_orthogonal, w_hom_general, Known
+from .energy import Known, SlipSystem, w_condensed, w_hom
 from .errors import PreconditionError
 from .laminate import decompose
 
@@ -135,9 +135,7 @@ class EnergyReport:
 
 
 def _whom_value(n_mat: Mat, s: SlipSystem) -> float:
-    if s.is_orthogonal:
-        return w_hom_orthogonal(n_mat, s).as_float()
-    result = w_hom_general(n_mat, s)
+    result = w_hom(n_mat, s)
     if not isinstance(result, Known):
         raise PreconditionError("band gradient lies where the relaxed energy is unknown")
     return result.value.as_float()
@@ -192,6 +190,9 @@ def energy_of_field(field: GradientField, spec: MicrostructureSpec) -> EnergyRep
 def run_sweep(slip: SlipSystem, rotation: Mat, gammas, eps_list, laminate_period: float,
               domain_side: float = 1.0, cells_per_feature: int = 8, grid_cap: int = 4096):
     """Energy reports over a layer-period sweep at fixed feature resolution."""
+    # a band whose target is unknown fails here, before any grid is built
+    for gamma, _ in gammas:
+        _whom_value(shear_from_gamma(gamma, slip.lam, rotation), slip)
     reports = []
     for eps in eps_list:
         lam = slip.lam

@@ -12,10 +12,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import (DEGENERATE_CONSTANT, Mat, RankOneLine, Vec, det2,
-                      frobenius_sq, solve_quadratic, solve_unit_image_times)
-from .energy import DEFAULT_TOL, SlipSystem, h, h_perp, h_plus, h_perp_plus
-from .errors import DegenerateTangency, OffManifold, PreconditionError
+from .algebra import (Mat, RankOneLine, Vec, det2, frobenius_sq, perp,
+                      solve_unit_image_times)
+from .energy import DEFAULT_TOL, SlipSystem
+from .errors import DegenerateTangency, OffManifold
 
 KINDS = ("CaseA", "CaseAPerp", "CaseN1lemN2", "CaseN2", "CaseN1capN2",
          "CaseOnManifold", "UpperBoundOnly")
@@ -48,255 +48,112 @@ def _w_manifold(f: Mat) -> float:
     return max(frobenius_sq(f) - 2.0, 0.0)
 
 
-def _single_point(n: Mat, s: SlipSystem, kind: str = "CaseOnManifold") -> LaminateDecomposition:
+def _end(line: RankOneLine, t: float):
+    """Laminate endpoint at parameter t: (t, F(t), its energy)."""
+    f = line.point(t)
+    return t, f, _w_manifold(f)
+
+
+def _laminate(line: RankOneLine, lo, hi, energy: float, kind: str,
+              tie: bool = False) -> LaminateDecomposition:
+    """Laminate of the endpoints lo (t <= 0) and hi (t >= 0) from _end."""
+    (t_lo, f_lo, _), (t_hi, f_hi, _) = lo, hi
     return LaminateDecomposition(
-        f_plus=n.copy(), f_minus=n.copy(), mu=0.5,
-        direction=(s.v3, s.v3_perp), energy=_w_manifold(n), kind=kind,
-    )
-
-
-def _on_manifold(n: Mat, s: SlipSystem, tol: float) -> bool:
-    d1 = abs(float(np.linalg.norm(n @ s.v1)) - 1.0)
-    d2 = abs(float(np.linalg.norm(n @ s.v2)) - 1.0)
-    return min(d1, d2) <= tol
-
-
-def _pair_decomposition(line: RankOneLine, t_minus: float, t_plus: float,
-                        energy: float, kind: str, tie: bool = False) -> LaminateDecomposition:
-    mu = -t_minus / (t_plus - t_minus)
-    return LaminateDecomposition(
-        f_plus=line.point(t_plus), f_minus=line.point(t_minus), mu=mu,
+        f_plus=f_hi, f_minus=f_lo, mu=-t_lo / (t_hi - t_lo),
         direction=(line.left, line.normal), energy=energy, kind=kind,
         degenerate_tie=tie,
     )
 
 
-# ---------------------------------------------------------------------------
-# orthogonal construction
-
-
-def _dot_quadratic_roots(line: RankOneLine, v1: Vec, v2: Vec):
-    """Roots of (F_t v1).(F_t v2) = 0 along the line."""
-    f, a, n = line.base, line.left, line.normal
-    fa, fv1, fv2 = f @ a, f @ v1, f @ v2
-    n1, n2 = float(n @ v1), float(n @ v2)
-    alpha = n1 * n2 * float(fa @ fa)
-    beta = n1 * float(fa @ fv2) + n2 * float(fa @ fv1)
-    c0 = float(fv1 @ fv2)
-    return solve_quadratic(alpha, beta, c0, scale=max(1.0, frobenius_sq(f)) ** 2)
-
-
-def _interval_construction(n_mat: Mat, s: SlipSystem, sign: float) -> LaminateDecomposition:
-    """Cases with both slip norms above 1: scan the bisector rank-one line.
-
-    sign > 0 handles Nv1.Nv2 > 0 (line direction (v1+v2) (x) (v1-v2));
-    sign < 0 the mirrored case.  The admissible parameter set (both norms
-    above 1, slip-image dot product of the prescribed sign) is a finite
-    union of open intervals containing 0; the laminate endpoints are its
-    extreme endpoints.
-    """
-    if sign > 0:
-        a, nn = s.v1 + s.v2, s.v1 - s.v2
-    else:
-        a, nn = s.v1 - s.v2, s.v1 + s.v2
-    line = RankOneLine(n_mat, a, nn)
-    roots = []
-    for v in (s.v1, s.v2):
-        r = solve_unit_image_times(line, v)
-        if r is not DEGENERATE_CONSTANT:
-            roots.extend(r)
-    roots.extend(_dot_quadratic_roots(line, s.v1, s.v2))
-    roots = sorted(set(roots))
-    if len(roots) < 2:
-        raise DegenerateTangency("interval construction found fewer than two roots")
-
-    def admissible(t: float) -> bool:
-        ft = line.point(t)
-        fv1, fv2 = ft @ s.v1, ft @ s.v2
-        return (float(fv1 @ fv1) > 1.0 and float(fv2 @ fv2) > 1.0
-                and sign * float(fv1 @ fv2) > 0.0)
-
-    t_lo = math.inf
-    t_hi = -math.inf
-    for left, right in zip(roots[:-1], roots[1:]):
-        if admissible(0.5 * (left + right)):
-            t_lo = min(t_lo, left)
-            t_hi = max(t_hi, right)
-    if not (t_lo <= 0.0 <= t_hi) or t_hi <= t_lo:
-        raise DegenerateTangency("target parameter 0 is not inside the admissible set")
-    energy = _w_manifold(line.point(t_hi))
-    return _pair_decomposition(line, t_lo, t_hi, energy,
-                               "CaseA" if sign > 0 else "CaseAPerp")
-
-
-def decompose_orthogonal(n: Mat, s: SlipSystem, tol: float = DEFAULT_TOL) -> LaminateDecomposition:
-    """Optimal laminate for orthogonal slips; energy equals the relaxed density."""
-    if not s.is_orthogonal:
-        raise PreconditionError("decompose_orthogonal requires orthogonal slips")
-    if abs(det2(n) - 1.0) > tol:
-        raise OffManifold("target determinant differs from 1 beyond tolerance")
-    if _on_manifold(n, s, tol):
-        return _single_point(n, s)
-    norm1 = float(np.linalg.norm(n @ s.v1))
-    norm2 = float(np.linalg.norm(n @ s.v2))
-    if norm1 > 1.0 and norm2 > 1.0:
-        dot = float((n @ s.v1) @ (n @ s.v2))
-        return _interval_construction(n, s, 1.0 if dot >= 0.0 else -1.0)
-    # exactly one slip norm below 1: single-slip laminate along that system
-    if norm1 < 1.0:
-        v, kind = s.v1, "CaseN1lemN2"
-    else:
-        v, kind = s.v2, "CaseN2"
-    from .algebra import perp
+def _single_slip(n: Mat, v: Vec, kind: str):
+    """Laminate along N(I + t v_perp (x) v) with both endpoints on M_v, or None."""
     line = RankOneLine(n, perp(v), v)
     roots = solve_unit_image_times(line, v)
-    if roots is DEGENERATE_CONSTANT or len(roots) != 2:
-        raise DegenerateTangency("single-slip construction requires two distinct roots")
-    t_lo, t_hi = roots
-    energy = _w_manifold(line.point(t_hi))
-    return _pair_decomposition(line, t_lo, t_hi, energy, kind)
+    if len(roots) != 2 or not roots[0] <= 0.0 <= roots[1]:
+        return None
+    lo, hi = (_end(line, t) for t in roots)
+    return _laminate(line, lo, hi, hi[2], kind)
 
 
-# ---------------------------------------------------------------------------
-# general-angle construction
+def _equal_energy_pair(line: RankOneLine, va: Vec, vb: Vec, kind: str):
+    """Laminate on line with one endpoint on M_va and one on M_vb, or None.
 
-
-def _opposite_sign_equal_energy(line: RankOneLine, roots_a, roots_b, scale: float):
-    """Bracketing pair (one root from each list) with equal endpoint energies."""
+    Among the root pairs (one |F(t) va| = 1 root, one |F(t) vb| = 1 root)
+    that bracket the target t = 0 with equal endpoint energies, the one of
+    least energy.  For kinds CaseA / CaseAPerp, degenerate_tie flags two
+    roots of one slip system with equal energies, where the pairing is
+    ambiguous.
+    """
+    scale = max(1.0, frobenius_sq(line.base))
+    ends = []
+    for v in (va, vb):
+        roots = solve_unit_image_times(line, v)
+        if len(roots) != 2:
+            return None
+        ends.append([_end(line, t) for t in roots])
     best = None
-    for ta in roots_a:
-        for tb in roots_b:
-            lo, hi = min(ta, tb), max(ta, tb)
-            if not (lo <= 0.0 <= hi) or hi - lo <= 1e-15:
+    for a_end in ends[0]:
+        for b_end in ends[1]:
+            lo, hi = sorted((a_end, b_end), key=lambda end: end[0])
+            if not (lo[0] <= 0.0 <= hi[0]) or hi[0] - lo[0] <= 1e-15:
                 continue
-            w_lo = _w_manifold(line.point(lo))
-            w_hi = _w_manifold(line.point(hi))
-            if abs(w_lo - w_hi) > 1e-6 * scale:
+            if abs(lo[2] - hi[2]) > 1e-6 * scale:
                 continue
-            cand = (max(w_lo, w_hi), lo, hi)
-            if best is None or cand[0] < best[0]:
-                best = cand
-    return best
-
-
-def _two_roots(line: RankOneLine, v: Vec):
-    r = solve_unit_image_times(line, v)
-    if r is DEGENERATE_CONSTANT:
-        return None
-    return r if len(r) == 2 else None
-
-
-def _general_a_case(n: Mat, s: SlipSystem, perp_case: bool) -> LaminateDecomposition:
-    """Both slip norms above 1: laminate across M1 and M2 on the bisector line."""
-    if perp_case:
-        line = RankOneLine(n, s.v3_perp, s.v3)
-        z = float(np.linalg.norm(n @ s.v3_perp))
-        energy = h_perp(z, s.theta)
-    else:
-        line = RankOneLine(n, s.v3, s.v3_perp)
-        z = float(np.linalg.norm(n @ s.v3))
-        energy = h(z, s.theta)
-    scale = max(1.0, frobenius_sq(n))
-    r1 = _two_roots(line, s.v1)
-    r2 = _two_roots(line, s.v2)
-    if r1 is None or r2 is None:
-        exc = DegenerateTangency("slip-image roots coincide; laminate degenerates")
-        exc.decomposition = _single_point(n, s)
-        raise exc
-    best = _opposite_sign_equal_energy(line, r1, r2, scale)
-    if best is None:
-        raise DegenerateTangency("no bracketing equal-energy root pair found")
-    value, lo, hi = best
-    # degenerate symmetric quadratics make the root choice ambiguous
-    tie = (abs(_w_manifold(line.point(r1[0])) - _w_manifold(line.point(r1[1]))) <= 1e-9 * scale
-           or abs(_w_manifold(line.point(r2[0])) - _w_manifold(line.point(r2[1]))) <= 1e-9 * scale)
-    return _pair_decomposition(line, lo, hi, value,
-                               "CaseAPerp" if perp_case else "CaseA", tie=tie)
-
-
-def _n1capn2_case(n: Mat, s: SlipSystem) -> LaminateDecomposition:
-    """Both slip norms below 1: laminate on the v3 (x) v3_perp line."""
-    line = RankOneLine(n, s.v3, s.v3_perp)
-    scale = max(1.0, frobenius_sq(n))
-    r1 = _two_roots(line, s.v1)
-    r2 = _two_roots(line, s.v2)
-    if r1 is None or r2 is None:
-        exc = DegenerateTangency("slip-image roots coincide; laminate degenerates")
-        exc.decomposition = _single_point(n, s)
-        raise exc
-    best = _opposite_sign_equal_energy(line, r1, r2, scale)
-    if best is None:
-        raise DegenerateTangency("no bracketing equal-energy root pair found")
-    value, lo, hi = best
-    return _pair_decomposition(line, lo, hi, value, "CaseN1capN2")
-
-
-def _single_slip_candidate(n: Mat, s: SlipSystem, v: Vec):
-    from .algebra import perp
-    line = RankOneLine(n, perp(v), v)
-    roots = solve_unit_image_times(line, v)
-    if roots is DEGENERATE_CONSTANT or len(roots) != 2:
-        return None
-    t_lo, t_hi = roots
-    if not t_lo <= 0.0 <= t_hi:
-        return None
-    energy = _w_manifold(line.point(t_hi))
-    return _pair_decomposition(line, t_lo, t_hi, energy, "UpperBoundOnly")
-
-
-def _mixed_candidate(n: Mat, s: SlipSystem, inside: Vec, perp_line: bool):
-    """Laminate across both manifolds from inside a single compressed region."""
-    if perp_line:
-        line = RankOneLine(n, s.v3_perp, s.v3)
-    else:
-        line = RankOneLine(n, s.v3, s.v3_perp)
-    outside = s.v2 if inside is s.v1 else s.v1
-    r_in = _two_roots(line, inside)
-    r_out = _two_roots(line, outside)
-    if r_in is None or r_out is None:
-        return None
-    scale = max(1.0, frobenius_sq(n))
-    best = _opposite_sign_equal_energy(line, r_in, r_out, scale)
+            energy = max(lo[2], hi[2])
+            if best is None or energy < best[0]:
+                best = (energy, lo, hi)
     if best is None:
         return None
-    value, lo, hi = best
-    return _pair_decomposition(line, lo, hi, value, "UpperBoundOnly")
-
-
-def decompose_general(n: Mat, s: SlipSystem, tol: float = DEFAULT_TOL) -> LaminateDecomposition:
-    """Laminate construction for non-orthogonal slip systems.
-
-    On the regions where the relaxed density is known the endpoint energies
-    match it; in the single compressed regions the best available upper-bound
-    laminate is returned with kind = UpperBoundOnly.
-    """
-    if s.is_orthogonal:
-        raise PreconditionError("decompose_general requires a non-orthogonal system")
-    if abs(det2(n) - 1.0) > tol:
-        raise OffManifold("target determinant differs from 1 beyond tolerance")
-    if _on_manifold(n, s, tol):
-        return _single_point(n, s)
-    norm1 = float(np.linalg.norm(n @ s.v1))
-    norm2 = float(np.linalg.norm(n @ s.v2))
-    if norm1 > 1.0 and norm2 > 1.0:
-        dot = float((n @ s.v1) @ (n @ s.v2))
-        return _general_a_case(n, s, perp_case=dot < 0.0)
-    if norm1 < 1.0 and norm2 < 1.0:
-        return _n1capn2_case(n, s)
-    inside = s.v1 if norm1 < 1.0 else s.v2
-    candidates = [_single_slip_candidate(n, s, inside),
-                  _mixed_candidate(n, s, inside, perp_line=False),
-                  _mixed_candidate(n, s, inside, perp_line=True)]
-    candidates = [c for c in candidates if c is not None]
-    if not candidates:
-        raise DegenerateTangency("no admissible laminate found in the compressed region")
-    return min(candidates, key=lambda d: d.energy)
+    energy, lo, hi = best
+    tie = kind in ("CaseA", "CaseAPerp") and any(
+        abs(e[0][2] - e[1][2]) <= 1e-9 * scale for e in ends)
+    return _laminate(line, lo, hi, energy, kind, tie)
 
 
 def decompose(n: Mat, s: SlipSystem, tol: float = DEFAULT_TOL) -> LaminateDecomposition:
-    if s.is_orthogonal:
-        return decompose_orthogonal(n, s, tol)
-    return decompose_general(n, s, tol)
+    """Optimal first-order laminate of the unit-determinant target N.
+
+    Both slip norms above 1 (A, A_perp): equal-energy endpoints on M1 and M2
+    along the bisector line (v1+v2) (x) (v1-v2), or (v1-v2) (x) (v1+v2) when
+    N v1 . N v2 < 0.  Both below 1 (N1 n N2): the same search on the
+    v3 (x) v3_perp line.  One below 1: the single-slip laminate, exact for
+    orthogonal slips; at other angles the envelope is unknown there and the
+    least-energy of the single-slip and the two mixed-manifold laminates is
+    returned with kind UpperBoundOnly.
+    """
+    if abs(det2(n) - 1.0) > tol:
+        raise OffManifold("target determinant differs from 1 beyond tolerance")
+    fv1, fv2 = n @ s.v1, n @ s.v2
+    norm1, norm2 = float(np.linalg.norm(fv1)), float(np.linalg.norm(fv2))
+    if min(abs(norm1 - 1.0), abs(norm2 - 1.0)) <= tol:
+        return LaminateDecomposition(
+            f_plus=n.copy(), f_minus=n.copy(), mu=0.5, direction=(s.v3, s.v3_perp),
+            energy=_w_manifold(n), kind="CaseOnManifold")
+    if norm1 > 1.0 and norm2 > 1.0:
+        bis, bis_perp = s.v1 + s.v2, s.v1 - s.v2
+        if float(fv1 @ fv2) >= 0.0:
+            found = _equal_energy_pair(RankOneLine(n, bis, bis_perp), s.v1, s.v2, "CaseA")
+        else:
+            found = _equal_energy_pair(RankOneLine(n, bis_perp, bis), s.v1, s.v2, "CaseAPerp")
+    elif norm1 < 1.0 and norm2 < 1.0:
+        found = _equal_energy_pair(RankOneLine(n, s.v3, s.v3_perp), s.v1, s.v2, "CaseN1capN2")
+    else:
+        inside, outside = (s.v1, s.v2) if norm1 < 1.0 else (s.v2, s.v1)
+        if s.is_orthogonal:
+            found = _single_slip(n, inside, "CaseN1lemN2" if norm1 < 1.0 else "CaseN2")
+        else:
+            candidates = [
+                _single_slip(n, inside, "UpperBoundOnly"),
+                _equal_energy_pair(RankOneLine(n, s.v3, s.v3_perp), inside, outside,
+                                   "UpperBoundOnly"),
+                _equal_energy_pair(RankOneLine(n, s.v3_perp, s.v3), inside, outside,
+                                   "UpperBoundOnly"),
+            ]
+            found = min((c for c in candidates if c is not None), key=lambda d: d.energy,
+                        default=None)
+    if found is None:
+        raise DegenerateTangency("no rank-one line through the target has admissible endpoints")
+    return found
 
 
 # ---------------------------------------------------------------------------

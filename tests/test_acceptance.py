@@ -17,7 +17,7 @@ from lamlab.energy import (Known, SlipSystem, chi, f_majorant, h, h_perp,
                            w_hom_general, w_hom_orthogonal, w_hom_scalar)
 from lamlab.envelope_oracle import envelope_scan
 from lamlab.homogenize import averaging_check, run_sweep
-from lamlab.laminate import decompose_general, decompose_orthogonal, verify_decomposition
+from lamlab.laminate import decompose, verify_decomposition
 from lamlab.regions import classify
 
 ORTHO = SlipSystem.from_theta(math.pi / 4, 0.5)
@@ -60,7 +60,7 @@ def test_criterion_03_laminate_exactness():
     worst = {"conv": 0.0, "rank": 0.0, "man": 0.0, "energy": 0.0}
     for _ in range(10**4):
         n = random_det1(rng, spread=2.0)
-        d = decompose_orthogonal(n, ORTHO)
+        d = decompose(n, ORTHO)
         rep = verify_decomposition(d, n, ORTHO)
         worst["conv"] = max(worst["conv"], rep.convex_combination)
         worst["rank"] = max(worst["rank"], rep.rank_one)
@@ -73,7 +73,7 @@ def test_criterion_03_laminate_exactness():
         theta = rng.uniform(math.pi / 4 + 0.05, math.pi / 2 - 0.05)
         s = SlipSystem.from_theta(theta, 0.5)
         n = random_det1(rng, spread=2.0)
-        d = decompose_general(n, s)
+        d = decompose(n, s)
         rep = verify_decomposition(d, n, s)
         worst["conv"] = max(worst["conv"], rep.convex_combination)
         worst["rank"] = max(worst["rank"], rep.rank_one)

@@ -84,9 +84,13 @@ def test_laminate_roundtrip(capsys):
 
 
 def test_laminate_large_b(capsys):
-    code, out = run(capsys, ["--theta", "0.9", "laminate", "--bc", "1e5,0.1"])
-    assert code == 0
-    assert json.loads(out)["residuals"]["convex_combination"] <= 1e-10
+    for argv in (["--theta", "0.9", "laminate", "--bc", "1e5,0.1"],
+                 ["laminate", "--bc", "1e6,0.1"]):
+        code, out = run(capsys, argv)
+        assert code == 0
+        residuals = json.loads(out)["residuals"]
+        assert residuals["convex_combination"] <= 1e-10
+        assert residuals["manifold"] <= 1e-9
 
 
 def test_general_bounds_json(capsys):

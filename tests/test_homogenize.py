@@ -38,6 +38,16 @@ def test_spec_validation():
             run_sweep(SLIP, R, [(0.4, 1.0)], eps_list, laminate_period=hlam)
 
 
+def test_unknown_target_fails_before_rasterizing(monkeypatch):
+    # at theta = 0.3 pi W_hom of this band is only bounded
+    def no_raster(spec):
+        raise AssertionError("build_gradient_field called")
+    monkeypatch.setattr(homogenize, "build_gradient_field", no_raster)
+    slip = SlipSystem.from_theta(0.3 * math.pi, 0.5)
+    with pytest.raises(PreconditionError):
+        run_sweep(slip, R, [(0.0, 0.5), (0.4, 1.0)], [1 / 64], laminate_period=0.25)
+
+
 def test_zero_shear_field_is_rigid():
     spec = make_spec(gammas=((0.0, 1.0),))
     field = build_gradient_field(spec)

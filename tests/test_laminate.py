@@ -2,20 +2,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from lamlab.algebra import det2, random_det1, rotation
-from lamlab.energy import Bounds, Known, SlipSystem, w_hom_general, w_hom_orthogonal
-from lamlab.errors import OffManifold, PreconditionError
-from lamlab.laminate import (LaminateDecomposition, decompose,
-                             decompose_general, decompose_orthogonal,
-                             verify_decomposition)
+from lamlab.algebra import bc_to_matrix, det2, random_det1, rotation
+from lamlab.energy import (Bounds, Known, SlipSystem, w_hom, w_hom_general,
+                           w_hom_orthogonal)
+from lamlab.errors import OffManifold
+from lamlab.laminate import LaminateDecomposition, decompose, verify_decomposition
 from lamlab.regions import classify
 
 ORTHO = SlipSystem.orthogonal(v1=(1.0, 0.0))
 
 
 def test_identity_decomposition():
-    d = decompose_orthogonal(np.eye(2), ORTHO)
+    d = decompose(np.eye(2), ORTHO)
     assert d.kind == "CaseOnManifold"
     assert d.mu == 0.5
     assert np.allclose(d.f_plus, np.eye(2))
@@ -24,15 +25,13 @@ def test_identity_decomposition():
 
 def test_off_manifold_rejected():
     with pytest.raises(OffManifold):
-        decompose_orthogonal(np.diag([2.0, 1.0]), ORTHO)
-    with pytest.raises(PreconditionError):
-        decompose_general(np.eye(2), ORTHO)
+        decompose(np.diag([2.0, 1.0]), ORTHO)
 
 
 def test_sheared_layer_target():
     s = SlipSystem.orthogonal(v1=(1 / math.sqrt(2), 1 / math.sqrt(2)), lam=0.5)
     n = np.eye(2) + (0.4 / 0.5) * np.outer([1.0, 0.0], [0.0, 1.0])
-    d = decompose_orthogonal(n, s)
+    d = decompose(n, s)
     ref = w_hom_orthogonal(n, s).as_float()
     assert d.energy == pytest.approx(ref, abs=1e-9)
     assert verify_decomposition(d, n, s).max_residual() <= 1e-9
@@ -41,7 +40,7 @@ def test_sheared_layer_target():
 def test_hyperbolic_stretch_preserved_vector():
     t = 0.3
     n = np.array([[math.cosh(t), math.sinh(t)], [math.sinh(t), math.cosh(t)]])
-    d = decompose_orthogonal(n, ORTHO)
+    d = decompose(n, ORTHO)
     assert d.kind == "CaseA"
     w = ORTHO.v1 + ORTHO.v2
     for f in (d.f_plus, d.f_minus):
@@ -52,7 +51,7 @@ def test_orthogonal_bulk_exactness():
     rng = np.random.default_rng(31)
     for _ in range(3000):
         n = random_det1(rng, spread=2.0)
-        d = decompose_orthogonal(n, ORTHO)
+        d = decompose(n, ORTHO)
         rep = verify_decomposition(d, n, ORTHO)
         assert rep.convex_combination <= 1e-10
         assert rep.rank_one <= 1e-10
@@ -69,7 +68,7 @@ def test_general_known_regions_and_segment_constancy():
         s = SlipSystem.from_theta(theta, 0.5)
         n = random_det1(rng, spread=2.0)
         tag = classify(n, s).tag
-        d = decompose_general(n, s)
+        d = decompose(n, s)
         rep = verify_decomposition(d, n, s)
         assert rep.convex_combination <= 1e-10
         assert rep.rank_one <= 1e-10
@@ -136,4 +135,23 @@ def test_rotated_frames():
         d = decompose(n, s)
         assert verify_decomposition(d, n, s).max_residual() <= 1e-9
         ref = w_hom_orthogonal(n, s).as_float()
+        assert abs(d.energy - ref) <= 1e-8 * max(1.0, ref)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(log_b=st.floats(2.0, 6.0), b_sign=st.sampled_from((-1.0, 1.0)),
+       c=st.floats(-3.0, 3.0), frac=st.sampled_from((0.25, 0.3, 0.35, 0.45)))
+def test_large_b_laminates_stay_on_the_manifolds(log_b, b_sign, c, frac):
+    # |b| log-uniform in [1e2, 1e6]: the rank-one quadratic's expanded
+    # coefficients reach |F|^4 ~ 1e24 here
+    s = SlipSystem.from_theta(frac * math.pi, 0.5)
+    n = bc_to_matrix(b_sign * 10.0 ** log_b, c)
+    d = decompose(n, s)
+    rep = verify_decomposition(d, n, s)
+    assert rep.convex_combination <= 1e-10
+    assert rep.rank_one <= 1e-10
+    assert rep.manifold <= 1e-9
+    res = w_hom(n, s)
+    if isinstance(res, Known):
+        ref = res.value.as_float()
         assert abs(d.energy - ref) <= 1e-8 * max(1.0, ref)
