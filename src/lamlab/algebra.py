@@ -20,14 +20,6 @@ Mat = np.ndarray
 EPS = 1e-12
 
 
-def vec(x: float, y: float) -> Vec:
-    return np.array([x, y], dtype=float)
-
-
-def mat(m11: float, m12: float, m21: float, m22: float) -> Mat:
-    return np.array([[m11, m12], [m21, m22]], dtype=float)
-
-
 def perp(v: Vec) -> Vec:
     """Counterclockwise rotation of v by pi/2."""
     return np.array([-v[1], v[0]])
@@ -44,15 +36,6 @@ def det2(m: Mat) -> float:
 
 def frobenius_sq(m: Mat) -> float:
     return float(m[0, 0] ** 2 + m[0, 1] ** 2 + m[1, 0] ** 2 + m[1, 1] ** 2)
-
-
-def outer(a: Vec, b: Vec) -> Mat:
-    return np.outer(a, b)
-
-
-def apply(m: Mat, v: Vec) -> Vec:
-    """Matrix-vector product M v."""
-    return m @ v
 
 
 def identity_f1(f: Mat, a: Vec, b: Vec) -> tuple[float, float]:

@@ -1,8 +1,9 @@
 """Scalar energy densities and envelope functions of the two-slip model.
 
 Covers the condensed density W, the plateau function chi, the h-family of
-envelope profiles, the convex majorant f, the homogenized density (orthogonal
-and general-angle) and the scalar shear form of the homogenized density.
+envelope profiles, the convex majorant f, the homogenized density (one branch
+set for every slip angle) and the scalar shear form of the homogenized
+density.
 """
 
 from __future__ import annotations
@@ -174,25 +175,6 @@ def h_perp_plus(z: float, theta: float) -> float:
     return (1.0 + z * z + 2.0 * s * r) / (c * c) - 2.0
 
 
-_H_FAMILY = {
-    "h": h,
-    "h_star": h_star,
-    "h_perp": h_perp,
-    "h_perp_star": h_perp_star,
-    "h_plus": h_plus,
-    "h_perp_plus": h_perp_plus,
-}
-
-
-def h_family(z: float, theta: float, which: str) -> float:
-    """Dispatch over the six envelope profiles by name."""
-    try:
-        fn = _H_FAMILY[which]
-    except KeyError:
-        raise ValueError(f"unknown profile {which!r}") from None
-    return fn(z, theta)
-
-
 # ---------------------------------------------------------------------------
 # energy densities
 
@@ -221,24 +203,6 @@ def f_majorant(f: Mat, s: SlipSystem) -> float:
     return max(h(z3, s.theta), h_perp(z3p, s.theta))
 
 
-def w_hom_orthogonal(f: Mat, s: SlipSystem, tol: float = DEFAULT_TOL) -> ExtendedEnergy:
-    """Homogenized density for orthogonal slips (closed form)."""
-    if not s.is_orthogonal:
-        raise PreconditionError("w_hom_orthogonal requires an orthogonal slip system")
-    if abs(det2(f) - 1.0) > tol:
-        return INFINITE
-    n1 = float(np.linalg.norm(f @ s.v1))
-    n2 = float(np.linalg.norm(f @ s.v2))
-    if n1 <= 1.0 + tol:
-        val = float(np.linalg.norm(f @ perp(s.v1))) ** 2 - 1.0
-    elif n2 <= 1.0 + tol:
-        val = float(np.linalg.norm(f @ perp(s.v2))) ** 2 - 1.0
-    else:
-        z = max(float(np.linalg.norm(f @ s.v3)), float(np.linalg.norm(f @ s.v3_perp)))
-        val = chi(z)
-    return ExtendedEnergy.finite(_pos(val))
-
-
 @dataclass(frozen=True)
 class Known:
     value: ExtendedEnergy
@@ -250,16 +214,23 @@ class Bounds:
     upper: float
 
 
-def w_hom_general(f: Mat, s: SlipSystem, tol: float = DEFAULT_TOL):
-    """Homogenized density for general angle: Known value or two-sided Bounds.
+def _single_slip_value(f: Mat, v: Vec) -> float:
+    """|F v_perp|^2 - 1: the single-slip candidate of the slip system v."""
+    return float(np.linalg.norm(f @ perp(v))) ** 2 - 1.0
 
-    Known on the closures of A, A_perp, N1 n N2 and on M1, M2; elsewhere the
-    envelope is open and lower/upper bounds are returned.  Points within tol
-    of a region boundary are evaluated by every adjacent closed-form branch
-    and the branches are required to agree within 10*tol.
+
+def w_hom(f: Mat, s: SlipSystem, tol: float = DEFAULT_TOL):
+    """Homogenized density for any slip angle: Known value or two-sided Bounds.
+
+    Known on the closures of A, A_perp, N1 n N2 and on M1, M2.  On the
+    single-slip regions N1only, N2only it is Known for orthogonal slips (the
+    single-slip value); at other angles the envelope is open there and
+    lower/upper bounds are returned.  Points within tol of a region boundary
+    are evaluated by every adjacent closed-form branch and the branches are
+    required to agree within 10*tol.
     """
-    if s.is_orthogonal:
-        raise PreconditionError("w_hom_general requires theta in (pi/4, pi/2)")
+    if tol <= 0.0:
+        raise PreconditionError("membership tolerance must be positive")
     if abs(det2(f) - 1.0) > tol:
         return Known(INFINITE)
     fv1, fv2 = f @ s.v1, f @ s.v2
@@ -268,20 +239,18 @@ def w_hom_general(f: Mat, s: SlipSystem, tol: float = DEFAULT_TOL):
     dot = float(fv1 @ fv2)
     scale = max(1.0, frobenius_sq(f))
     tol_s = tol * scale
-    z3 = float(np.linalg.norm(f @ s.v3))
-    z3p = float(np.linalg.norm(f @ s.v3_perp))
 
     branch_vals = []
     if abs(d1) <= tol:
-        branch_vals.append(float(np.linalg.norm(f @ perp(s.v1))) ** 2 - 1.0)
+        branch_vals.append(_single_slip_value(f, s.v1))
     if abs(d2) <= tol:
-        branch_vals.append(float(np.linalg.norm(f @ perp(s.v2))) ** 2 - 1.0)
+        branch_vals.append(_single_slip_value(f, s.v2))
     both_ge = d1 >= -tol and d2 >= -tol
     both_le = d1 <= tol and d2 <= tol
     if (both_ge and dot >= -tol_s) or both_le:
-        branch_vals.append(h(z3, s.theta))
+        branch_vals.append(h(float(np.linalg.norm(f @ s.v3)), s.theta))
     if both_ge and dot <= tol_s:
-        branch_vals.append(h_perp(z3p, s.theta))
+        branch_vals.append(h_perp(float(np.linalg.norm(f @ s.v3_perp)), s.theta))
 
     if branch_vals:
         ref = branch_vals[0]
@@ -292,25 +261,19 @@ def w_hom_general(f: Mat, s: SlipSystem, tol: float = DEFAULT_TOL):
                 )
         return Known(ExtendedEnergy.finite(_pos(ref)))
 
-    # open set N1\N2 or N2\N1: envelope unknown, report bounds
+    # open set N1\N2 or N2\N1: one slip norm below 1 - tol, the other above 1 + tol
+    single = _single_slip_value(f, s.v1 if d1 < 0.0 else s.v2)
+    if s.is_orthogonal:
+        return Known(ExtendedEnergy.finite(_pos(single)))
+    z3 = float(np.linalg.norm(f @ s.v3))
+    z3p = float(np.linalg.norm(f @ s.v3_perp))
     lower = max(h(z3, s.theta), h_perp(z3p, s.theta))
-    uppers = []
-    if d1 <= tol:
-        uppers.append(float(np.linalg.norm(f @ perp(s.v1))) ** 2 - 1.0)
-    if d2 <= tol:
-        uppers.append(float(np.linalg.norm(f @ perp(s.v2))) ** 2 - 1.0)
+    uppers = [single]
     if z3 >= math.sin(s.theta) - 1e-12:
         uppers.append(h_plus(z3, s.theta))
     if z3p >= math.cos(s.theta) - 1e-12:
         uppers.append(h_perp_plus(z3p, s.theta))
     return Bounds(lower=lower, upper=min(uppers))
-
-
-def w_hom(f: Mat, s: SlipSystem, tol: float = DEFAULT_TOL):
-    """Known/Bounds view of the homogenized density for any slip system."""
-    if s.is_orthogonal:
-        return Known(w_hom_orthogonal(f, s, tol))
-    return w_hom_general(f, s, tol)
 
 
 def w_hom_scalar(gamma: float, s: SlipSystem) -> float:

@@ -147,7 +147,6 @@ class _Batch:
     value: np.ndarray     # min(coarse, refined, single), not yet clamped at 0
     single: np.ndarray    # max(|F|^2 - 2, 0) where F lies on a slip manifold, else inf
     phi_best: np.ndarray  # direction of the better of the coarse and refined candidates
-    phi_star: np.ndarray  # golden-section direction
 
 
 def _oracle(fs: np.ndarray, s: SlipSystem, n_dirs: int, tol: float) -> _Batch:
@@ -177,16 +176,13 @@ def _oracle(fs: np.ndarray, s: SlipSystem, n_dirs: int, tol: float) -> _Batch:
     fro = fs[:, 0, 0] ** 2 + fs[:, 0, 1] ** 2 + fs[:, 1, 0] ** 2 + fs[:, 1, 1] ** 2
     single = np.where(off <= tol, np.maximum(fro - 2.0, 0.0), np.inf)
     return _Batch(value=np.minimum(np.minimum(coarse, refined), single), single=single,
-                  phi_best=np.where(refined <= coarse, phi_star, phi_coarse),
-                  phi_star=phi_star)
+                  phi_best=np.where(refined <= coarse, phi_star, phi_coarse))
 
 
 @dataclass(frozen=True)
 class OracleResult:
     value: ExtendedEnergy
     best: Optional[LaminateDecomposition]
-    directions_scanned: int
-    refined_angle: float
 
 
 def wlc_numeric(f: Mat, s: SlipSystem, n_dirs: int = 720,
@@ -217,8 +213,7 @@ def wlc_numeric(f: Mat, s: SlipSystem, n_dirs: int = 720,
             best_dec = LaminateDecomposition(
                 f_plus=f_hi, f_minus=f_lo, mu=-lo / (hi - lo),
                 direction=(m, mperp), energy=value, kind="UpperBoundOnly")
-    return OracleResult(value=ExtendedEnergy.finite(max(value, 0.0)), best=best_dec,
-                        directions_scanned=n_dirs, refined_angle=float(batch.phi_star[0]))
+    return OracleResult(value=ExtendedEnergy.finite(max(value, 0.0)), best=best_dec)
 
 
 # ---------------------------------------------------------------------------

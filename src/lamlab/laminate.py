@@ -15,7 +15,7 @@ import numpy as np
 from .algebra import (Mat, RankOneLine, Vec, det2, frobenius_sq, perp,
                       solve_unit_image_times)
 from .energy import DEFAULT_TOL, SlipSystem
-from .errors import DegenerateTangency, OffManifold
+from .errors import DegenerateTangency, OffManifold, PreconditionError
 
 KINDS = ("CaseA", "CaseAPerp", "CaseN1lemN2", "CaseN2", "CaseN1capN2",
          "CaseOnManifold", "UpperBoundOnly")
@@ -121,6 +121,8 @@ def decompose(n: Mat, s: SlipSystem, tol: float = DEFAULT_TOL) -> LaminateDecomp
     least-energy of the single-slip and the two mixed-manifold laminates is
     returned with kind UpperBoundOnly.
     """
+    if tol <= 0.0:
+        raise PreconditionError("membership tolerance must be positive")
     if abs(det2(n) - 1.0) > tol:
         raise OffManifold("target determinant differs from 1 beyond tolerance")
     fv1, fv2 = n @ s.v1, n @ s.v2

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import Mat, bc_to_matrix, frobenius_sq, det2
-from .energy import Bounds, Known, SlipSystem, DEFAULT_TOL, w_hom
+from .energy import SlipSystem, DEFAULT_TOL, w_hom
 from .errors import PreconditionError
 
 TAGS = ("SO2", "M1", "M2", "A", "APerp", "N1capN2", "N1only", "N2only", "OffManifold")

@@ -13,8 +13,8 @@ from lamlab.algebra import (bc_to_matrix, identity_f1, identity_f2, perp,
                             random_det1, rotation)
 from lamlab.cli import main
 from lamlab.energy import (Known, SlipSystem, chi, f_majorant, h, h_perp,
-                           lemma_fad_check, make_fad_pair, w_condensed,
-                           w_hom_general, w_hom_orthogonal, w_hom_scalar)
+                           lemma_fad_check, make_fad_pair, w_condensed, w_hom,
+                           w_hom_scalar)
 from lamlab.envelope_oracle import envelope_scan
 from lamlab.homogenize import averaging_check, run_sweep
 from lamlab.laminate import decompose, verify_decomposition
@@ -65,7 +65,7 @@ def test_criterion_03_laminate_exactness():
         worst["conv"] = max(worst["conv"], rep.convex_combination)
         worst["rank"] = max(worst["rank"], rep.rank_one)
         worst["man"] = max(worst["man"], rep.manifold)
-        ref = w_hom_orthogonal(n, ORTHO).as_float()
+        ref = w_hom(n, ORTHO).value.as_float()
         worst["energy"] = max(worst["energy"],
                               abs(d.energy - ref) / max(1.0, ref),
                               rep.energy_equality / max(1.0, ref))
@@ -78,7 +78,7 @@ def test_criterion_03_laminate_exactness():
         worst["conv"] = max(worst["conv"], rep.convex_combination)
         worst["rank"] = max(worst["rank"], rep.rank_one)
         worst["man"] = max(worst["man"], rep.manifold)
-        res = w_hom_general(n, s)
+        res = w_hom(n, s)
         if isinstance(res, Known):
             ref = res.value.as_float()
             worst["energy"] = max(worst["energy"], abs(d.energy - ref) / max(1.0, ref))
@@ -108,7 +108,7 @@ def test_criterion_04_majorant_convexity_and_coincidence():
     worst_n = 0.0
     for _ in range(10**4):
         f = random_det1(rng, spread=2.0)
-        w = w_hom_orthogonal(f, ORTHO).as_float()
+        w = w_hom(f, ORTHO).value.as_float()
         worst_n = max(worst_n, abs(f_majorant(f, ORTHO) - w) / max(1.0, w))
     ok = worst_conv <= 1e-10 and worst_m <= 1e-10 and worst_n <= 1e-10
     report(4, ok, f"majorant: convexity slack {worst_conv:.2e}, |f-W| on M "
@@ -153,7 +153,7 @@ def test_criterion_06_scalar_whom():
         gamma = rng.uniform(-3, 3)
         n = rotation(rng.uniform(0, 2 * math.pi)) @ (
             np.eye(2) + (gamma / lam) * np.outer([1, 0], [0, 1]))
-        ref = w_hom_orthogonal(n, s).as_float()
+        ref = w_hom(n, s).value.as_float()
         worst = max(worst, abs(w_hom_scalar(gamma, s) - ref) / max(1.0, ref))
     lip_ok = True
     s = SlipSystem.orthogonal(v1=(math.cos(0.4), math.sin(0.4)), lam=0.5)

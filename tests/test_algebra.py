@@ -5,8 +5,12 @@ import pytest
 
 from lamlab.algebra import (RankOneLine, bc_to_matrix, det2, frobenius_sq,
                             identity_f1, identity_f2, perp, random_det1,
-                            rotation, solve_unit_image_times, vec)
+                            rotation, solve_unit_image_times)
 from lamlab.errors import DegenerateFrame
+
+
+def vec(x, y):
+    return np.array([x, y], dtype=float)
 
 
 def random_unit(rng):

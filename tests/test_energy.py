@@ -3,15 +3,64 @@ import math
 import numpy as np
 import pytest
 
-from lamlab.algebra import perp, random_det1, rotation
-from lamlab.energy import (Bounds, ExtendedEnergy, INFINITE, Known, SlipSystem,
-                           chi, f_majorant, h, h_family, h_perp, h_perp_plus,
+from lamlab.algebra import bc_to_matrix, det2, perp, random_det1, rotation
+from lamlab.energy import (DEFAULT_TOL, Bounds, ExtendedEnergy, INFINITE, Known,
+                           SlipSystem, chi, f_majorant, h, h_perp, h_perp_plus,
                            h_perp_star, h_plus, h_star, lemma_fad_check,
-                           make_fad_pair, w_condensed, w_hom_general,
-                           w_hom_orthogonal, w_hom_scalar)
+                           make_fad_pair, w_condensed, w_hom, w_hom_scalar)
 from lamlab.errors import DomainError, PreconditionError
+from lamlab.laminate import decompose
+from lamlab.regions import classify, region_map
 
 ORTHO = SlipSystem.orthogonal(v1=(1.0, 0.0))
+
+
+def reference_w_hom_orthogonal(f, s, tol=DEFAULT_TOL):
+    """Orthogonal-slip envelope in its own closed form: single-slip value on
+    N1, N2 and chi(max(|Fv3|, |Fv3_perp|)) on A u A_perp."""
+    assert s.is_orthogonal
+    if abs(det2(f) - 1.0) > tol:
+        return math.inf
+    n1 = float(np.linalg.norm(f @ s.v1))
+    n2 = float(np.linalg.norm(f @ s.v2))
+    if n1 <= 1.0 + tol:
+        val = float(np.linalg.norm(f @ perp(s.v1))) ** 2 - 1.0
+    elif n2 <= 1.0 + tol:
+        val = float(np.linalg.norm(f @ perp(s.v2))) ** 2 - 1.0
+    else:
+        val = chi(max(float(np.linalg.norm(f @ s.v3)), float(np.linalg.norm(f @ s.v3_perp))))
+    return max(val, 0.0)
+
+
+def random_orthogonal(rng):
+    phi = rng.uniform(0, 2 * math.pi)
+    return SlipSystem.orthogonal(v1=(math.cos(phi), math.sin(phi)))
+
+
+def orthogonal_random_frames(rng):
+    for _ in range(5000):
+        yield random_orthogonal(rng), random_det1(rng, spread=3.0)
+
+
+def orthogonal_stretched_shears(rng):
+    # single-slip shears stretched off their manifold by 1e-13 ... 1e-6
+    for _ in range(5000):
+        s = random_orthogonal(rng)
+        f, _ = single_slip(rng, s)
+        delta = 10.0 ** rng.uniform(-13, -6)
+        q = rotation(rng.uniform(0, math.pi))
+        yield s, f @ q @ np.diag([math.exp(delta), math.exp(-delta)]) @ q.T
+
+
+def orthogonal_large_b(rng):
+    for _ in range(2000):
+        b = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(2, 6)
+        yield random_orthogonal(rng), bc_to_matrix(b, rng.uniform(-3, 3))
+
+
+def orthogonal_grid(n):
+    s = SlipSystem.from_theta(math.pi / 4, 0.5)
+    return lambda rng: ((s, bc_to_matrix(cell.b, cell.c)) for cell in region_map(s, 3.0, n))
 
 
 def single_slip(rng, s, spread=3.0):
@@ -99,13 +148,6 @@ class TestProfiles:
         with pytest.raises(DomainError):
             h_perp_plus(0.5 * math.cos(theta), theta)
 
-    def test_family_dispatch(self):
-        theta = 0.3 * math.pi
-        assert h_family(1.4, theta, "h_plus") == h_plus(1.4, theta)
-        assert h_family(1.4, theta, "h_perp_star") == h_perp_star(1.4, theta)
-        with pytest.raises(ValueError):
-            h_family(1.0, theta, "nope")
-
     def test_single_slip_upper_bound(self):
         # profile values along single-slip shears never exceed gamma^2
         rng = np.random.default_rng(5)
@@ -144,18 +186,31 @@ class TestMajorant:
 
 class TestHomOrthogonal:
     def test_examples(self):
-        assert w_hom_orthogonal(np.eye(2), ORTHO).value == 0.0
-        assert w_hom_orthogonal(np.diag([2.0, 0.5]), ORTHO).value == pytest.approx(3.0)
+        assert w_hom(np.eye(2), ORTHO).value.value == 0.0
+        assert w_hom(np.diag([2.0, 0.5]), ORTHO).value.value == pytest.approx(3.0)
         t = math.log(math.sqrt(2.0))
         f = np.array([[math.cosh(t), math.sinh(t)], [math.sinh(t), math.cosh(t)]])
-        assert w_hom_orthogonal(f, ORTHO).value == pytest.approx((math.sqrt(3) - 1) ** 2)
+        assert w_hom(f, ORTHO).value.value == pytest.approx((math.sqrt(3) - 1) ** 2)
 
     def test_coincides_with_majorant_on_det1(self):
         rng = np.random.default_rng(7)
         for _ in range(10**4):
             f = random_det1(rng, spread=2.0)
-            whom = w_hom_orthogonal(f, ORTHO).as_float()
+            whom = w_hom(f, ORTHO).value.as_float()
             assert abs(whom - f_majorant(f, ORTHO)) <= 1e-10 * max(1.0, whom)
+
+    @pytest.mark.parametrize("points", [
+        orthogonal_random_frames, orthogonal_stretched_shears, orthogonal_large_b,
+        orthogonal_grid(61), orthogonal_grid(201),
+    ], ids=["random_frames", "stretched_shears", "large_b", "grid_61", "grid_201"])
+    def test_known_and_matches_orthogonal_reference(self, points):
+        # the general branches at theta = pi/4 reproduce the orthogonal closed form
+        rng = np.random.default_rng(14)
+        for s, f in points(rng):
+            res = w_hom(f, s)
+            assert isinstance(res, Known)
+            ref = reference_w_hom_orthogonal(f, s)
+            assert abs(res.value.as_float() - ref) <= 1e-14 * max(1.0, ref)
 
     def test_no_double_compression_on_det1(self):
         # both slip norms below 1 simultaneously is impossible at det 1
@@ -170,7 +225,7 @@ class TestHomOrthogonal:
 class TestHomGeneral:
     def test_rotation_is_known_zero(self):
         s = SlipSystem.from_theta(0.3 * math.pi, 0.5)
-        res = w_hom_general(rotation(1.0), s)
+        res = w_hom(rotation(1.0), s)
         assert isinstance(res, Known) and res.value.value == pytest.approx(0.0, abs=1e-12)
 
     def test_bounds_ordered_and_regions_known(self):
@@ -178,7 +233,7 @@ class TestHomGeneral:
         s = SlipSystem.from_theta(0.35 * math.pi, 0.5)
         for _ in range(5000):
             f = random_det1(rng, spread=2.0)
-            res = w_hom_general(f, s)
+            res = w_hom(f, s)
             if isinstance(res, Bounds):
                 assert res.lower <= res.upper + 1e-9
             else:
@@ -209,19 +264,24 @@ class TestHomGeneral:
                 assert np.linalg.norm(f @ s.v3_perp) >= 1.0 - 1e-10
 
     def test_continuity_at_orthogonal_limit(self):
+        # Known values, and on N1only / N2only the upper bound, tend to the
+        # pi/4 envelope
         rng = np.random.default_rng(12)
         s_eps = SlipSystem.from_theta(math.pi / 4 + 1e-9, 0.5)
         s_orth = SlipSystem.orthogonal(v1=s_eps.v1)
-        found = 0
-        while found < 100:
+        found = found_single = 0
+        while found < 100 or found_single < 100:
             f = random_det1(rng, spread=1.5)
-            if min(np.linalg.norm(f @ s_eps.v1), np.linalg.norm(f @ s_eps.v2)) <= 1.0:
-                continue
-            res = w_hom_general(f, s_eps)
-            assert isinstance(res, Known)
-            ref = w_hom_orthogonal(f, s_orth).as_float()
-            assert abs(res.value.as_float() - ref) <= 1e-6 * max(1.0, ref)
-            found += 1
+            res = w_hom(f, s_eps)
+            ref = w_hom(f, s_orth).value.as_float()
+            if min(np.linalg.norm(f @ s_eps.v1), np.linalg.norm(f @ s_eps.v2)) > 1.0:
+                assert isinstance(res, Known)
+                assert abs(res.value.as_float() - ref) <= 1e-6 * max(1.0, ref)
+                found += 1
+            elif classify(f, s_eps).tag in ("N1only", "N2only"):
+                assert isinstance(res, Bounds)
+                assert abs(res.upper - ref) <= 1e-6 * max(1.0, ref)
+                found_single += 1
 
 
 class TestScalarForm:
@@ -245,7 +305,7 @@ class TestScalarForm:
             gamma = rng.uniform(-3, 3)
             n = rotation(rng.uniform(0, 2 * math.pi)) @ (
                 np.eye(2) + (gamma / lam) * np.outer([1, 0], [0, 1]))
-            ref = w_hom_orthogonal(n, s).as_float()
+            ref = w_hom(n, s).value.as_float()
             assert abs(w_hom_scalar(gamma, s) - ref) <= 1e-12 * max(1.0, ref)
 
 
@@ -263,3 +323,13 @@ class TestFadInequality:
         bad_d = np.outer([1.0, 0.0], [1.0, 0.0])
         with pytest.raises(PreconditionError):
             lemma_fad_check(a, bad_d, 32.0, ORTHO)
+
+
+@pytest.mark.parametrize("fn", [w_hom, decompose, classify, w_condensed],
+                         ids=lambda fn: fn.__name__)
+@pytest.mark.parametrize("tol", [0.0, -1.0])
+@pytest.mark.parametrize("s", [ORTHO, SlipSystem.from_theta(0.3 * math.pi, 0.5)],
+                         ids=["pi_4", "0.3pi"])
+def test_non_positive_tolerance_is_rejected(fn, tol, s):
+    with pytest.raises(PreconditionError):
+        fn(np.diag([2.0, 0.5]), s, tol)

@@ -6,8 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lamlab.algebra import bc_to_matrix, det2, random_det1, rotation
-from lamlab.energy import (Bounds, Known, SlipSystem, w_hom, w_hom_general,
-                           w_hom_orthogonal)
+from lamlab.energy import Known, SlipSystem, w_hom
 from lamlab.errors import OffManifold
 from lamlab.laminate import LaminateDecomposition, decompose, verify_decomposition
 from lamlab.regions import classify
@@ -32,7 +31,7 @@ def test_sheared_layer_target():
     s = SlipSystem.orthogonal(v1=(1 / math.sqrt(2), 1 / math.sqrt(2)), lam=0.5)
     n = np.eye(2) + (0.4 / 0.5) * np.outer([1.0, 0.0], [0.0, 1.0])
     d = decompose(n, s)
-    ref = w_hom_orthogonal(n, s).as_float()
+    ref = w_hom(n, s).value.as_float()
     assert d.energy == pytest.approx(ref, abs=1e-9)
     assert verify_decomposition(d, n, s).max_residual() <= 1e-9
 
@@ -56,7 +55,7 @@ def test_orthogonal_bulk_exactness():
         assert rep.convex_combination <= 1e-10
         assert rep.rank_one <= 1e-10
         assert rep.manifold <= 1e-9
-        ref = w_hom_orthogonal(n, ORTHO).as_float()
+        ref = w_hom(n, ORTHO).value.as_float()
         assert abs(d.energy - ref) <= 1e-8 * max(1.0, ref)
 
 
@@ -73,7 +72,7 @@ def test_general_known_regions_and_segment_constancy():
         assert rep.convex_combination <= 1e-10
         assert rep.rank_one <= 1e-10
         assert rep.manifold <= 1e-9
-        res = w_hom_general(n, s)
+        res = w_hom(n, s)
         if isinstance(res, Known):
             ref = res.value.as_float()
             assert abs(d.energy - ref) <= 1e-8 * max(1.0, ref)
@@ -86,7 +85,7 @@ def test_general_known_regions_and_segment_constancy():
             base = d.energy
             for lam_t in np.linspace(0.05, 0.95, 10):
                 m = lam_t * d.f_plus + (1 - lam_t) * d.f_minus
-                res_m = w_hom_general(m, s)
+                res_m = w_hom(m, s)
                 assert isinstance(res_m, Known)
                 assert abs(res_m.value.as_float() - base) <= 1e-8 * max(1.0, base)
     assert checked_segment == 50
@@ -134,7 +133,7 @@ def test_rotated_frames():
         n = random_det1(rng, spread=2.0)
         d = decompose(n, s)
         assert verify_decomposition(d, n, s).max_residual() <= 1e-9
-        ref = w_hom_orthogonal(n, s).as_float()
+        ref = w_hom(n, s).value.as_float()
         assert abs(d.energy - ref) <= 1e-8 * max(1.0, ref)
 
 

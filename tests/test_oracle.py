@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from lamlab.algebra import bc_to_matrix, random_det1
-from lamlab.energy import SlipSystem, f_majorant, h, h_perp, w_hom_orthogonal
+from lamlab.energy import SlipSystem, f_majorant, h, h_perp, w_hom
 from lamlab.envelope_oracle import (_direction_energy, envelope_scan,
                                     wlc_numeric)
 from lamlab.errors import OffManifold, PreconditionError
@@ -81,7 +81,7 @@ def test_scan_rows_and_known_agreement():
             assert row.oracle == pytest.approx(0.0, abs=1e-10)
         if row.discrepancy is not None:
             assert row.discrepancy <= 1e-5
-        ref = w_hom_orthogonal(bc_to_matrix(row.b, row.c), ORTHO).as_float()
+        ref = w_hom(bc_to_matrix(row.b, row.c), ORTHO).value.as_float()
         assert row.closed == pytest.approx(ref)
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from lamlab.algebra import random_det1, rotation
-from lamlab.energy import Bounds, Known, SlipSystem
+from lamlab.energy import Bounds, Known, SlipSystem, w_hom
 from lamlab.errors import PreconditionError
 from lamlab.regions import RegionLabel, classify, region_map
 
@@ -39,7 +39,16 @@ def test_rotation_invariance():
     for _ in range(1000):
         f = random_det1(rng, spread=2.0)
         q = rotation(rng.uniform(0, 2 * math.pi))
-        assert classify(q @ f, GENERAL).tag == classify(f, GENERAL).tag
+        for s in (ORTHO, GENERAL):
+            assert classify(q @ f, s).tag == classify(f, s).tag
+            res, res_q = w_hom(f, s), w_hom(q @ f, s)
+            assert type(res_q) is type(res)
+            if isinstance(res, Known):
+                pairs = [(res.value.as_float(), res_q.value.as_float())]
+            else:
+                pairs = [(res.lower, res_q.lower), (res.upper, res_q.upper)]
+            bound = 1e-12 * max(1.0, float(np.sum(f * f)))
+            assert all(abs(x - y) <= bound for x, y in pairs)
 
 
 def test_reflection_symmetry_swaps_compressed_regions():
