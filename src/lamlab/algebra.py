@@ -20,6 +20,15 @@ Mat = np.ndarray
 EPS = 1e-12
 
 
+def sqrt(x):
+    """Square root of a float (math.sqrt) or elementwise of an array (np.sqrt).
+
+    Both are correctly rounded, so a formula written with this, +, -, *, /
+    and comparisons gives the same bits on Python floats and on arrays.
+    """
+    return np.sqrt(x) if isinstance(x, np.ndarray) else math.sqrt(x)
+
+
 def perp(v: Vec) -> Vec:
     """Counterclockwise rotation of v by pi/2."""
     return np.array([-v[1], v[0]])
@@ -125,16 +134,21 @@ def solve_unit_image_times(line: RankOneLine, v: Vec):
     return polished
 
 
-def bc_to_matrix(b: float, c: float) -> Mat:
-    """Symmetric positive-definite det-1 representative of the (b, c) orbit.
+def bc_diagonal(b, c):
+    """Diagonal entries (a + |b|, a - |b|) of the (b, c) representative.
 
-    a = sqrt(1 + b^2 + c^2); returns [[a+b, c], [c, a-b]].  The smaller
-    diagonal entry is formed as (1 + c^2)/(a + |b|), free of the cancellation
-    in a - |b| at large |b|, so the determinant stays 1 to rounding.
+    a = sqrt(1 + b^2 + c^2).  The smaller entry is formed as
+    (1 + c^2)/(a + |b|), free of the cancellation in a - |b| at large |b|, so
+    the determinant stays 1 to rounding.  Takes floats or arrays.
     """
-    a = math.sqrt(1.0 + b * b + c * c)
-    big = a + abs(b)
-    small = (1.0 + c * c) / big
+    big = sqrt(1.0 + b * b + c * c) + abs(b)
+    return big, (1.0 + c * c) / big
+
+
+def bc_to_matrix(b: float, c: float) -> Mat:
+    """Symmetric positive-definite det-1 representative of the (b, c) orbit:
+    [[a+b, c], [c, a-b]] with a = sqrt(1 + b^2 + c^2), see `bc_diagonal`."""
+    big, small = bc_diagonal(b, c)
     return np.array([[big, c], [c, small]] if b >= 0.0 else [[small, c], [c, big]])
 
 

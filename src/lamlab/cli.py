@@ -21,7 +21,7 @@ from .envelope_oracle import envelope_scan
 from .errors import LamlabError
 from .homogenize import run_sweep
 from .laminate import decompose, verify_decomposition
-from .regions import classify, region_map
+from .regions import adjacent_tags, classify, region_map
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -148,7 +148,12 @@ def _energy_json(record) -> dict:
     return {"bounds": {"lower": record.lower, "upper": record.upper}}
 
 
-def _write_csv(path: str, header: list, rows: list):
+def _column(values: np.ndarray) -> list:
+    """fmt of every entry of a float array; nan marks an empty field."""
+    return ["" if x != x else fmt(x) for x in values.tolist()]
+
+
+def _write_csv(path: str, header: list, rows):
     lines = [",".join(header)]
     for row in rows:
         lines.append(",".join(row))
@@ -205,13 +210,13 @@ def cmd_laminate(args) -> int:
 def cmd_verify_envelope(args) -> int:
     cfg = load_config(args)
     s = slip_from_config(cfg)
-    rows = envelope_scan(s, float(cfg["grid"]["range"]), int(cfg["grid"]["n"]),
+    scan = envelope_scan(s, float(cfg["grid"]["range"]), int(cfg["grid"]["n"]),
                          n_dirs=int(cfg["oracle"]["n_dirs"]),
                          tol=float(cfg["tolerances"]["manifold"]))
-    table = []
-    for r in rows:
-        table.append([fmt(r.b), fmt(r.c), r.region, fmt(r.closed), fmt(r.oracle),
-                      fmt(r.discrepancy), fmt(r.slack_lo), fmt(r.slack_hi)])
+    grid = scan.grid
+    table = zip(_column(grid.b), _column(grid.c), grid.tags, _column(scan.closed),
+                _column(scan.oracle), _column(scan.discrepancy), _column(scan.slack_lo),
+                _column(scan.slack_hi))
     _write_csv(args.out, ["b", "c", "region", "closed", "oracle",
                           "discrepancy", "slack_lo", "slack_hi"], table)
     return EXIT_OK
@@ -220,18 +225,12 @@ def cmd_verify_envelope(args) -> int:
 def cmd_regionmap(args) -> int:
     cfg = load_config(args)
     s = slip_from_config(cfg)
-    cells = region_map(s, float(cfg["grid"]["range"]), int(cfg["grid"]["n"]),
-                       tol=float(cfg["tolerances"]["manifold"]))
-    table = []
-    for cell in cells:
-        whom = lower = upper = None
-        if isinstance(cell.energy, Known):
-            whom = cell.energy.value.as_float()
-        else:
-            lower, upper = cell.energy.lower, cell.energy.upper
-        table.append([fmt(cell.b), fmt(cell.c), cell.label.tag,
-                      ";".join(sorted(cell.label.boundary)),
-                      fmt(whom), fmt(lower), fmt(upper)])
+    grid = region_map(s, float(cfg["grid"]["range"]), int(cfg["grid"]["n"]),
+                      tol=float(cfg["tolerances"]["manifold"]))
+    boundary = grid.boundary.tolist()
+    names = {bits: ";".join(sorted(adjacent_tags(bits))) for bits in set(boundary)}
+    table = zip(_column(grid.b), _column(grid.c), grid.tags, [names[bits] for bits in boundary],
+                _column(grid.whom), _column(grid.lower), _column(grid.upper))
     _write_csv(args.out, ["b", "c", "region", "boundary", "whom", "lower", "upper"],
                table)
     return EXIT_OK

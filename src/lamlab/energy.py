@@ -1,20 +1,22 @@
-"""Scalar energy densities and envelope functions of the two-slip model.
+"""Energy densities and envelope functions of the two-slip model.
 
-Covers the condensed density W, the plateau function chi, the h-family of
+Covers the slip state (the phase-diagram quantities of F, on floats or
+arrays), the condensed density W, the plateau function chi, the h-family of
 envelope profiles, the convex majorant f, the homogenized density (one branch
-set for every slip angle) and the scalar shear form of the homogenized
-density.
+set for every slip angle, for one matrix or a stack) and the scalar shear
+form of the homogenized density.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import total_ordering
+from functools import cached_property, total_ordering
+from typing import NamedTuple
 
 import numpy as np
 
-from .algebra import Mat, Vec, det2, frobenius_sq, perp, rotation
+from .algebra import Mat, Vec, det2, frobenius_sq, perp, rotation, sqrt
 from .errors import BranchDisagreement, DomainError, PreconditionError
 
 DEFAULT_TOL = 1e-9
@@ -78,6 +80,74 @@ class SlipSystem:
     def v3_perp(self) -> Vec:
         return perp(self.v3)
 
+    @cached_property
+    def frame(self) -> tuple:
+        """v1, v2, v3 as pairs of Python floats, for `slip_state`."""
+        return tuple(tuple(v.tolist()) for v in (self.v1, self.v2, self.v3))
+
+
+# ---------------------------------------------------------------------------
+# the slip state: every phase-diagram quantity of F, from one formula set
+
+
+class SlipState(NamedTuple):
+    """Phase-diagram quantities of F against a slip system.
+
+    Floats for one matrix, arrays for a stack of matrices; both come from
+    the same arithmetic in `slip_state` and agree to the last bit.
+    """
+
+    det_off: float  # det F - 1
+    d1: float       # |F v1| - 1
+    d2: float       # |F v2| - 1
+    dot: float      # F v1 . F v2
+    fro: float      # |F|^2
+    z3: float       # |F v3|
+    z3p: float      # |F v3_perp|
+    single1: float  # |F v1_perp|^2 - 1
+    single2: float  # |F v2_perp|^2 - 1
+
+
+def slip_state(f00, f01, f10, f11, s: SlipSystem) -> SlipState:
+    """The SlipState of F = [[f00, f01], [f10, f11]] (floats or arrays).
+
+    Written with +, -, *, / and sqrt only: no matrix product, no pow, so no
+    BLAS kernel or fused multiply-add decides the last bit, and the float and
+    the array evaluation round alike.  F v_perp = (f01 x - f00 y, f11 x - f10 y)
+    for v = (x, y).
+    """
+    (x1, y1), (x2, y2), (x3, y3) = s.frame
+    p0, p1 = f00 * x1 + f01 * y1, f10 * x1 + f11 * y1
+    q0, q1 = f00 * x2 + f01 * y2, f10 * x2 + f11 * y2
+    r0, r1 = f00 * x3 + f01 * y3, f10 * x3 + f11 * y3
+    t0, t1 = f01 * x3 - f00 * y3, f11 * x3 - f10 * y3
+    u0, u1 = f01 * x1 - f00 * y1, f11 * x1 - f10 * y1
+    w0, w1 = f01 * x2 - f00 * y2, f11 * x2 - f10 * y2
+    return SlipState(
+        det_off=f00 * f11 - f01 * f10 - 1.0,
+        d1=sqrt(p0 * p0 + p1 * p1) - 1.0,
+        d2=sqrt(q0 * q0 + q1 * q1) - 1.0,
+        dot=p0 * q0 + p1 * q1,
+        fro=f00 * f00 + f01 * f01 + f10 * f10 + f11 * f11,
+        z3=sqrt(r0 * r0 + r1 * r1),
+        z3p=sqrt(t0 * t0 + t1 * t1),
+        single1=u0 * u0 + u1 * u1 - 1.0,
+        single2=w0 * w0 + w1 * w1 - 1.0,
+    )
+
+
+def matrix_state(f: Mat, s: SlipSystem) -> SlipState:
+    """The SlipState of one 2x2 matrix, on Python floats."""
+    (f00, f01), (f10, f11) = f.tolist()
+    return slip_state(f00, f01, f10, f11, s)
+
+
+def off_manifold(st: SlipState, tol: float):
+    """|det F - 1| > tol, with a nan determinant counted as off (float or array)."""
+    if isinstance(st.det_off, np.ndarray):
+        return ~(np.abs(st.det_off) <= tol)
+    return not abs(st.det_off) <= tol
+
 
 # ---------------------------------------------------------------------------
 # extended-real energies
@@ -93,8 +163,8 @@ class ExtendedEnergy:
 
     @classmethod
     def finite(cls, value: float) -> "ExtendedEnergy":
-        if value < 0.0:
-            raise ValueError("finite energies must be nonnegative")
+        if not 0.0 <= value < math.inf:
+            raise ValueError(f"finite energies must be finite and nonnegative, not {value}")
         return cls(value=float(value))
 
     @classmethod
@@ -124,7 +194,10 @@ INFINITE = ExtendedEnergy.inf()
 # scalar profiles
 
 
-def _pos(x: float) -> float:
+def _pos(x):
+    """max(x, 0) of a float or an array: +0.0 where x <= 0 or x is nan."""
+    if isinstance(x, np.ndarray):
+        return np.where(x > 0.0, x, 0.0)
     return x if x > 0.0 else 0.0
 
 
@@ -133,22 +206,28 @@ def chi(z: float) -> float:
     return _pos(math.sqrt(_pos(2.0 * z * z - 1.0)) - 1.0) ** 2
 
 
-def h(z: float, theta: float) -> float:
+# h, h_perp, h_plus and h_perp_plus take floats or arrays (see slip_state)
+
+
+def h(z, theta: float):
     s, c = math.sin(theta), math.cos(theta)
-    return _pos(math.sqrt(_pos(z * z / (s * s) - 1.0)) - c / s) ** 2
+    t = _pos(sqrt(_pos(z * z / (s * s) - 1.0)) - c / s)
+    return t * t
 
 
-def h_perp(z: float, theta: float) -> float:
+def h_perp(z, theta: float):
     s, c = math.sin(theta), math.cos(theta)
-    return _pos(math.sqrt(_pos(z * z / (c * c) - 1.0)) - s / c) ** 2
+    t = _pos(sqrt(_pos(z * z / (c * c) - 1.0)) - s / c)
+    return t * t
 
 
-def _sqrt_floor(z: float, floor: float, name: str) -> float:
+def _sqrt_floor(z, floor: float, name: str):
     # z must not fall below the domain floor beyond 1e-12 slack
     d = z * z - floor * floor
-    if d < -1e-12:
-        raise DomainError(f"{name} evaluated below its domain floor (z={z})")
-    return math.sqrt(_pos(d))
+    low = z[d < -1e-12] if isinstance(d, np.ndarray) else [z] if d < -1e-12 else []
+    if len(low):
+        raise DomainError(f"{name} evaluated below its domain floor (z={low[0]})")
+    return sqrt(_pos(d))
 
 
 def h_star(z: float, theta: float) -> float:
@@ -183,13 +262,10 @@ def w_condensed(f: Mat, s: SlipSystem, tol: float = DEFAULT_TOL) -> ExtendedEner
     """Condensed two-slip density: |F|^2 - 2 on M = M1 u M2, Infinite off it."""
     if tol <= 0.0:
         raise PreconditionError("membership tolerance must be positive")
-    if abs(det2(f) - 1.0) > tol:
+    st = matrix_state(f, s)
+    if off_manifold(st, tol) or min(abs(st.d1), abs(st.d2)) > tol:
         return INFINITE
-    d1 = abs(float(np.linalg.norm(f @ s.v1)) - 1.0)
-    d2 = abs(float(np.linalg.norm(f @ s.v2)) - 1.0)
-    if min(d1, d2) > tol:
-        return INFINITE
-    return ExtendedEnergy.finite(_pos(frobenius_sq(f) - 2.0))
+    return ExtendedEnergy.finite(_pos(st.fro - 2.0))
 
 
 def f_majorant(f: Mat, s: SlipSystem) -> float:
@@ -214,11 +290,6 @@ class Bounds:
     upper: float
 
 
-def _single_slip_value(f: Mat, v: Vec) -> float:
-    """|F v_perp|^2 - 1: the single-slip candidate of the slip system v."""
-    return float(np.linalg.norm(f @ perp(v))) ** 2 - 1.0
-
-
 def w_hom(f: Mat, s: SlipSystem, tol: float = DEFAULT_TOL):
     """Homogenized density for any slip angle: Known value or two-sided Bounds.
 
@@ -227,30 +298,29 @@ def w_hom(f: Mat, s: SlipSystem, tol: float = DEFAULT_TOL):
     single-slip value); at other angles the envelope is open there and
     lower/upper bounds are returned.  Points within tol of a region boundary
     are evaluated by every adjacent closed-form branch and the branches are
-    required to agree within 10*tol.
+    required to agree within 10*tol.  `w_hom_arrays` is the same branch set
+    over a stack of matrices.
     """
     if tol <= 0.0:
         raise PreconditionError("membership tolerance must be positive")
-    if abs(det2(f) - 1.0) > tol:
+    st = matrix_state(f, s)
+    if off_manifold(st, tol):
         return Known(INFINITE)
-    fv1, fv2 = f @ s.v1, f @ s.v2
-    d1 = float(np.linalg.norm(fv1)) - 1.0
-    d2 = float(np.linalg.norm(fv2)) - 1.0
-    dot = float(fv1 @ fv2)
-    scale = max(1.0, frobenius_sq(f))
+    d1, d2, dot = st.d1, st.d2, st.dot
+    scale = max(1.0, st.fro)
     tol_s = tol * scale
 
     branch_vals = []
     if abs(d1) <= tol:
-        branch_vals.append(_single_slip_value(f, s.v1))
+        branch_vals.append(st.single1)
     if abs(d2) <= tol:
-        branch_vals.append(_single_slip_value(f, s.v2))
+        branch_vals.append(st.single2)
     both_ge = d1 >= -tol and d2 >= -tol
     both_le = d1 <= tol and d2 <= tol
     if (both_ge and dot >= -tol_s) or both_le:
-        branch_vals.append(h(float(np.linalg.norm(f @ s.v3)), s.theta))
+        branch_vals.append(h(st.z3, s.theta))
     if both_ge and dot <= tol_s:
-        branch_vals.append(h_perp(float(np.linalg.norm(f @ s.v3_perp)), s.theta))
+        branch_vals.append(h_perp(st.z3p, s.theta))
 
     if branch_vals:
         ref = branch_vals[0]
@@ -262,18 +332,66 @@ def w_hom(f: Mat, s: SlipSystem, tol: float = DEFAULT_TOL):
         return Known(ExtendedEnergy.finite(_pos(ref)))
 
     # open set N1\N2 or N2\N1: one slip norm below 1 - tol, the other above 1 + tol
-    single = _single_slip_value(f, s.v1 if d1 < 0.0 else s.v2)
+    single = st.single1 if d1 < 0.0 else st.single2
     if s.is_orthogonal:
         return Known(ExtendedEnergy.finite(_pos(single)))
-    z3 = float(np.linalg.norm(f @ s.v3))
-    z3p = float(np.linalg.norm(f @ s.v3_perp))
-    lower = max(h(z3, s.theta), h_perp(z3p, s.theta))
+    lower = max(h(st.z3, s.theta), h_perp(st.z3p, s.theta))
     uppers = [single]
-    if z3 >= math.sin(s.theta) - 1e-12:
-        uppers.append(h_plus(z3, s.theta))
-    if z3p >= math.cos(s.theta) - 1e-12:
-        uppers.append(h_perp_plus(z3p, s.theta))
+    if st.z3 >= math.sin(s.theta) - 1e-12:
+        uppers.append(h_plus(st.z3, s.theta))
+    if st.z3p >= math.cos(s.theta) - 1e-12:
+        uppers.append(h_perp_plus(st.z3p, s.theta))
     return Bounds(lower=lower, upper=min(uppers))
+
+
+def w_hom_arrays(st: SlipState, s: SlipSystem, tol: float = DEFAULT_TOL):
+    """`w_hom` of every matrix of a stack, given its array SlipState.
+
+    Returns arrays (whom, lower, upper): `whom` is the Known value (inf off
+    the manifold) and nan on Bounds entries; `lower` and `upper` are nan on
+    Known entries.  Every branch mirrors `w_hom` comparison for comparison
+    (Python's max and min become `where` on the same test), so each entry
+    equals the scalar result bit for bit; `BranchDisagreement` and
+    `DomainError` are raised where `w_hom` would raise them at some entry.
+    """
+    if tol <= 0.0:
+        raise PreconditionError("membership tolerance must be positive")
+    with np.errstate(invalid="ignore", over="ignore"):
+        off = off_manifold(st, tol)
+        d1, d2, dot = st.d1, st.d2, st.dot
+        scale = np.maximum(1.0, st.fro)
+        tol_s = tol * scale
+        both_ge = (d1 >= -tol) & (d2 >= -tol)
+        both_le = (d1 <= tol) & (d2 <= tol)
+        h3, hp3 = h(st.z3, s.theta), h_perp(st.z3p, s.theta)
+        masks = [np.abs(d1) <= tol, np.abs(d2) <= tol,
+                 (both_ge & (dot >= -tol_s)) | both_le, both_ge & (dot <= tol_s)]
+        values = [st.single1, st.single2, h3, hp3]
+        ref = np.select(masks, values, np.nan)  # the first branch that applies
+        known = ~off & np.logical_or.reduce(masks)
+        apart = known & np.logical_or.reduce(
+            [m & (np.abs(v - ref) > 10.0 * tol * scale) for m, v in zip(masks, values)])
+        if apart.any():
+            k = np.argmax(apart)
+            branch_vals = [float(v[k]) for m, v in zip(masks, values) if m[k]]
+            raise BranchDisagreement(
+                f"closed-form branches disagree near a region boundary: {branch_vals}")
+
+        single = np.where(d1 < 0.0, st.single1, st.single2)
+        whom = np.where(off, np.inf, np.where(known, _pos(ref), np.nan))
+        bounds = ~off & ~known
+        if s.is_orthogonal:
+            whom = np.where(bounds, _pos(single), whom)
+            bounds = np.zeros_like(bounds)
+        lower = np.where(bounds, np.maximum(h3, hp3), np.nan)
+        upper = single
+        for z, floor, candidate in ((st.z3, math.sin(s.theta), h_plus),
+                                    (st.z3p, math.cos(s.theta), h_perp_plus)):
+            use = bounds & (z >= floor - 1e-12)
+            value = candidate(np.where(use, z, floor), s.theta)
+            upper = np.where(use & (value < upper), value, upper)
+        upper = np.where(bounds, upper, np.nan)
+    return whom, lower, upper
 
 
 def w_hom_scalar(gamma: float, s: SlipSystem) -> float:

@@ -21,11 +21,12 @@ from typing import Optional
 
 import numpy as np
 
-from .algebra import Mat, bc_to_matrix
-from .energy import DEFAULT_TOL, Bounds, ExtendedEnergy, Known, SlipSystem
+from .algebra import Mat
+from .energy import (DEFAULT_TOL, INFINITE, ExtendedEnergy, SlipSystem, off_manifold,
+                     slip_state)
 from .errors import OffManifold, PreconditionError
 from .laminate import LaminateDecomposition
-from .regions import RegionCell, region_map
+from .regions import CODE, RegionMap, region_map
 
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 
@@ -153,8 +154,9 @@ def _oracle(fs: np.ndarray, s: SlipSystem, n_dirs: int, tol: float) -> _Batch:
     """Oracle energies of a stack of unit-determinant matrices [N, 2, 2]."""
     if n_dirs < 8:
         raise PreconditionError("the direction grid needs at least 8 points")
-    det = fs[:, 0, 0] * fs[:, 1, 1] - fs[:, 0, 1] * fs[:, 1, 0]
-    if np.any(np.abs(det - 1.0) > tol):
+    with np.errstate(invalid="ignore", over="ignore"):
+        st = slip_state(fs[:, 0, 0], fs[:, 0, 1], fs[:, 1, 0], fs[:, 1, 1], s)
+    if np.any(off_manifold(st, tol)):
         raise OffManifold("oracle targets must have unit determinant")
 
     step = math.pi / n_dirs
@@ -171,10 +173,8 @@ def _oracle(fs: np.ndarray, s: SlipSystem, n_dirs: int, tol: float) -> _Batch:
 
     phi_star = _golden(fs, s, phi_coarse, step)
     refined = _at(fs, s, phi_star)
-    off = np.minimum(np.abs(np.linalg.norm(fs @ s.v1, axis=-1) - 1.0),
-                     np.abs(np.linalg.norm(fs @ s.v2, axis=-1) - 1.0))
-    fro = fs[:, 0, 0] ** 2 + fs[:, 0, 1] ** 2 + fs[:, 1, 0] ** 2 + fs[:, 1, 1] ** 2
-    single = np.where(off <= tol, np.maximum(fro - 2.0, 0.0), np.inf)
+    on = np.minimum(np.abs(st.d1), np.abs(st.d2)) <= tol
+    single = np.where(on, np.maximum(st.fro - 2.0, 0.0), np.inf)
     return _Batch(value=np.minimum(np.minimum(coarse, refined), single), single=single,
                   phi_best=np.where(refined <= coarse, phi_star, phi_coarse))
 
@@ -213,7 +213,8 @@ def wlc_numeric(f: Mat, s: SlipSystem, n_dirs: int = 720,
             best_dec = LaminateDecomposition(
                 f_plus=f_hi, f_minus=f_lo, mu=-lo / (hi - lo),
                 direction=(m, mperp), energy=value, kind="UpperBoundOnly")
-    return OracleResult(value=ExtendedEnergy.finite(max(value, 0.0)), best=best_dec)
+    energy = INFINITE if value == math.inf else ExtendedEnergy.finite(max(value, 0.0))
+    return OracleResult(value=energy, best=best_dec)
 
 
 # ---------------------------------------------------------------------------
@@ -221,51 +222,38 @@ def wlc_numeric(f: Mat, s: SlipSystem, n_dirs: int = 720,
 
 
 @dataclass(frozen=True)
-class ScanRow:
-    b: float
-    c: float
-    region: str
-    skipped: bool
-    closed: Optional[float]     # Known envelope value (None on Bounds cells)
-    lower: Optional[float]
-    upper: Optional[float]
-    oracle: Optional[float]
-    discrepancy: Optional[float]  # |oracle - closed| on Known cells
-    slack_lo: Optional[float]     # oracle - lower on Bounds cells
-    slack_hi: Optional[float]     # upper - oracle on Bounds cells
+class EnvelopeScan:
+    """Oracle certification of a region map, one array entry per grid cell.
 
+    Boundary-band and off-manifold cells are skipped: nan in every column
+    below.  `closed` is the Known envelope value (nan on Bounds cells),
+    `discrepancy` = |oracle - closed| on Known cells, and `slack_lo` =
+    oracle - lower, `slack_hi` = upper - oracle on Bounds cells.
+    """
 
-def _skipped(cell: RegionCell) -> bool:
-    return cell.label.on_boundary or cell.label.tag == "OffManifold"
-
-
-def _scan_row(cell: RegionCell, oracle: Optional[float]) -> ScanRow:
-    if oracle is None:
-        return ScanRow(b=cell.b, c=cell.c, region=cell.label.tag, skipped=True,
-                       closed=None, lower=None, upper=None, oracle=None,
-                       discrepancy=None, slack_lo=None, slack_hi=None)
-    if isinstance(cell.energy, Known):
-        closed = cell.energy.value.as_float()
-        return ScanRow(b=cell.b, c=cell.c, region=cell.label.tag, skipped=False,
-                       closed=closed, lower=None, upper=None, oracle=oracle,
-                       discrepancy=abs(oracle - closed), slack_lo=None, slack_hi=None)
-    bounds: Bounds = cell.energy
-    return ScanRow(b=cell.b, c=cell.c, region=cell.label.tag, skipped=False,
-                   closed=None, lower=bounds.lower, upper=bounds.upper, oracle=oracle,
-                   discrepancy=None, slack_lo=oracle - bounds.lower,
-                   slack_hi=bounds.upper - oracle)
+    grid: RegionMap
+    skipped: np.ndarray
+    closed: np.ndarray
+    oracle: np.ndarray
+    discrepancy: np.ndarray
+    slack_lo: np.ndarray
+    slack_hi: np.ndarray
 
 
 def envelope_scan(s: SlipSystem, bc_range: float, n: int, n_dirs: int = 720,
-                  tol: float = DEFAULT_TOL) -> list:
+                  tol: float = DEFAULT_TOL) -> EnvelopeScan:
     """Certify the closed-form envelope against the oracle on a (b, c) grid.
 
-    Returns ScanRow entries in the deterministic row-major grid order;
-    boundary-band cells are emitted but marked skipped.  The oracle runs once
-    over all certified cells; each value equals `wlc_numeric` at that cell.
+    The cells come in the deterministic row-major grid order of
+    `region_map`.  The oracle runs once over the matrices of all certified
+    cells; each value equals `wlc_numeric` at that cell.
     """
-    cells = region_map(s, bc_range, n, tol)
-    live = [cell for cell in cells if not _skipped(cell)]
-    fs = np.array([bc_to_matrix(cell.b, cell.c) for cell in live]).reshape(-1, 2, 2)
-    values = iter(np.maximum(_oracle(fs, s, n_dirs, tol).value, 0.0).tolist())
-    return [_scan_row(cell, None if _skipped(cell) else next(values)) for cell in cells]
+    grid = region_map(s, bc_range, n, tol)
+    skipped = (grid.boundary != 0) | (grid.code == CODE["OffManifold"])
+    oracle = np.full(len(grid), np.nan)
+    oracle[~skipped] = np.maximum(_oracle(grid.fs[~skipped], s, n_dirs, tol).value, 0.0)
+    closed = np.where(skipped, np.nan, grid.whom)
+    with np.errstate(invalid="ignore"):
+        return EnvelopeScan(grid=grid, skipped=skipped, closed=closed, oracle=oracle,
+                            discrepancy=np.abs(oracle - closed),
+                            slack_lo=oracle - grid.lower, slack_hi=grid.upper - oracle)

@@ -14,7 +14,7 @@ import numpy as np
 
 from .algebra import (Mat, RankOneLine, Vec, det2, frobenius_sq, perp,
                       solve_unit_image_times)
-from .energy import DEFAULT_TOL, SlipSystem
+from .energy import DEFAULT_TOL, SlipSystem, matrix_state, off_manifold
 from .errors import DegenerateTangency, OffManifold, PreconditionError
 
 KINDS = ("CaseA", "CaseAPerp", "CaseN1lemN2", "CaseN2", "CaseN1capN2",
@@ -123,26 +123,26 @@ def decompose(n: Mat, s: SlipSystem, tol: float = DEFAULT_TOL) -> LaminateDecomp
     """
     if tol <= 0.0:
         raise PreconditionError("membership tolerance must be positive")
-    if abs(det2(n) - 1.0) > tol:
+    st = matrix_state(n, s)
+    if off_manifold(st, tol):
         raise OffManifold("target determinant differs from 1 beyond tolerance")
-    fv1, fv2 = n @ s.v1, n @ s.v2
-    norm1, norm2 = float(np.linalg.norm(fv1)), float(np.linalg.norm(fv2))
-    if min(abs(norm1 - 1.0), abs(norm2 - 1.0)) <= tol:
+    d1, d2 = st.d1, st.d2
+    if min(abs(d1), abs(d2)) <= tol:
         return LaminateDecomposition(
             f_plus=n.copy(), f_minus=n.copy(), mu=0.5, direction=(s.v3, s.v3_perp),
             energy=_w_manifold(n), kind="CaseOnManifold")
-    if norm1 > 1.0 and norm2 > 1.0:
+    if d1 > 0.0 and d2 > 0.0:
         bis, bis_perp = s.v1 + s.v2, s.v1 - s.v2
-        if float(fv1 @ fv2) >= 0.0:
+        if st.dot >= 0.0:
             found = _equal_energy_pair(RankOneLine(n, bis, bis_perp), s.v1, s.v2, "CaseA")
         else:
             found = _equal_energy_pair(RankOneLine(n, bis_perp, bis), s.v1, s.v2, "CaseAPerp")
-    elif norm1 < 1.0 and norm2 < 1.0:
+    elif d1 < 0.0 and d2 < 0.0:
         found = _equal_energy_pair(RankOneLine(n, s.v3, s.v3_perp), s.v1, s.v2, "CaseN1capN2")
     else:
-        inside, outside = (s.v1, s.v2) if norm1 < 1.0 else (s.v2, s.v1)
+        inside, outside = (s.v1, s.v2) if d1 < 0.0 else (s.v2, s.v1)
         if s.is_orthogonal:
-            found = _single_slip(n, inside, "CaseN1lemN2" if norm1 < 1.0 else "CaseN2")
+            found = _single_slip(n, inside, "CaseN1lemN2" if d1 < 0.0 else "CaseN2")
         else:
             candidates = [
                 _single_slip(n, inside, "UpperBoundOnly"),

@@ -4,19 +4,27 @@ Splits the det-1 manifold into SO(2), the single-slip manifolds M1, M2, the
 stretched regions A / APerp (both slip norms above 1, split by the sign of
 Fv1.Fv2) and the compressed regions built from N_i = {|Fv_i| < 1}, with
 explicit tolerance bands on every defining inequality.
+
+`classify` labels one matrix; `region_map` labels a whole (b, c) grid in one
+array pass over the same slip-state quantities (`energy.slip_state`).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from numbers import Integral
 
 import numpy as np
 
-from .algebra import Mat, bc_to_matrix, frobenius_sq, det2
-from .energy import SlipSystem, DEFAULT_TOL, w_hom
+from .algebra import Mat, bc_diagonal
+from .energy import (DEFAULT_TOL, Bounds, ExtendedEnergy, INFINITE, Known, SlipState,
+                     SlipSystem, matrix_state, off_manifold, slip_state, w_hom_arrays)
 from .errors import PreconditionError
 
 TAGS = ("SO2", "M1", "M2", "A", "APerp", "N1capN2", "N1only", "N2only", "OffManifold")
+CODE = {tag: i for i, tag in enumerate(TAGS)}
+_BIT = {tag: 1 << i for i, tag in enumerate(TAGS)}
 
 
 @dataclass(frozen=True)
@@ -35,17 +43,23 @@ class RegionLabel:
         return bool(self.boundary)
 
 
+def adjacent_tags(bits: int) -> frozenset:
+    """The tags of a boundary bit set (bit i stands for TAGS[i])."""
+    return frozenset(tag for tag, bit in _BIT.items() if bits & bit)
+
+
 def classify(f: Mat, s: SlipSystem, tol: float = DEFAULT_TOL) -> RegionLabel:
-    """Classify a matrix into the phase diagram of the two-slip model."""
+    """Classify a matrix into the phase diagram of the two-slip model.
+
+    `classify_arrays` is the same decision tree over a stack of matrices.
+    """
     if tol <= 0.0:
         raise PreconditionError("classification tolerance must be positive")
-    if abs(det2(f) - 1.0) > tol:
+    st = matrix_state(f, s)
+    if off_manifold(st, tol):
         return RegionLabel("OffManifold")
-    fv1, fv2 = f @ s.v1, f @ s.v2
-    d1 = float(np.linalg.norm(fv1)) - 1.0
-    d2 = float(np.linalg.norm(fv2)) - 1.0
-    dot = float(fv1 @ fv2)
-    tol_s = tol * max(1.0, frobenius_sq(f))
+    d1, d2, dot = st.d1, st.d2, st.dot
+    tol_s = tol * max(1.0, st.fro)
 
     on1, on2 = abs(d1) <= tol, abs(d2) <= tol
     if on1 and on2:
@@ -76,28 +90,99 @@ def classify(f: Mat, s: SlipSystem, tol: float = DEFAULT_TOL) -> RegionLabel:
     return RegionLabel("N1only" if d1 < 0 else "N2only")
 
 
+def classify_arrays(st: SlipState, tol: float = DEFAULT_TOL):
+    """`classify` of every matrix of a stack, given its array SlipState.
+
+    Returns (code, boundary): the TAGS index of each label and its adjacent
+    tags as a bit set (see `adjacent_tags`).  The masks take the branches of
+    `classify` in its order.  Outside the |dot| <= tol_s band dot > 0 and
+    dot >= 0 agree (tol_s > 0), so one sign test picks A or APerp.
+    """
+    if tol <= 0.0:
+        raise PreconditionError("classification tolerance must be positive")
+    with np.errstate(invalid="ignore", over="ignore"):
+        d1, d2, dot = st.d1, st.d2, st.dot
+        tol_s = tol * np.maximum(1.0, st.fro)
+        off = off_manifold(st, tol)
+        on1, on2 = np.abs(d1) <= tol, np.abs(d2) <= tol
+        up1, up2 = d1 > 0, d2 > 0
+        a_or_p = np.where(dot >= 0, CODE["A"], CODE["APerp"])
+        code = np.select(
+            [off, on1 & on2, on1, on2, up1 & up2, (d1 < 0) & (d2 < 0), d1 < 0],
+            [CODE["OffManifold"], CODE["SO2"], CODE["M1"], CODE["M2"], a_or_p,
+             CODE["N1capN2"], CODE["N1only"]],
+            CODE["N2only"])
+        # the stretched sides a manifold cell touches: A unless dot < -tol_s,
+        # APerp unless dot > tol_s
+        sides = np.where(dot >= -tol_s, _BIT["A"], 0) | np.where(dot > tol_s, 0, _BIT["APerp"])
+        m1 = np.where(up2, _BIT["N1only"] | sides, _BIT["N1capN2"] | _BIT["N2only"])
+        m2 = np.where(up1, _BIT["N2only"] | sides, _BIT["N1capN2"] | _BIT["N1only"])
+        boundary = np.select(
+            [off | (on1 & on2), on1, on2, up1 & up2 & (np.abs(dot) <= tol_s)],
+            [0, m1, m2, _BIT["A"] | _BIT["APerp"]], 0)
+    return code.astype(np.int8), boundary.astype(np.int16)
+
+
 @dataclass(frozen=True)
-class RegionCell:
-    b: float
-    c: float
-    label: RegionLabel
-    energy: object  # Known or Bounds
+class RegionMap:
+    """Region labels and envelope records of a cell-centered (b, c) grid.
+
+    One entry per cell, row-major with b varying fastest.  `fs` holds the
+    matrices `bc_to_matrix(b, c)`, `code` the TAGS index of each label and
+    `boundary` its adjacent tags as a bit set.  `whom` is the Known envelope
+    value (inf off the manifold) and nan on Bounds cells; `lower` and `upper`
+    are nan on Known cells.
+    """
+
+    b: np.ndarray
+    c: np.ndarray
+    fs: np.ndarray
+    code: np.ndarray
+    boundary: np.ndarray
+    whom: np.ndarray
+    lower: np.ndarray
+    upper: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.code)
+
+    @property
+    def tags(self) -> list:
+        return [TAGS[k] for k in self.code.tolist()]
+
+    def label(self, k: int) -> RegionLabel:
+        """The `classify` label of cell k."""
+        return RegionLabel(TAGS[self.code[k]], adjacent_tags(int(self.boundary[k])))
+
+    def energy(self, k: int):
+        """The `w_hom` record of cell k."""
+        whom = float(self.whom[k])
+        if math.isnan(whom):
+            return Bounds(lower=float(self.lower[k]), upper=float(self.upper[k]))
+        return Known(INFINITE if whom == math.inf else ExtendedEnergy.finite(whom))
 
 
-def region_map(s: SlipSystem, bc_range: float, n: int, tol: float = DEFAULT_TOL):
+def region_map(s: SlipSystem, bc_range: float, n: int, tol: float = DEFAULT_TOL) -> RegionMap:
     """Cell-centered n x n grid of region labels and envelope records.
 
     Covers [-bc_range, bc_range]^2 in (b, c) coordinates, row-major order
-    (b varies fastest).
+    (b varies fastest).  Every cell equals `classify` and `w_hom` of its
+    matrix.
     """
-    if n < 1 or bc_range <= 0.0:
-        raise PreconditionError("grid requires n >= 1 and a positive range")
-    cells = []
+    if isinstance(n, bool) or not isinstance(n, Integral) or n < 1:
+        raise PreconditionError(f"grid resolution must be an integer >= 1, not {n!r}")
+    if not 0.0 < bc_range < math.inf:
+        raise PreconditionError(f"grid half-range must be positive and finite, not {bc_range!r}")
     step = 2.0 * bc_range / n
-    for j in range(n):
-        c = -bc_range + (j + 0.5) * step
-        for i in range(n):
-            b = -bc_range + (i + 0.5) * step
-            f = bc_to_matrix(b, c)
-            cells.append(RegionCell(b=b, c=c, label=classify(f, s, tol), energy=w_hom(f, s, tol)))
-    return cells
+    axis = -bc_range + (np.arange(n) + 0.5) * step
+    b, c = np.tile(axis, n), np.repeat(axis, n)
+    with np.errstate(invalid="ignore", over="ignore"):
+        big, small = bc_diagonal(b, c)
+        upper_left = b >= 0.0
+        f00, f11 = np.where(upper_left, big, small), np.where(upper_left, small, big)
+        st = slip_state(f00, c, c, f11, s)
+    code, boundary = classify_arrays(st, tol)
+    whom, lower, upper = w_hom_arrays(st, s, tol)
+    fs = np.stack([f00, c, c, f11], axis=-1).reshape(-1, 2, 2)
+    return RegionMap(b=b, c=c, fs=fs, code=code, boundary=boundary,
+                     whom=whom, lower=lower, upper=upper)

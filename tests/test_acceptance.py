@@ -30,10 +30,10 @@ def report(num, ok, detail):
 
 
 def test_criterion_01_envelope_certification_orthogonal():
-    rows = envelope_scan(ORTHO, 3.0, 61, n_dirs=720)
-    discs = [r.discrepancy for r in rows if not r.skipped]
-    assert all(d is not None for d in discs)
-    worst = max(discs)
+    scan = envelope_scan(ORTHO, 3.0, 61, n_dirs=720)
+    discs = scan.discrepancy[~scan.skipped]
+    assert not np.isnan(discs).any()
+    worst = float(discs.max())
     report(1, worst <= 1e-5,
            f"orthogonal 61x61 scan, max |oracle - closed form| = {worst:.3e} (<= 1e-5)")
 
@@ -43,13 +43,13 @@ def test_criterion_02_envelope_certification_general():
     worst_slack = 0.0
     for frac in (0.30, 0.35, 0.45):
         s = SlipSystem.from_theta(frac * math.pi, 0.5)
-        for r in envelope_scan(s, 3.0, 61, n_dirs=720):
-            if r.skipped:
-                continue
-            if r.discrepancy is not None:
-                worst_known = max(worst_known, r.discrepancy)
+        scan = envelope_scan(s, 3.0, 61, n_dirs=720)
+        for k in np.flatnonzero(~scan.skipped):
+            if not math.isnan(scan.discrepancy[k]):
+                worst_known = max(worst_known, float(scan.discrepancy[k]))
             else:
-                worst_slack = max(worst_slack, -r.slack_lo, -r.slack_hi)
+                worst_slack = max(worst_slack, -float(scan.slack_lo[k]),
+                                  -float(scan.slack_hi[k]))
     ok = worst_known <= 1e-5 and worst_slack <= 1e-5
     report(2, ok, f"general-angle scans: max known-region discrepancy = "
                   f"{worst_known:.3e}, max bound violation = {worst_slack:.3e} (<= 1e-5)")
@@ -245,6 +245,13 @@ def test_criterion_11_determinism(tmp_path):
                                  "--eps-list", "1/4,1/8,1/16,1/32", "--hlam", "0.25",
                                  "--out", str(out)]) == 0
     hom_same = hom_a.read_bytes() == hom_b.read_bytes()
-    ok = scan_same and hom_same
+    map_a, map_b = tmp_path / "map_a.csv", tmp_path / "map_b.csv"
+    for out in (map_a, map_b):
+        assert main(["--theta", repr(0.3 * math.pi), "--range", "3", "--n", "61",
+                     "regionmap", "--out", str(out)]) == 0
+    rows = [line.split(",") for line in map_a.read_text().splitlines()[1:]]
+    assert any(row[4] == "" and row[5] != "" for row in rows)  # Bounds cells present
+    map_same = map_a.read_bytes() == map_b.read_bytes()
+    ok = scan_same and hom_same and map_same
     report(11, ok, f"byte-identical reruns: envelope scan = {scan_same}, "
-                   f"homogenization sweep = {hom_same}")
+                   f"homogenization sweep = {hom_same}, general-angle region map = {map_same}")

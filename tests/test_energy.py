@@ -60,7 +60,7 @@ def orthogonal_large_b(rng):
 
 def orthogonal_grid(n):
     s = SlipSystem.from_theta(math.pi / 4, 0.5)
-    return lambda rng: ((s, bc_to_matrix(cell.b, cell.c)) for cell in region_map(s, 3.0, n))
+    return lambda rng: ((s, f) for f in region_map(s, 3.0, n).fs)
 
 
 def single_slip(rng, s, spread=3.0):

@@ -72,36 +72,38 @@ def test_direction_grid_monotonicity():
 
 
 def test_scan_rows_and_known_agreement():
-    rows = envelope_scan(ORTHO, 3.0, 15, n_dirs=240)
-    assert len(rows) == 225
-    for row in rows:
-        if row.skipped:
+    scan = envelope_scan(ORTHO, 3.0, 15, n_dirs=240)
+    grid = scan.grid
+    assert len(grid) == 225
+    for k, region in enumerate(grid.tags):
+        if scan.skipped[k]:
             continue
-        if row.region == "SO2":
-            assert row.oracle == pytest.approx(0.0, abs=1e-10)
-        if row.discrepancy is not None:
-            assert row.discrepancy <= 1e-5
-        ref = w_hom(bc_to_matrix(row.b, row.c), ORTHO).value.as_float()
-        assert row.closed == pytest.approx(ref)
+        if region == "SO2":
+            assert scan.oracle[k] == pytest.approx(0.0, abs=1e-10)
+        if not math.isnan(scan.discrepancy[k]):
+            assert scan.discrepancy[k] <= 1e-5
+        ref = w_hom(bc_to_matrix(grid.b[k], grid.c[k]), ORTHO).value.as_float()
+        assert scan.closed[k] == pytest.approx(ref)
 
 
 def test_scan_bounds_cells_general():
     s = SlipSystem.from_theta(math.pi / 3, 0.5)
-    rows = envelope_scan(s, 2.0, 15, n_dirs=240)
-    bounds_rows = [r for r in rows if not r.skipped and r.slack_lo is not None]
-    assert bounds_rows
-    for row in bounds_rows:
-        assert row.slack_lo >= -1e-5
-        assert row.slack_hi >= -1e-5
+    scan = envelope_scan(s, 2.0, 15, n_dirs=240)
+    bounds = ~scan.skipped & ~np.isnan(scan.slack_lo)
+    assert bounds.any()
+    assert np.all(scan.slack_lo[bounds] >= -1e-5)
+    assert np.all(scan.slack_hi[bounds] >= -1e-5)
 
 
 def test_scan_matches_per_cell_oracle():
     # more certified cells than one coarse-scan chunk holds at 120 directions (96)
     for theta in (math.pi / 4, 0.3 * math.pi):
         s = SlipSystem.from_theta(theta, 0.5)
-        rows = [r for r in envelope_scan(s, 2.0, 15, n_dirs=120) if not r.skipped]
-        assert len(rows) > 96
-        assert any(r.slack_lo is not None for r in rows) == (theta != math.pi / 4)
-        for row in rows:
-            ref = wlc_numeric(bc_to_matrix(row.b, row.c), s, n_dirs=120).value.as_float()
-            assert abs(row.oracle - ref) <= 1e-12
+        scan = envelope_scan(s, 2.0, 15, n_dirs=120)
+        live = np.flatnonzero(~scan.skipped)
+        assert len(live) > 96
+        assert (~np.isnan(scan.slack_lo[live])).any() == (theta != math.pi / 4)
+        for k in live:
+            f = bc_to_matrix(scan.grid.b[k], scan.grid.c[k])
+            ref = wlc_numeric(f, s, n_dirs=120).value.as_float()
+            assert abs(scan.oracle[k] - ref) <= 1e-12

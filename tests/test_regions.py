@@ -3,10 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from lamlab.algebra import random_det1, rotation
-from lamlab.energy import Bounds, Known, SlipSystem, w_hom
-from lamlab.errors import PreconditionError
-from lamlab.regions import RegionLabel, classify, region_map
+from lamlab.algebra import bc_to_matrix, perp, random_det1, rotation
+from lamlab.energy import (INFINITE, Bounds, ExtendedEnergy, Known, SlipSystem, slip_state,
+                           w_condensed, w_hom, w_hom_arrays)
+from lamlab.envelope_oracle import envelope_scan, wlc_numeric
+from lamlab.errors import OffManifold, PreconditionError
+from lamlab.laminate import decompose
+from lamlab.regions import (TAGS, RegionLabel, adjacent_tags, classify, classify_arrays,
+                            region_map)
 
 ORTHO = SlipSystem.orthogonal(v1=(1.0, 0.0))
 GENERAL = SlipSystem.from_theta(math.pi / 3, 0.5)
@@ -75,29 +79,144 @@ def test_impossible_combination_reports_boundary():
 
 
 def test_region_map_single_cell_and_shapes():
-    cells = region_map(ORTHO, 3.0, 1)
-    assert len(cells) == 1
-    assert cells[0].label.tag == "SO2"
-    assert isinstance(cells[0].energy, Known)
-    assert cells[0].energy.value.value == pytest.approx(0.0)
+    grid = region_map(ORTHO, 3.0, 1)
+    assert len(grid) == 1
+    assert grid.label(0).tag == "SO2"
+    assert isinstance(grid.energy(0), Known)
+    assert grid.energy(0).value.value == pytest.approx(0.0)
+    assert grid.fs.shape == (1, 2, 2)
     with pytest.raises(PreconditionError):
         region_map(ORTHO, 3.0, 0)
 
 
 def test_region_map_orthogonal_has_no_double_compression():
-    cells = region_map(ORTHO, 3.0, 41)
-    assert all(cell.label.tag != "N1capN2" for cell in cells)
+    grid = region_map(ORTHO, 3.0, 41)
+    assert all(tag != "N1capN2" for tag in grid.tags)
     # orthogonal envelope is closed-form everywhere on the manifold
-    assert all(isinstance(cell.energy, Known) for cell in cells)
+    assert all(isinstance(grid.energy(k), Known) for k in range(len(grid)))
 
 
 def test_region_map_general_structure():
-    cells = region_map(GENERAL, 3.0, 61)
-    tags = {cell.label.tag for cell in cells}
+    grid = region_map(GENERAL, 3.0, 61)
+    tags = set(grid.tags)
     assert {"A", "APerp", "N1only", "N2only"} <= tags
-    for cell in cells:
-        if cell.label.tag in ("A", "APerp", "N1capN2", "SO2", "M1", "M2"):
-            assert isinstance(cell.energy, Known)
-        elif cell.label.tag in ("N1only", "N2only"):
-            assert isinstance(cell.energy, Bounds)
-            assert cell.energy.lower <= cell.energy.upper + 1e-9
+    for k, tag in enumerate(grid.tags):
+        energy = grid.energy(k)
+        if tag in ("A", "APerp", "N1capN2", "SO2", "M1", "M2"):
+            assert isinstance(energy, Known)
+        elif tag in ("N1only", "N2only"):
+            assert isinstance(energy, Bounds)
+            assert energy.lower <= energy.upper + 1e-9
+
+
+QUERY_THETAS = (math.pi / 4, 0.3 * math.pi, 0.35 * math.pi, 0.45 * math.pi)
+
+
+def same_record(a, b) -> bool:
+    """Equal w_hom records: same type, float fields equal under ==."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, Known):
+        return a.value.infinite == b.value.infinite and a.value.value == b.value.value
+    return a.lower == b.lower and a.upper == b.upper
+
+
+def assert_grid_matches_scalar(s, bc_range, n, tol):
+    grid = region_map(s, bc_range, n, tol)
+    assert len(grid) == n * n
+    for k, (b, c) in enumerate(zip(grid.b.tolist(), grid.c.tolist())):
+        f = bc_to_matrix(b, c)
+        assert np.array_equal(grid.fs[k], f)
+        assert grid.label(k) == classify(f, s, tol), (b, c)
+        assert same_record(grid.energy(k), w_hom(f, s, tol)), (b, c)
+    return grid
+
+
+@pytest.mark.parametrize("theta", QUERY_THETAS)
+def test_region_map_equals_scalar_api(theta):
+    # every cell of the array pass equals classify / w_hom bit for bit
+    s = SlipSystem.from_theta(theta, 0.5)
+    grid = assert_grid_matches_scalar(s, 3.0, 201, 1e-9)
+    assert grid.b[0] == -3.0 + 0.5 * (6.0 / 201)
+
+
+@pytest.mark.parametrize("theta", (math.pi / 4, 0.3 * math.pi))
+def test_region_map_equals_scalar_api_with_boundary_cells(theta):
+    s = SlipSystem.from_theta(theta, 0.5)
+    grid = assert_grid_matches_scalar(s, 3.0, 61, 1e-2)
+    assert np.count_nonzero(grid.boundary) > 0
+
+
+def near_boundary_stack(rng, s, count):
+    """Matrices within 1e-13 ... 1e-4 of the slip manifolds and of Fv1.Fv2 = 0."""
+    out = []
+    for _ in range(count):
+        # a rotated single-slip shear, stretched off its manifold
+        v = s.v1 if rng.integers(2) == 0 else s.v2
+        shear = np.eye(2) + rng.uniform(-3.0, 3.0) * np.outer(v, perp(v))
+        delta = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-13, -6)
+        q = rotation(rng.uniform(0, math.pi))
+        stretch = q @ np.diag([math.exp(delta), math.exp(-delta)]) @ q.T
+        out.append(rotation(rng.uniform(0, 2 * math.pi)) @ shear @ stretch)
+        # slip images at a right angle up to eps: Fv1.Fv2 = -r1 r2 sin(eps)
+        eps = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-12, -4)
+        phi, r1 = rng.uniform(0, 2 * math.pi), rng.uniform(0.5, 2.0)
+        r2 = math.sin(2.0 * s.theta) / (r1 * math.cos(eps))
+        images = np.array([[r1 * math.cos(phi), r2 * math.cos(phi + math.pi / 2 + eps)],
+                           [r1 * math.sin(phi), r2 * math.sin(phi + math.pi / 2 + eps)]])
+        out.append(images @ np.linalg.inv(np.column_stack([s.v1, s.v2])))
+    return np.array(out)
+
+
+@pytest.mark.parametrize("theta", QUERY_THETAS)
+def test_array_form_equals_scalar_form_near_boundaries(theta):
+    rng = np.random.default_rng(23)
+    s = SlipSystem.from_theta(theta, 0.5)
+    fs = near_boundary_stack(rng, s, 1500)
+    for tol in (1e-9, 1e-6):
+        st = slip_state(fs[:, 0, 0], fs[:, 0, 1], fs[:, 1, 0], fs[:, 1, 1], s)
+        code, boundary = classify_arrays(st, tol)
+        whom, lower, upper = w_hom_arrays(st, s, tol)
+        assert len(set(code.tolist())) >= 4 and np.count_nonzero(boundary) > 0
+        for k, f in enumerate(fs):
+            label = classify(f, s, tol)
+            assert (label.tag, label.boundary) == (TAGS[code[k]], adjacent_tags(int(boundary[k])))
+            record = w_hom(f, s, tol)
+            if isinstance(record, Known):
+                assert record.value.as_float() == whom[k]
+                assert math.isnan(lower[k]) and math.isnan(upper[k])
+            else:
+                assert math.isnan(whom[k])
+                assert (record.lower, record.upper) == (lower[k], upper[k])
+
+
+NONFINITE = (np.full((2, 2), np.nan), np.array([[1.0, np.nan], [0.0, 1.0]]))
+
+
+@pytest.mark.parametrize("theta", (math.pi / 4, 0.3 * math.pi))
+@pytest.mark.parametrize("f", NONFINITE)
+def test_nonfinite_matrix_is_off_manifold(theta, f):
+    s = SlipSystem.from_theta(theta, 0.5)
+    assert classify(f, s).tag == "OffManifold"
+    assert w_hom(f, s) == Known(INFINITE)
+    assert w_condensed(f, s) == INFINITE and w_condensed(f, s).infinite
+    with pytest.raises(OffManifold):
+        decompose(f, s)
+    with pytest.raises(OffManifold):
+        wlc_numeric(f, s)
+
+
+def test_finite_energy_rejects_nonfinite_values():
+    for value in (math.nan, math.inf, -math.inf, -1.0):
+        with pytest.raises(ValueError):
+            ExtendedEnergy.finite(value)
+
+
+@pytest.mark.parametrize("bc_range, n", [
+    (math.nan, 2), (math.inf, 1), (-math.inf, 2), (0.0, 2), (-1.0, 2),
+    (3.0, 2.5), (3.0, 2.0), (3.0, True), (3.0, 0), (3.0, "2")])
+def test_grid_builders_reject_bad_ranges_and_resolutions(bc_range, n):
+    with pytest.raises(PreconditionError):
+        region_map(GENERAL, bc_range, n)
+    with pytest.raises(PreconditionError):
+        envelope_scan(GENERAL, bc_range, n, n_dirs=8)
