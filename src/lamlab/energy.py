@@ -143,10 +143,14 @@ def matrix_state(f: Mat, s: SlipSystem) -> SlipState:
 
 
 def off_manifold(st: SlipState, tol: float):
-    """|det F - 1| > tol, with a nan determinant counted as off (float or array)."""
+    """|det F - 1| > tol or |F|^2 overflows (float or array).
+
+    A nan determinant counts as off; so does an infinite |F|^2, whose
+    tolerance scale max(1, |F|^2) would admit every branch.
+    """
     if isinstance(st.det_off, np.ndarray):
-        return ~(np.abs(st.det_off) <= tol)
-    return not abs(st.det_off) <= tol
+        return ~(np.abs(st.det_off) <= tol) | ~(st.fro < math.inf)
+    return not (abs(st.det_off) <= tol and st.fro < math.inf)
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,12 @@
 Independently estimates the lamination envelope of the condensed density by
 exhaustive search over determinant-preserving rank-one lines through the
 target: for each direction the line meets the slip manifolds in at most four
-points, every bracketing pair yields a two-point laminate candidate, and the
-best direction is refined by golden-section search.  Used to certify the
-closed-form envelopes and bounds.
+points, and the best direction is refined by golden-section search.  Used to
+certify the closed-form envelopes and bounds.
+
+The determinant stays 1 along each line, so the chord identity of
+`_direction_energy` makes the nearest root on each side of t = 0 the best
+two-point laminate on it; no other pair of roots is formed.
 
 One NumPy kernel evaluates a stack of matrices against their directions; the
 grid scan feeds it every certified cell at once (the coarse scan in chunks of
@@ -35,11 +38,15 @@ _REFINE_WIDTH = 1e-8
 
 # Cell x direction elements per coarse-scan chunk (16 cells at 720 directions),
 # so that --n-dirs cannot grow the working set.  Oracle time for the 3721 cells
-# of a 61^2 grid at 720 directions, theta = 0.3 pi (best of 7, two runs; 2-vCPU
-# Xeon VM, NumPy 2.4.6), and peak RSS of the process:
-#   cells per chunk  2     4     8     16         32    64    256   3721
-#   oracle s         1.10  0.57  0.42  0.39-0.42  0.51  0.50  0.68  1.59
-#   peak RSS MB      33    33    33    35         37    42    69    544
+# of a 61^2 grid at 720 directions (fastest of three or four interleaved sets of
+# 7-15 runs, which spread by up to 40 %; 2-vCPU Xeon VM, NumPy 2.4.6), and peak
+# RSS of the process:
+#   cells per chunk  2     4     8     16    32    64    256   3721
+#   pi/4 oracle s    0.51  0.35  0.28  0.27  0.26  0.25  0.39  0.64
+#   0.3 pi oracle s  0.49  0.36  0.26  0.23  0.23  0.21  0.30  0.72
+#   peak RSS MB      31    31    31    31    33    36    53    337
+# 16 to 64 cells are level within that spread (each, and 24, was fastest in
+# some set); 16 keeps the smallest working set.
 _CHUNK_ELEMENTS = 16 * 720
 
 
@@ -49,13 +56,18 @@ def _direction_energy(fs: np.ndarray, cos, sin, s: SlipSystem, pair: bool = Fals
     `fs` is a stack [N, 2, 2]; `cos` and `sin` broadcast against [N, 1]: one
     row of directions shared by every matrix, or one column of directions per
     matrix.  The line meets the manifold |F v| = 1 (v = v1, v2) where
-    alpha t^2 + beta t + c0 = 0; each root gets one Newton polish step, and
-    every pair of roots bracketing t = 0 is a laminate candidate.
+    alpha t^2 + beta t + c0 = 0; each root gets one Newton polish step.
 
-    Returns the best candidate energy per (matrix, direction), inf where no
-    pair brackets; with `pair` also the roots (lo, hi) of that pair, nan where
-    none.  The per-direction quantities come from G = F^T F and the shared
-    cos^2, sin cos, sin^2.
+    det F(t) = 1 on the line, so E(t) = |F(t)|^2 - 2 = w0 + 2 Fm.Fm_perp t +
+    |F m|^2 t^2 with w0 = |F|^2 - 2, and the chord through the endpoints at
+    roots ta <= 0 <= tb, evaluated at t = 0, is w0 - |F m|^2 ta tb.  The best
+    bracketing pair is therefore the nearest root on each side of t = 0: the
+    largest root <= 0 (neg) and the smallest root >= 0 (pos).
+
+    Returns max(w0 - |F m|^2 neg pos, 0) per (matrix, direction), inf where
+    no such pair is more than 1e-15 apart; with `pair` also (neg, pos) as
+    (lo, hi), nan where none.  The per-direction quantities come from
+    G = F^T F and the shared cos^2, sin cos, sin^2.
     """
     f00, f01, f10, f11 = (fs[:, i, j, None] for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)))
     g00 = f00 * f00 + f10 * f10
@@ -65,10 +77,9 @@ def _direction_energy(fs: np.ndarray, cos, sin, s: SlipSystem, pair: bool = Fals
     eps = _ROOT_EPS * np.maximum(1.0, fro)
     cc, cs, ss = cos * cos, cos * sin, sin * sin
     am2 = g00 * cc + 2.0 * g01 * cs + g11 * ss       # |F m|^2
-    drift2 = 2.0 * ((g11 - g00) * cs + g01 * (cc - ss))  # 2 F m . F m_perp
-    w0 = fro - 2.0
+    neg = np.full(am2.shape, np.nan)
+    pos = np.full(am2.shape, np.nan)
 
-    roots, energies = [], []
     with np.errstate(divide="ignore", invalid="ignore"):
         for v0, v1 in (s.v1, s.v2):
             fv0, fv1 = f00 * v0 + f01 * v1, f10 * v0 + f11 * v1
@@ -92,23 +103,14 @@ def _direction_energy(fs: np.ndarray, cos, sin, s: SlipSystem, pair: bool = Fals
             for t in (r1, r2):
                 dg = 2.0 * alpha * t + beta
                 t = np.where(dg != 0.0, t - ((alpha * t + beta) * t + c0) / dg, t)
-                roots.append(t)
-                energies.append(np.maximum(w0 + (drift2 + t * am2) * t, 0.0))
+                np.fmax(neg, t, out=neg, where=t <= 0.0)
+                np.fmin(pos, t, out=pos, where=t >= 0.0)
 
-        best = np.full(am2.shape, np.inf)
-        lo = hi = np.full(am2.shape, np.nan)
-        for i in range(4):
-            for j in range(i + 1, 4):
-                ta, tb = roots[i], roots[j]
-                gap = tb - ta
-                # the chord through both endpoints evaluated at t = 0
-                cand = (tb * energies[i] - ta * energies[j]) / gap
-                better = (ta * tb <= 0.0) & (np.abs(gap) > 1e-15) & (cand < best)
-                best = np.where(better, cand, best)
-                if pair:
-                    lo = np.where(better, np.minimum(ta, tb), lo)
-                    hi = np.where(better, np.maximum(ta, tb), hi)
-    return (best, lo, hi) if pair else best
+        ok = pos - neg > 1e-15
+        best = np.where(ok, np.maximum(fro - 2.0 - am2 * neg * pos, 0.0), np.inf)
+    if pair:
+        return best, np.where(ok, neg, np.nan), np.where(ok, pos, np.nan)
+    return best
 
 
 def _at(fs: np.ndarray, s: SlipSystem, phi: np.ndarray, pair: bool = False):
@@ -145,7 +147,7 @@ def _golden(fs: np.ndarray, s: SlipSystem, center: np.ndarray, half: float) -> n
 
 @dataclass(frozen=True)
 class _Batch:
-    value: np.ndarray     # min(coarse, refined, single), not yet clamped at 0
+    value: np.ndarray     # min(coarse, refined, single), >= 0 as each of them is
     single: np.ndarray    # max(|F|^2 - 2, 0) where F lies on a slip manifold, else inf
     phi_best: np.ndarray  # direction of the better of the coarse and refined candidates
 
@@ -157,7 +159,7 @@ def _oracle(fs: np.ndarray, s: SlipSystem, n_dirs: int, tol: float) -> _Batch:
     with np.errstate(invalid="ignore", over="ignore"):
         st = slip_state(fs[:, 0, 0], fs[:, 0, 1], fs[:, 1, 0], fs[:, 1, 1], s)
     if np.any(off_manifold(st, tol)):
-        raise OffManifold("oracle targets must have unit determinant")
+        raise OffManifold("oracle targets must have unit determinant and a finite |F|^2")
 
     step = math.pi / n_dirs
     phis = np.arange(n_dirs) * step
@@ -213,7 +215,7 @@ def wlc_numeric(f: Mat, s: SlipSystem, n_dirs: int = 720,
             best_dec = LaminateDecomposition(
                 f_plus=f_hi, f_minus=f_lo, mu=-lo / (hi - lo),
                 direction=(m, mperp), energy=value, kind="UpperBoundOnly")
-    energy = INFINITE if value == math.inf else ExtendedEnergy.finite(max(value, 0.0))
+    energy = INFINITE if value == math.inf else ExtendedEnergy.finite(value)
     return OracleResult(value=energy, best=best_dec)
 
 
@@ -251,7 +253,7 @@ def envelope_scan(s: SlipSystem, bc_range: float, n: int, n_dirs: int = 720,
     grid = region_map(s, bc_range, n, tol)
     skipped = (grid.boundary != 0) | (grid.code == CODE["OffManifold"])
     oracle = np.full(len(grid), np.nan)
-    oracle[~skipped] = np.maximum(_oracle(grid.fs[~skipped], s, n_dirs, tol).value, 0.0)
+    oracle[~skipped] = _oracle(grid.fs[~skipped], s, n_dirs, tol).value
     closed = np.where(skipped, np.nan, grid.whom)
     with np.errstate(invalid="ignore"):
         return EnvelopeScan(grid=grid, skipped=skipped, closed=closed, oracle=oracle,

@@ -125,7 +125,8 @@ def decompose(n: Mat, s: SlipSystem, tol: float = DEFAULT_TOL) -> LaminateDecomp
         raise PreconditionError("membership tolerance must be positive")
     st = matrix_state(n, s)
     if off_manifold(st, tol):
-        raise OffManifold("target determinant differs from 1 beyond tolerance")
+        raise OffManifold("target |F|^2 overflows" if st.fro == math.inf
+                          else "target determinant differs from 1 beyond tolerance")
     d1, d2 = st.d1, st.d2
     if min(abs(d1), abs(d2)) <= tol:
         return LaminateDecomposition(

@@ -51,6 +51,20 @@ def test_classify_off_manifold_exit_code(capsys):
     assert json.loads(out)["region"] == "OffManifold"
 
 
+@pytest.mark.parametrize("theta", ("0.7853981633974483", "0.9424777960769379"))
+@pytest.mark.parametrize("matrix", ("1e160,0,0,1e-160", "1e200,0,0,1e-200"))
+def test_overflowing_matrix_exit_code(capsys, theta, matrix):
+    # det is exactly 1, but |F|^2 overflows: off the manifold, not a finite answer
+    code, out = run(capsys, ["--theta", theta, "classify", "--matrix", matrix])
+    assert code == 3
+    data = json.loads(out)
+    assert data["region"] == "OffManifold" and "whom" not in data
+    assert main(["--theta", theta, "laminate", "--matrix", matrix]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: target |F|^2 overflows\n"
+
+
 def test_classify_usage_errors(capsys):
     assert main(["classify"]) == 2
     assert main(["classify", "--matrix", "1,2,3"]) == 2

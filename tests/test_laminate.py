@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lamlab.algebra import bc_to_matrix, det2, random_det1, rotation
+from lamlab.algebra import bc_to_matrix, det2, perp, random_det1, rotation
 from lamlab.energy import Known, SlipSystem, w_hom
 from lamlab.errors import OffManifold
 from lamlab.laminate import LaminateDecomposition, decompose, verify_decomposition
@@ -154,3 +154,30 @@ def test_large_b_laminates_stay_on_the_manifolds(log_b, b_sign, c, frac):
     if isinstance(res, Known):
         ref = res.value.as_float()
         assert abs(d.energy - ref) <= 1e-8 * max(1.0, ref)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(frac=st.sampled_from((0.25, 0.3, 0.35, 0.45)), slip=st.sampled_from((1, 2)),
+       gamma=st.floats(-3.0, 3.0), angle=st.floats(0.0, 2.0 * math.pi),
+       stretch=st.floats(-1e-9, 1e-9))
+def test_laminates_inside_the_manifold_tolerance_bands(frac, slip, gamma, angle, stretch):
+    # every region boundary lies on M1 or M2; R (I + gamma v (x) v_perp) is on
+    # the manifold of v, and the det-1 stretch by exp(+-stretch) along v and
+    # v_perp moves |N v| - 1 to expm1(stretch), inside the tol band (gamma ~ 0:
+    # inside both bands, next to SO2)
+    s = SlipSystem.from_theta(frac * math.pi, 0.5)
+    v = s.v1 if slip == 1 else s.v2
+    frame = np.column_stack([v, perp(v)])
+    n = (rotation(angle) @ (np.eye(2) + gamma * np.outer(v, perp(v)))
+         @ frame @ np.diag([math.exp(stretch), math.exp(-stretch)]) @ frame.T)
+    d = decompose(n, s)
+    rep = verify_decomposition(d, n, s)
+    assert rep.convex_combination <= 1e-10
+    assert rep.rank_one <= 1e-10
+    assert rep.manifold <= 1e-9
+    res = w_hom(n, s)
+    if isinstance(res, Known):
+        ref = res.value.as_float()
+        assert abs(d.energy - ref) <= 1e-8 * max(1.0, ref)
+    else:
+        assert res.lower - 1e-9 <= d.energy <= res.upper + 1e-9

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from lamlab.algebra import bc_to_matrix, perp, random_det1, rotation
-from lamlab.energy import (INFINITE, Bounds, ExtendedEnergy, Known, SlipSystem, slip_state,
-                           w_condensed, w_hom, w_hom_arrays)
+from lamlab.energy import (DEFAULT_TOL, INFINITE, Bounds, ExtendedEnergy, Known, SlipSystem,
+                           off_manifold, slip_state, w_condensed, w_hom, w_hom_arrays)
 from lamlab.envelope_oracle import envelope_scan, wlc_numeric
 from lamlab.errors import OffManifold, PreconditionError
 from lamlab.laminate import decompose
@@ -204,6 +204,33 @@ def test_nonfinite_matrix_is_off_manifold(theta, f):
         decompose(f, s)
     with pytest.raises(OffManifold):
         wlc_numeric(f, s)
+
+
+# det exactly 1 (or within rounding of it), but |F|^2 overflows to inf
+OVERFLOWING = ([np.diag([1e160, 1e-160]), np.diag([1e-160, 1e160]), np.diag([1e200, 1e-200])]
+               + [rotation(phi) @ np.diag([1e160, 1e-160]) for phi in (0.3, 1.2, 2.5, 4.0)])
+
+
+@pytest.mark.parametrize("theta", (math.pi / 4, 0.3 * math.pi, 0.45 * math.pi))
+@pytest.mark.parametrize("f", OVERFLOWING)
+def test_overflowing_frobenius_norm_is_off_manifold(theta, f):
+    s = SlipSystem.from_theta(theta, 0.5)
+    assert abs(np.linalg.det(f) - 1.0) <= 1e-12
+    assert classify(f, s).tag == "OffManifold"
+    assert w_hom(f, s) == Known(INFINITE)
+    assert w_condensed(f, s) == INFINITE and w_condensed(f, s).infinite
+    with pytest.raises(OffManifold, match="overflows"):
+        decompose(f, s)
+    with pytest.raises(OffManifold):
+        wlc_numeric(f, s, n_dirs=8)
+    # the array path of region_map and the oracle reads the same test
+    fs = np.stack([np.eye(2), f])
+    with np.errstate(over="ignore", invalid="ignore"):
+        st = slip_state(fs[:, 0, 0], fs[:, 0, 1], fs[:, 1, 0], fs[:, 1, 1], s)
+        codes = classify_arrays(st)[0]
+    assert off_manifold(st, DEFAULT_TOL).tolist() == [False, True]
+    assert [TAGS[k] for k in codes.tolist()] == ["SO2", "OffManifold"]
+    assert w_hom_arrays(st, s)[0][1] == math.inf
 
 
 def test_finite_energy_rejects_nonfinite_values():
