@@ -38,16 +38,34 @@ _REFINE_WIDTH = 1e-8
 
 # Cell x direction elements per coarse-scan chunk (16 cells at 720 directions),
 # so that --n-dirs cannot grow the working set.  Oracle time for the 3721 cells
-# of a 61^2 grid at 720 directions (fastest of three or four interleaved sets of
-# 7-15 runs, which spread by up to 40 %; 2-vCPU Xeon VM, NumPy 2.4.6), and peak
-# RSS of the process:
-#   cells per chunk  2     4     8     16    32    64    256   3721
-#   pi/4 oracle s    0.51  0.35  0.28  0.27  0.26  0.25  0.39  0.64
-#   0.3 pi oracle s  0.49  0.36  0.26  0.23  0.23  0.21  0.30  0.72
-#   peak RSS MB      31    31    31    31    33    36    53    337
-# 16 to 64 cells are level within that spread (each, and 24, was fastest in
-# some set); 16 keeps the smallest working set.
+# of a 61^2 grid at 720 directions (fastest of four interleaved sets of 8 runs,
+# which spread by up to 35 %; 2-vCPU Xeon VM, NumPy 2.4.6), and peak RSS of the
+# process:
+#   cells per chunk  2     4     8     16    24    32    64    256   3721
+#   pi/4 oracle s    0.35  0.23  0.16  0.14  0.13  0.14  0.13  0.15  0.32
+#   0.3 pi oracle s  0.35  0.22  0.16  0.15  0.13  0.14  0.13  0.15  0.26
+#   peak RSS MB      31    31    31    32    33    33    36    52    276
+# 24 to 64 cells ran up to 19 % faster than 16 within a set, less than the
+# spread between sets; 16 keeps the smaller working set.
 _CHUNK_ELEMENTS = 16 * 720
+
+
+def _cross(cos, sin, v0: float, v1: float):
+    """v x m = v0 sin - v1 cos = -(m_perp . v) for m = (cos, sin) and a unit v.
+
+    Written as (sin - s v1) v0 - (cos - s v0) v1 with s = sign(m . v): where m
+    is nearly parallel to +-v both differences are exact, so the result keeps
+    a relative error of a few ulp instead of the eps / |v x m| of the direct
+    form.
+    """
+    sign = np.copysign(1.0, cos * v0 + sin * v1)
+    return (sin - sign * v1) * v0 - (cos - sign * v0) * v1
+
+
+def _nearest(neg, pos, t):
+    """Fold the roots t into the nearest root on each side of t = 0."""
+    np.fmax(neg, t, out=neg, where=t <= 0.0)
+    np.fmin(pos, t, out=pos, where=t >= 0.0)
 
 
 def _direction_energy(fs: np.ndarray, cos, sin, s: SlipSystem, pair: bool = False):
@@ -55,28 +73,37 @@ def _direction_energy(fs: np.ndarray, cos, sin, s: SlipSystem, pair: bool = Fals
 
     `fs` is a stack [N, 2, 2]; `cos` and `sin` broadcast against [N, 1]: one
     row of directions shared by every matrix, or one column of directions per
-    matrix.  The line meets the manifold |F v| = 1 (v = v1, v2) where
-    alpha t^2 + beta t + c0 = 0; each root gets one Newton polish step.
+    matrix.
 
-    det F(t) = 1 on the line, so E(t) = |F(t)|^2 - 2 = w0 + 2 Fm.Fm_perp t +
-    |F m|^2 t^2 with w0 = |F|^2 - 2, and the chord through the endpoints at
+    Along the line F(t) v = F v + t (m_perp . v) F m, so u = (m_perp . v) t
+    solves |F m|^2 u^2 + 2 p u + |F v|^2 - 1 = 0 (v = v1, v2) with
+    p = F m . F v.  By identity (F1) its reduced discriminant
+    p^2 - |F m|^2 (|F v|^2 - 1) is |F m|^2 - det(F)^2 (m_perp . v)^2, free of
+    the cancellation of the expanded coefficients at large |F|.  With
+    w = p + sign(p) sqrt(disc) the root nearer u = 0 is -(|F v|^2 - 1) / w,
+    exact for every m_perp . v != 0 (it is also the root of the linear case
+    (m_perp . v)^2 |F m|^2 ~ 0), and the far root is -w / |F m|^2.  The far
+    root counts where (m_perp . v)^2 |F m|^2 > 1e-13 max(1, |F|^2) and
+    |F v| <= 1: elsewhere it lies beyond the near root on the same side of
+    t = 0.  m_perp . v = 0 gives no root.  F m is formed directly, not from
+    F^T F, so |F m|^2 stays accurate where |F m| << |F|.
+
+    det F(t) = det F on the line, so E(t) = |F(t)|^2 - 2 = w0 + 2 Fm.Fm_perp t
+    + |F m|^2 t^2 with w0 = |F|^2 - 2, and the chord through the endpoints at
     roots ta <= 0 <= tb, evaluated at t = 0, is w0 - |F m|^2 ta tb.  The best
     bracketing pair is therefore the nearest root on each side of t = 0: the
     largest root <= 0 (neg) and the smallest root >= 0 (pos).
 
     Returns max(w0 - |F m|^2 neg pos, 0) per (matrix, direction), inf where
     no such pair is more than 1e-15 apart; with `pair` also (neg, pos) as
-    (lo, hi), nan where none.  The per-direction quantities come from
-    G = F^T F and the shared cos^2, sin cos, sin^2.
+    (lo, hi), nan where none.
     """
     f00, f01, f10, f11 = (fs[:, i, j, None] for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)))
-    g00 = f00 * f00 + f10 * f10
-    g01 = f00 * f01 + f10 * f11
-    g11 = f01 * f01 + f11 * f11
     fro = f00 * f00 + f01 * f01 + f10 * f10 + f11 * f11
+    det = f00 * f11 - f01 * f10
     eps = _ROOT_EPS * np.maximum(1.0, fro)
-    cc, cs, ss = cos * cos, cos * sin, sin * sin
-    am2 = g00 * cc + 2.0 * g01 * cs + g11 * ss       # |F m|^2
+    fm0, fm1 = f00 * cos + f01 * sin, f10 * cos + f11 * sin
+    am2 = fm0 * fm0 + fm1 * fm1
     neg = np.full(am2.shape, np.nan)
     pos = np.full(am2.shape, np.nan)
 
@@ -84,27 +111,25 @@ def _direction_energy(fs: np.ndarray, cos, sin, s: SlipSystem, pair: bool = Fals
         for v0, v1 in (s.v1, s.v2):
             fv0, fv1 = f00 * v0 + f01 * v1, f10 * v0 + f11 * v1
             c0 = fv0 * fv0 + fv1 * fv1 - 1.0
-            mv = cos * v1 - sin * v0  # m_perp . v
-            alpha = mv * mv * am2
-            # F m . F v = m . (F^T F v)
-            beta = 2.0 * mv * (cos * (f00 * fv0 + f10 * fv1) + sin * (f01 * fv0 + f11 * fv1))
-            quad = alpha > eps
-            # nan outside the quadratic case carries through both roots
-            a = np.where(quad, alpha, np.nan)
-            q = -0.5 * (beta + np.copysign(np.sqrt(beta * beta - 4.0 * a * c0), beta))
-            r1, r2 = q / a, c0 / q
-            sym = q == 0.0  # beta == 0: roots +- sqrt(-c0 / alpha)
+            # vm = v x m = -(m_perp . v), nan where F(t) v does not move
+            vm = _cross(cos, sin, v0, v1)
+            vm = np.where(vm == 0.0, np.nan, vm)
+            p = fm0 * fv0 + fm1 * fv1
+            w = p + np.copysign(np.sqrt(am2 - (det * det) * (vm * vm)), p)
+            near = c0 / (vm * w)
+            sym = w == 0.0  # p = disc = 0: a double root at t = 0
             if sym.any():
-                r = np.sqrt(np.maximum(-c0 / np.where(sym, alpha, 1.0), 0.0))
-                r1, r2 = np.where(sym, -r, r1), np.where(sym, r, r2)
-            lin = ~quad & (np.abs(beta) > eps)
-            if lin.any():
-                r1 = np.where(lin, -c0 / beta, r1)
-            for t in (r1, r2):
-                dg = 2.0 * alpha * t + beta
-                t = np.where(dg != 0.0, t - ((alpha * t + beta) * t + c0) / dg, t)
-                np.fmax(neg, t, out=neg, where=t <= 0.0)
-                np.fmin(pos, t, out=pos, where=t >= 0.0)
+                near = np.where(sym, w, near)
+            _nearest(neg, pos, near)
+            # the far root, on the rows with |F v| <= 1
+            rows = np.flatnonzero(c0[:, 0] <= 0.0)
+            if rows.size:
+                vmr, am2r = np.broadcast_to(vm, am2.shape)[rows], am2[rows]
+                den = vmr * am2r
+                far = np.where(vmr * den > eps[rows], w[rows] / den, np.nan)
+                nr, pr = neg[rows], pos[rows]
+                _nearest(nr, pr, far)
+                neg[rows], pos[rows] = nr, pr
 
         ok = pos - neg > 1e-15
         best = np.where(ok, np.maximum(fro - 2.0 - am2 * neg * pos, 0.0), np.inf)

@@ -128,6 +128,25 @@ def reference_raster(spec):
 ROTATION = np.array([[math.cos(0.4), -math.sin(0.4)], [math.sin(0.4), math.cos(0.4)]])
 
 
+def seeded_layout(seed):
+    """Three bands with seeded shears and edges in a seeded orthogonal slip
+    frame (laminate normals with components of either sign) under a seeded
+    rotation, at a layer period down to 1/64 on a 1024^2 grid."""
+    rng = np.random.default_rng(seed)
+    frame, turn = rng.uniform(0.0, 2.0 * math.pi, size=2)
+    edges = sorted(float(x) for x in rng.uniform(0.05, 0.95, size=2))
+    shears = [float(x) for x in rng.uniform(-0.8, 0.8, size=3)]
+    return {"slip": SlipSystem.orthogonal(v1=(math.cos(frame), math.sin(frame))),
+            "rotation": np.array([[math.cos(turn), -math.sin(turn)],
+                                  [math.sin(turn), math.cos(turn)]]),
+            "gammas": tuple(zip(shears, edges + [1.0])),
+            "epsilon": (1 / 16, 1 / 32, 1 / 64)[seed % 3],
+            "laminate_period": float(rng.uniform(0.5, 1.5)), "grid_n": 1024}
+
+
+SEEDED = list(range(9))
+
+
 @pytest.mark.parametrize("kw", [
     {},
     {"gammas": ((0.2, 9 / 32), (0.5, 23 / 32), (-0.3, 1.0))},
@@ -138,7 +157,9 @@ ROTATION = np.array([[math.cos(0.4), -math.sin(0.4)], [math.sin(0.4), math.cos(0
     {"slip": SlipSystem.from_theta(0.3 * math.pi, 0.5), "gammas": ((-0.6, 0.4), (0.8, 1.0))},
     # 125.125 grid rows per layer period
     {"grid_n": 1001},
-], ids=["single", "three_bands", "hlam_third", "side_2", "rotated", "theta_0.3pi", "grid_1001"])
+] + [seeded_layout(seed) for seed in SEEDED],
+    ids=["single", "three_bands", "hlam_third", "side_2", "rotated", "theta_0.3pi", "grid_1001"]
+    + [f"seeded_{seed}" for seed in SEEDED])
 def test_raster_matches_reference(kw, monkeypatch):
     spec = make_spec(**kw)
     ref_labels, ref_counts, ref_flagged = reference_raster(spec)

@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -18,15 +19,17 @@ ANGLES = (math.pi / 4, 0.3 * math.pi, 0.35 * math.pi, 0.45 * math.pi)
 def reference_direction_energy(fs, cos, sin, s, pair=False):
     """The kernel with every bracketing root pair formed: the chord through
     both endpoint energies, evaluated at t = 0, minimized over the 6 pairs.
-    Same root solve as `_direction_energy`."""
+    Same root solve as `_direction_energy`: identity (F1), no Newton step."""
     f00, f01, f10, f11 = (fs[:, i, j, None] for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)))
     g00 = f00 * f00 + f10 * f10
     g01 = f00 * f01 + f10 * f11
     g11 = f01 * f01 + f11 * f11
     fro = f00 * f00 + f01 * f01 + f10 * f10 + f11 * f11
+    det = f00 * f11 - f01 * f10
     eps = 1e-13 * np.maximum(1.0, fro)
     cc, cs, ss = cos * cos, cos * sin, sin * sin
-    am2 = g00 * cc + 2.0 * g01 * cs + g11 * ss
+    fm0, fm1 = f00 * cos + f01 * sin, f10 * cos + f11 * sin
+    am2 = fm0 * fm0 + fm1 * fm1
     drift2 = 2.0 * ((g11 - g00) * cs + g01 * (cc - ss))
     w0 = fro - 2.0
 
@@ -35,23 +38,16 @@ def reference_direction_energy(fs, cos, sin, s, pair=False):
         for v0, v1 in (s.v1, s.v2):
             fv0, fv1 = f00 * v0 + f01 * v1, f10 * v0 + f11 * v1
             c0 = fv0 * fv0 + fv1 * fv1 - 1.0
-            mv = cos * v1 - sin * v0
-            alpha = mv * mv * am2
-            beta = 2.0 * mv * (cos * (f00 * fv0 + f10 * fv1) + sin * (f01 * fv0 + f11 * fv1))
-            quad = alpha > eps
-            a = np.where(quad, alpha, np.nan)
-            q = -0.5 * (beta + np.copysign(np.sqrt(beta * beta - 4.0 * a * c0), beta))
-            r1, r2 = q / a, c0 / q
-            sym = q == 0.0
-            if sym.any():
-                r = np.sqrt(np.maximum(-c0 / np.where(sym, alpha, 1.0), 0.0))
-                r1, r2 = np.where(sym, -r, r1), np.where(sym, r, r2)
-            lin = ~quad & (np.abs(beta) > eps)
-            if lin.any():
-                r1 = np.where(lin, -c0 / beta, r1)
+            sign = np.copysign(1.0, cos * v0 + sin * v1)
+            vm = (sin - sign * v1) * v0 - (cos - sign * v0) * v1
+            vm = np.where(vm == 0.0, np.nan, vm)
+            p = fm0 * fv0 + fm1 * fv1
+            w = p + np.copysign(np.sqrt(am2 - (det * det) * (vm * vm)), p)
+            den = vm * am2
+            r1 = np.where(vm * den > eps, w / den, np.nan)
+            r2 = c0 / (vm * w)
+            r2 = np.where(w == 0.0, r1, r2)
             for t in (r1, r2):
-                dg = 2.0 * alpha * t + beta
-                t = np.where(dg != 0.0, t - ((alpha * t + beta) * t + c0) / dg, t)
                 roots.append(t)
                 energies.append(np.maximum(w0 + (drift2 + t * am2) * t, 0.0))
 
@@ -80,6 +76,86 @@ def assert_matches_reference(fs, cos, sin, s):
         assert np.all(np.abs(x[finite] - y[finite]) <= 4e-15 * np.maximum(1.0, np.abs(y[finite])))
     assert np.all(np.isnan(got[1][~finite])) and np.all(np.isnan(got[2][~finite]))
     assert np.all(got[0] >= 0.0)
+
+
+def exact_nearest_chord(f, cos, sin, s):
+    """The kernel's value at one direction in 50-digit decimal arithmetic on
+    the exact binary inputs: the exact roots of |F(t) v| = 1 (v = v1, v2; the
+    far root only where (m_perp . v)^2 |F m|^2 > 1e-13 max(1, |F|^2), as in
+    the kernel), the nearest one on each side of t = 0, and the chord of
+    E(t) = |F(t)|^2 - 2 through them at t = 0, clamped at 0.  Returns
+    (value, |F|^2); value is inf where no pair is more than 1e-15 apart and
+    None where a threshold or a tangency is too close to call."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        fd = [[Decimal(float(x)) for x in row] for row in f]
+        m = (Decimal(cos), Decimal(sin))
+        mp = (-m[1], m[0])
+
+        def image(a):
+            return (fd[0][0] * a[0] + fd[0][1] * a[1], fd[1][0] * a[0] + fd[1][1] * a[1])
+
+        fm = image(m)
+        am2 = fm[0] * fm[0] + fm[1] * fm[1]
+        fro = sum(x * x for row in fd for x in row)
+        eps = Decimal("1e-13") * max(Decimal(1), fro)
+        roots = []
+        for v in (s.v1, s.v2):
+            v = (Decimal(float(v[0])), Decimal(float(v[1])))
+            mv = mp[0] * v[0] + mp[1] * v[1]
+            fv = image(v)
+            p = fm[0] * fv[0] + fm[1] * fv[1]
+            c0 = fv[0] * fv[0] + fv[1] * fv[1] - 1
+            disc = p * p - am2 * c0
+            alpha = mv * mv * am2
+            if abs(disc) <= Decimal("1e-12") * (p * p + abs(am2 * c0)) or \
+                    abs(alpha - eps) <= Decimal("1e-9") * eps:
+                return None
+            if disc < 0:
+                continue
+            w = p + disc.sqrt().copy_sign(p)
+            roots.append(-c0 / (w * mv))
+            if alpha > eps:
+                roots.append(-w / (am2 * mv))
+        negs = [t for t in roots if t <= 0]
+        poss = [t for t in roots if t >= 0]
+        if not negs or not poss:
+            return math.inf, fro
+        ta, tb = max(negs), min(poss)
+        if abs(tb - ta - Decimal("1e-15")) <= Decimal("1e-21"):
+            return None
+        if tb - ta <= Decimal("1e-15"):
+            return math.inf, fro
+
+        def energy(t):
+            return sum((fd[i][j] + t * fm[i] * mp[j]) ** 2 for i in range(2) for j in range(2)) - 2
+
+        return max((tb * energy(ta) - ta * energy(tb)) / (tb - ta), Decimal(0)), fro
+
+
+@pytest.mark.parametrize("theta", ANGLES)
+@pytest.mark.parametrize("spread", (30.0, 1e3))
+def test_kernel_matches_exact_nearest_chord(spread, theta):
+    # the root solve carries no cancellation at large |F|: within
+    # 5e-14 max(1, |F|^2, |exact|) of the exact chord at random directions
+    s = SlipSystem.from_theta(theta, 0.5)
+    rng = np.random.default_rng(46)
+    checked = 0
+    for _ in range(50):
+        f = random_det1(rng, spread=spread)
+        phis = rng.uniform(0.0, math.pi, size=8)
+        got = _direction_energy(f[None], np.cos(phis), np.sin(phis), s)[0]
+        for value, phi in zip(got, phis):
+            exact = exact_nearest_chord(f, math.cos(phi), math.sin(phi), s)
+            if exact is None:
+                continue
+            ref, fro = exact
+            assert math.isinf(value) == (ref == math.inf)
+            if ref != math.inf:
+                err = abs(Decimal(float(value)) - ref)
+                assert err <= Decimal("5e-14") * max(Decimal(1), fro, ref)
+                checked += 1
+    assert checked >= 40
 
 
 def test_identity_single_point():
