@@ -20,10 +20,14 @@ from .laminate import decompose
 
 CELL_ENERGY_TOL = 1e-6
 
-# Soft grid rows the rasterizer evaluates per step.  Building a 4096^2 grid at
-# eps = 1/64 (one band or three, 2 vCPUs) takes a best of 0.04-0.06 s for any
-# block of 8-512 rows and 0.10-0.11 s at 2048 rows; whole-grid arrays took
-# 0.43 s (one band) to 1.15 s (three bands) with the np.mod form.
+# Grid rows per step in both grid passes: the rasterizer's blocks of soft rows
+# (a block never spans two layer periods) and the interface count's blocks of
+# label rows.  Best of 7 at 4096^2, one band or three, 2 vCPUs, in ms:
+#   rows                    8      16     32     64     128    256    512    2048
+#   build, eps = 1/64      27-51  27-43  31-42  32-42  31-40  30-41  28-40  28-38
+#   build, eps = 1/8       25-36  25-27  25-26  25-30  32-33  30-41  32     36
+#   energy, eps = 1/64     18-23  14-18  13-16  14-17  14-19  18-21  18-28  19-27
+# At eps = 1/64 a layer period holds 32 soft rows, so larger blocks build alike.
 _ROW_BLOCK = 64
 
 
@@ -59,6 +63,11 @@ class MicrostructureSpec:
             raise PreconditionError("band edges must end at the domain side")
         if any(b <= a for a, b in zip([0.0] + edges[:-1], edges)):
             raise PreconditionError("band edges must be strictly increasing")
+        # band k labels its cells 2k + 1 and 2k + 2 in an int16 grid
+        if 2 * len(self.gammas) > np.iinfo(np.int16).max:
+            raise PreconditionError(
+                f"{len(self.gammas)} bands: the int16 label grid holds at most "
+                f"{np.iinfo(np.int16).max // 2}")
         lam = self.slip.lam
         finest = min(self.epsilon * lam, self.laminate_period * self.epsilon * lam)
         if self.grid_n < 4.0 * l / finest:
@@ -72,10 +81,15 @@ class MicrostructureSpec:
 
 @dataclass(frozen=True)
 class GradientField:
-    """Cell-centered piecewise-constant gradient pattern."""
+    """Cell-centered piecewise-constant gradient pattern.
+
+    counts[k] is the number of cells with label k, tallied by the rasterizer
+    as it writes them, so scoring needs no pass over the grid per label.
+    """
 
     labels: np.ndarray        # (grid_n, grid_n) indices into values
     values: list              # label 0 is the rigid gradient R
+    counts: np.ndarray        # int64, one cell count per entry of values
     spec: MicrostructureSpec
 
 
@@ -84,17 +98,23 @@ def build_gradient_field(spec: MicrostructureSpec) -> GradientField:
 
     Rigid rows and columns outside every band keep label 0, so the laminate
     is evaluated only on the soft rows of each band's column range, a block
-    of rows at a time.
+    of rows at a time, and written as a slice of the label grid.  Each block
+    adds its plus and minus cells to the label counts; label 0 gets the rest.
     """
     gn, l, eps = spec.grid_n, spec.domain_side, spec.epsilon
     lam = spec.slip.lam
     xs = (np.arange(gn) + 0.5) * (l / gn)
     xe = xs / eps
-    soft_rows = np.flatnonzero(xe - np.floor(xe) < lam)
-    x2 = xs[soft_rows]
-    x2_in_strip = x2 - np.floor(x2 / eps) * eps
+    soft = xe - np.floor(xe) < lam
+    x2_in_strip = xs - np.floor(xs / eps) * eps
+    # soft rows come in runs, one per layer period; blocks never straddle two
+    run_edges = np.flatnonzero(np.diff(np.concatenate(([False], soft, [False]))))
+    blocks = [(r0, min(r0 + _ROW_BLOCK, stop))
+              for start, stop in run_edges.reshape(-1, 2).tolist()
+              for r0 in range(start, stop, _ROW_BLOCK)]
     labels = np.zeros((gn, gn), dtype=np.int16)
     values = [spec.rotation.copy()]
+    counts = np.zeros(1 + 2 * len(spec.gammas), dtype=np.int64)
     h_abs = spec.laminate_period * eps * lam
 
     left = 0.0
@@ -115,14 +135,24 @@ def build_gradient_field(spec: MicrostructureSpec) -> GradientField:
         normal = np.asarray(dec.direction[1], dtype=float)
         n_hat = normal / np.linalg.norm(normal)
         u1 = (xs[i0:i1] - x_lo) * n_hat[0]
-        for r0 in range(0, soft_rows.size, _ROW_BLOCK):
-            r1 = r0 + _ROW_BLOCK
-            u = u1 + (x2_in_strip[r0:r1, None] * n_hat[1])
+        # per-block scratch, reused by every block of the band
+        u_buf = np.empty((_ROW_BLOCK, i1 - i0))
+        frac_buf = np.empty_like(u_buf)
+        plus_buf = np.empty(u_buf.shape, dtype=bool)
+        for r0, r1 in blocks:
+            u = np.add(u1, x2_in_strip[r0:r1, None] * n_hat[1], out=u_buf[:r1 - r0])
             u /= h_abs
-            plus = u - np.floor(u) < dec.mu
+            frac = np.floor(u, out=frac_buf[:r1 - r0])
+            np.subtract(u, frac, out=frac)
+            plus = np.less(frac, dec.mu, out=plus_buf[:r1 - r0])
             # plus cells take lab_plus, minus cells lab_plus + 1
-            labels[soft_rows[r0:r1], i0:i1] = np.subtract(lab_plus + 1, plus, dtype=np.int16)
-    return GradientField(labels=labels, values=values, spec=spec)
+            np.subtract(lab_plus + 1, plus, out=labels[r0:r1, i0:i1], dtype=np.int16)
+            n_plus = np.count_nonzero(plus)
+            counts[lab_plus] += n_plus
+            counts[lab_plus + 1] += plus.size - n_plus
+    # the snapped band column ranges are disjoint: every other cell is rigid
+    counts[0] = gn * gn - counts[1:].sum()
+    return GradientField(labels=labels, values=values, counts=counts, spec=spec)
 
 
 @dataclass(frozen=True)
@@ -144,11 +174,16 @@ def _whom_value(n_mat: Mat, s: SlipSystem) -> float:
 
 
 def energy_of_field(field: GradientField, spec: MicrostructureSpec) -> EnergyReport:
-    """Grid energy of the pattern against the homogenized band-weighted target."""
+    """Grid energy of the pattern against the homogenized band-weighted target.
+
+    The label counts come with the field; the interface cells are counted
+    _ROW_BLOCK rows at a time against a one-row halo above and below, so no
+    temporary is as large as the label grid.
+    """
     gn, l = spec.grid_n, spec.domain_side
     cell_area = (l / gn) ** 2
     lab = field.labels
-    counts = np.array([np.count_nonzero(lab == label) for label in range(len(field.values))])
+    counts = field.counts
     e_eps = 0.0
     for label, value in enumerate(field.values):
         if counts[label] == 0:
@@ -159,14 +194,22 @@ def energy_of_field(field: GradientField, spec: MicrostructureSpec) -> EnergyRep
         e_eps += counts[label] * w.value * cell_area
 
     # interface cells: any 4-neighbour with a different label
-    flagged = np.zeros(lab.shape, dtype=bool)
-    differs = lab[1:, :] != lab[:-1, :]
-    flagged[1:, :] |= differs
-    flagged[:-1, :] |= differs
-    differs = lab[:, 1:] != lab[:, :-1]
-    flagged[:, 1:] |= differs
-    flagged[:, :-1] |= differs
-    flagged_area = float(np.count_nonzero(flagged)) * cell_area
+    n_flagged = 0
+    for r0 in range(0, gn, _ROW_BLOCK):
+        r1 = min(r0 + _ROW_BLOCK, gn)
+        top, bottom = max(r0 - 1, 0), min(r1 + 1, gn)
+        rows = lab[top:bottom]
+        differs = rows[1:] != rows[:-1]
+        flagged = np.zeros(rows.shape, dtype=bool)
+        flagged[1:] |= differs
+        flagged[:-1] |= differs
+        flagged = flagged[r0 - top:r1 - top]
+        block = lab[r0:r1]
+        differs = block[:, 1:] != block[:, :-1]
+        flagged[:, 1:] |= differs
+        flagged[:, :-1] |= differs
+        n_flagged += np.count_nonzero(flagged)
+    flagged_area = float(n_flagged) * cell_area
 
     area = l * l
     lam = spec.slip.lam

@@ -155,6 +155,19 @@ def test_homogenize_csv(tmp_path):
     assert len(lines) == 3
 
 
+def test_homogenize_band_limit(tmp_path, capsys):
+    # 16,400 bands overflow the int16 label grid (band k writes label 2k + 2);
+    # the option is too long for a command line, so main runs in-process
+    n = 16399
+    bands = ",".join(f"0.4:{(k + 1) / (4 * (n + 1))!r}" for k in range(n)) + ",0.4:1"
+    out = tmp_path / "sweep.csv"
+    code = main(["homogenize", f"--gamma-bands={bands}", "--eps-list", "1/4",
+                 "--out", str(out)])
+    assert code == 3
+    assert capsys.readouterr().err.startswith("error: 16400 bands")
+    assert not out.exists()
+
+
 def test_byte_identical_reruns(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     args = ["--n", "9", "--range", "2", "verify-envelope"]

@@ -33,6 +33,11 @@ def test_spec_validation():
         make_spec(gammas=((0.4, 0.7), (0.1, 0.6), (0.0, 1.0)))
     with pytest.raises(PreconditionError):
         make_spec(laminate_period=math.nan)
+    # band k labels its cells 2k + 1 and 2k + 2 in the int16 label grid
+    bands = tuple((0.4, (k + 1) / 16384) for k in range(16383)) + ((0.4, 1.0),)
+    make_spec(gammas=bands[1:])
+    with pytest.raises(PreconditionError):
+        make_spec(gammas=bands)
     for eps_list, hlam in (([0.0], 0.25), ([1 / 4], 0.0)):
         with pytest.raises(PreconditionError):
             run_sweep(SLIP, R, [(0.4, 1.0)], eps_list, laminate_period=hlam)
@@ -146,22 +151,33 @@ def seeded_layout(seed):
 
 SEEDED = list(range(9))
 
-
-@pytest.mark.parametrize("kw", [
-    {},
-    {"gammas": ((0.2, 9 / 32), (0.5, 23 / 32), (-0.3, 1.0))},
-    {"laminate_period": 1 / 3},
-    {"domain_side": 2.0, "gammas": ((0.3, 0.7), (-0.2, 2.0)), "epsilon": 0.25, "grid_n": 600},
-    {"rotation": ROTATION},
+RASTER_CASES = {
+    "single": {},
+    "three_bands": {"gammas": ((0.2, 9 / 32), (0.5, 23 / 32), (-0.3, 1.0))},
+    "hlam_third": {"laminate_period": 1 / 3},
+    "side_2": {"domain_side": 2.0, "gammas": ((0.3, 0.7), (-0.2, 2.0)), "epsilon": 0.25,
+               "grid_n": 600},
+    "rotated": {"rotation": ROTATION},
     # tilted laminate normals; the band energy there is unknown, so no target
-    {"slip": SlipSystem.from_theta(0.3 * math.pi, 0.5), "gammas": ((-0.6, 0.4), (0.8, 1.0))},
+    "theta_0.3pi": {"slip": SlipSystem.from_theta(0.3 * math.pi, 0.5),
+                    "gammas": ((-0.6, 0.4), (0.8, 1.0))},
     # 125.125 grid rows per layer period
-    {"grid_n": 1001},
-] + [seeded_layout(seed) for seed in SEEDED],
-    ids=["single", "three_bands", "hlam_third", "side_2", "rotated", "theta_0.3pi", "grid_1001"]
-    + [f"seeded_{seed}" for seed in SEEDED])
-def test_raster_matches_reference(kw, monkeypatch):
-    spec = make_spec(**kw)
+    "grid_1001": {"grid_n": 1001},
+    **{f"seeded_{seed}": seeded_layout(seed) for seed in SEEDED},
+}
+# one-row and five-row blocks put every row next to a block seam
+SEAM_CASES = ["three_bands", "side_2", "theta_0.3pi", "grid_1001", "seeded_4"]
+
+
+@pytest.mark.parametrize("case,row_block",
+                         [(case, None) for case in RASTER_CASES]
+                         + [(case, rows) for rows in (1, 5) for case in SEAM_CASES],
+                         ids=list(RASTER_CASES)
+                         + [f"{case}-rows{rows}" for rows in (1, 5) for case in SEAM_CASES])
+def test_raster_matches_reference(case, row_block, monkeypatch):
+    spec = make_spec(**RASTER_CASES[case])
+    if row_block is not None:
+        monkeypatch.setattr(homogenize, "_ROW_BLOCK", row_block)
     ref_labels, ref_counts, ref_flagged = reference_raster(spec)
     # the soft rows span at least three row blocks
     assert np.count_nonzero(ref_labels.any(axis=1)) > 2 * homogenize._ROW_BLOCK
@@ -170,6 +186,7 @@ def test_raster_matches_reference(kw, monkeypatch):
     assert np.array_equal(field.labels, ref_labels)
     assert np.array_equal(np.bincount(field.labels.ravel(), minlength=ref_counts.size),
                           ref_counts)
+    assert np.array_equal(field.counts, ref_counts)
     if not spec.slip.is_orthogonal:
         monkeypatch.setattr(homogenize, "_whom_value", lambda n_mat, s: 0.0)
     rep = energy_of_field(field, spec)
