@@ -29,6 +29,27 @@ def sqrt(x):
     return np.sqrt(x) if isinstance(x, np.ndarray) else math.sqrt(x)
 
 
+def where(cond, a, b):
+    """np.where on an array condition, `a if cond else b` on a bool."""
+    return np.where(cond, a, b) if isinstance(cond, np.ndarray) else a if cond else b
+
+
+def select(conds, choices, default):
+    """np.select on array conditions; on bools, the first choice whose
+    condition holds, else the default."""
+    if isinstance(conds[0], np.ndarray):
+        return np.select(conds, choices, default)
+    for cond, choice in zip(conds, choices):
+        if cond:
+            return choice
+    return default
+
+
+def any_true(cond) -> bool:
+    """Whether a bool, or any entry of a bool array, holds."""
+    return bool(cond.any()) if isinstance(cond, np.ndarray) else cond
+
+
 def perp(v: Vec) -> Vec:
     """Counterclockwise rotation of v by pi/2."""
     return np.array([-v[1], v[0]])
@@ -75,22 +96,17 @@ def identity_f2(f: Mat, a: Vec, b: Vec) -> float:
 
 @dataclass(frozen=True)
 class RankOneLine:
-    """The line t -> base (I + t a (x) n).
-
-    With a.n = 0 the determinant is constant along the line
-    (det-preserving constraint).
-    """
+    """The line t -> base (I + t a (x) n) with a.n = 0, along which the
+    determinant is constant."""
 
     base: Mat
     left: Vec
     normal: Vec
-    det_preserving: bool = True
 
     def __post_init__(self):
-        if self.det_preserving:
-            scale = max(1.0, float(np.linalg.norm(self.left)) * float(np.linalg.norm(self.normal)))
-            if abs(float(self.left @ self.normal)) > EPS * scale:
-                raise ValueError("det-preserving line requires a.n = 0")
+        scale = max(1.0, float(np.linalg.norm(self.left)) * float(np.linalg.norm(self.normal)))
+        if abs(float(self.left @ self.normal)) > EPS * scale:
+            raise ValueError("det-preserving line requires a.n = 0")
 
     def point(self, t: float) -> Mat:
         return self.base @ (np.eye(2) + t * np.outer(self.left, self.normal))

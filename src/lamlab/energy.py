@@ -1,22 +1,25 @@
 """Energy densities and envelope functions of the two-slip model.
 
-Covers the slip state (the phase-diagram quantities of F, on floats or
-arrays), the condensed density W, the plateau function chi, the h-family of
-envelope profiles, the convex majorant f, the homogenized density (one branch
-set for every slip angle, for one matrix or a stack) and the scalar shear
-form of the homogenized density.
+Covers the slip state (the phase-diagram quantities of F), the condensed
+density W, the plateau function chi, the h-family of envelope profiles, the
+convex majorant f, the homogenized density and its scalar shear form.  The
+slip state and the homogenized density are one formula set each, evaluated
+on Python floats for one matrix or on arrays for a stack (`algebra.where`,
+`select` and `sqrt` pick math or NumPy).
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import cached_property, total_ordering
 from typing import NamedTuple
 
 import numpy as np
 
-from .algebra import Mat, Vec, det2, frobenius_sq, perp, rotation, sqrt
+from .algebra import (Mat, Vec, any_true, det2, frobenius_sq, perp, rotation, select, sqrt,
+                      where)
 from .errors import BranchDisagreement, DomainError, PreconditionError
 
 DEFAULT_TOL = 1e-9
@@ -123,16 +126,16 @@ def slip_state(f00, f01, f10, f11, s: SlipSystem) -> SlipState:
     t0, t1 = f01 * x3 - f00 * y3, f11 * x3 - f10 * y3
     u0, u1 = f01 * x1 - f00 * y1, f11 * x1 - f10 * y1
     w0, w1 = f01 * x2 - f00 * y2, f11 * x2 - f10 * y2
-    return SlipState(
-        det_off=f00 * f11 - f01 * f10 - 1.0,
-        d1=sqrt(p0 * p0 + p1 * p1) - 1.0,
-        d2=sqrt(q0 * q0 + q1 * q1) - 1.0,
-        dot=p0 * q0 + p1 * q1,
-        fro=f00 * f00 + f01 * f01 + f10 * f10 + f11 * f11,
-        z3=sqrt(r0 * r0 + r1 * r1),
-        z3p=sqrt(t0 * t0 + t1 * t1),
-        single1=u0 * u0 + u1 * u1 - 1.0,
-        single2=w0 * w0 + w1 * w1 - 1.0,
+    return SlipState(  # positional, in field order: keywords cost more per float call
+        f00 * f11 - f01 * f10 - 1.0,
+        sqrt(p0 * p0 + p1 * p1) - 1.0,
+        sqrt(q0 * q0 + q1 * q1) - 1.0,
+        p0 * q0 + p1 * q1,
+        f00 * f00 + f01 * f01 + f10 * f10 + f11 * f11,
+        sqrt(r0 * r0 + r1 * r1),
+        sqrt(t0 * t0 + t1 * t1),
+        u0 * u0 + u1 * u1 - 1.0,
+        w0 * w0 + w1 * w1 - 1.0,
     )
 
 
@@ -148,9 +151,7 @@ def off_manifold(st: SlipState, tol: float):
     A nan determinant counts as off; so does an infinite |F|^2, whose
     tolerance scale max(1, |F|^2) would admit every branch.
     """
-    if isinstance(st.det_off, np.ndarray):
-        return ~(np.abs(st.det_off) <= tol) | ~(st.fro < math.inf)
-    return not (abs(st.det_off) <= tol and st.fro < math.inf)
+    return where((abs(st.det_off) <= tol) & (st.fro < math.inf), False, True)
 
 
 # ---------------------------------------------------------------------------
@@ -200,9 +201,7 @@ INFINITE = ExtendedEnergy.inf()
 
 def _pos(x):
     """max(x, 0) of a float or an array: +0.0 where x <= 0 or x is nan."""
-    if isinstance(x, np.ndarray):
-        return np.where(x > 0.0, x, 0.0)
-    return x if x > 0.0 else 0.0
+    return where(x > 0.0, x, 0.0)
 
 
 def chi(z: float) -> float:
@@ -273,14 +272,17 @@ def w_condensed(f: Mat, s: SlipSystem, tol: float = DEFAULT_TOL) -> ExtendedEner
 
 
 def f_majorant(f: Mat, s: SlipSystem) -> float:
-    """Convex majorant coinciding with W on M and with W_hom on det-1 matrices."""
-    z3 = float(np.linalg.norm(f @ s.v3))
-    z3p = float(np.linalg.norm(f @ s.v3_perp))
+    """Convex majorant coinciding with W on M and with W_hom on det-1 matrices.
+
+    max(h(|Fv3|), h_perp(|Fv3_perp|)); for orthogonal slips also the
+    single-slip terms (|Fv2|^2 - 1)_+ and (|Fv1|^2 - 1)_+, since there h and
+    h_perp both equal chi.
+    """
+    st = matrix_state(f, s)
+    value = max(h(st.z3, s.theta), h_perp(st.z3p, s.theta))
     if s.is_orthogonal:
-        n1 = float(f @ s.v1 @ (f @ s.v1))
-        n2 = float(f @ s.v2 @ (f @ s.v2))
-        return max(_pos(n1 - 1.0), _pos(n2 - 1.0), chi(max(z3, z3p)))
-    return max(h(z3, s.theta), h_perp(z3p, s.theta))
+        value = max(value, _pos(st.single1), _pos(st.single2))
+    return value
 
 
 @dataclass(frozen=True)
@@ -294,107 +296,82 @@ class Bounds:
     upper: float
 
 
+def energy_record(whom, lower, upper):
+    """The `w_hom` record of one (whom, lower, upper) entry of `w_hom_arrays`."""
+    whom = float(whom)
+    if math.isnan(whom):
+        return Bounds(lower=float(lower), upper=float(upper))
+    return Known(INFINITE if whom == math.inf else ExtendedEnergy.finite(whom))
+
+
 def w_hom(f: Mat, s: SlipSystem, tol: float = DEFAULT_TOL):
-    """Homogenized density for any slip angle: Known value or two-sided Bounds.
+    """Homogenized density of one matrix: Known value or two-sided Bounds.
+
+    The record of `w_hom_arrays` on the float SlipState of f.
+    """
+    return energy_record(*w_hom_arrays(matrix_state(f, s), s, tol))
+
+
+def w_hom_arrays(st: SlipState, s: SlipSystem, tol: float = DEFAULT_TOL):
+    """The homogenized density, one branch set for every slip angle.
+
+    Takes the SlipState of one matrix (floats) or of a stack (arrays) and
+    returns (whom, lower, upper) of the same kind: `whom` is the Known value
+    (inf off the manifold) and nan where only bounds are known; `lower` and
+    `upper` are nan where `whom` is known.
 
     Known on the closures of A, A_perp, N1 n N2 and on M1, M2.  On the
     single-slip regions N1only, N2only it is Known for orthogonal slips (the
     single-slip value); at other angles the envelope is open there and
     lower/upper bounds are returned.  Points within tol of a region boundary
     are evaluated by every adjacent closed-form branch and the branches are
-    required to agree within 10*tol.  `w_hom_arrays` is the same branch set
-    over a stack of matrices.
+    required to agree within 10*tol*max(1, |F|^2), else BranchDisagreement
+    names the values of the first entry where they do not.  A Known value
+    that overflows raises DomainError.
     """
     if tol <= 0.0:
         raise PreconditionError("membership tolerance must be positive")
-    st = matrix_state(f, s)
-    if off_manifold(st, tol):
-        return Known(INFINITE)
-    d1, d2, dot = st.d1, st.d2, st.dot
-    scale = max(1.0, st.fro)
-    tol_s = tol * scale
-
-    branch_vals = []
-    if abs(d1) <= tol:
-        branch_vals.append(st.single1)
-    if abs(d2) <= tol:
-        branch_vals.append(st.single2)
-    both_ge = d1 >= -tol and d2 >= -tol
-    both_le = d1 <= tol and d2 <= tol
-    if (both_ge and dot >= -tol_s) or both_le:
-        branch_vals.append(h(st.z3, s.theta))
-    if both_ge and dot <= tol_s:
-        branch_vals.append(h_perp(st.z3p, s.theta))
-
-    if branch_vals:
-        ref = branch_vals[0]
-        for v in branch_vals[1:]:
-            if abs(v - ref) > 10.0 * tol * scale:
-                raise BranchDisagreement(
-                    f"closed-form branches disagree near a region boundary: {branch_vals}"
-                )
-        return Known(ExtendedEnergy.finite(_pos(ref)))
-
-    # open set N1\N2 or N2\N1: one slip norm below 1 - tol, the other above 1 + tol
-    single = st.single1 if d1 < 0.0 else st.single2
-    if s.is_orthogonal:
-        return Known(ExtendedEnergy.finite(_pos(single)))
-    lower = max(h(st.z3, s.theta), h_perp(st.z3p, s.theta))
-    uppers = [single]
-    if st.z3 >= math.sin(s.theta) - 1e-12:
-        uppers.append(h_plus(st.z3, s.theta))
-    if st.z3p >= math.cos(s.theta) - 1e-12:
-        uppers.append(h_perp_plus(st.z3p, s.theta))
-    return Bounds(lower=lower, upper=min(uppers))
-
-
-def w_hom_arrays(st: SlipState, s: SlipSystem, tol: float = DEFAULT_TOL):
-    """`w_hom` of every matrix of a stack, given its array SlipState.
-
-    Returns arrays (whom, lower, upper): `whom` is the Known value (inf off
-    the manifold) and nan on Bounds entries; `lower` and `upper` are nan on
-    Known entries.  Every branch mirrors `w_hom` comparison for comparison
-    (Python's max and min become `where` on the same test), so each entry
-    equals the scalar result bit for bit; `BranchDisagreement` and
-    `DomainError` are raised where `w_hom` would raise them at some entry.
-    """
-    if tol <= 0.0:
-        raise PreconditionError("membership tolerance must be positive")
-    with np.errstate(invalid="ignore", over="ignore"):
+    # nan and inf entries of a stack are masked below; floats raise no warnings
+    arrays = isinstance(st.d1, np.ndarray)
+    with np.errstate(invalid="ignore", over="ignore") if arrays else nullcontext():
         off = off_manifold(st, tol)
         d1, d2, dot = st.d1, st.d2, st.dot
-        scale = np.maximum(1.0, st.fro)
+        scale = where(st.fro > 1.0, st.fro, 1.0)
         tol_s = tol * scale
         both_ge = (d1 >= -tol) & (d2 >= -tol)
         both_le = (d1 <= tol) & (d2 <= tol)
         h3, hp3 = h(st.z3, s.theta), h_perp(st.z3p, s.theta)
-        masks = [np.abs(d1) <= tol, np.abs(d2) <= tol,
+        masks = [abs(d1) <= tol, abs(d2) <= tol,
                  (both_ge & (dot >= -tol_s)) | both_le, both_ge & (dot <= tol_s)]
         values = [st.single1, st.single2, h3, hp3]
-        ref = np.select(masks, values, np.nan)  # the first branch that applies
-        known = ~off & np.logical_or.reduce(masks)
-        apart = known & np.logical_or.reduce(
-            [m & (np.abs(v - ref) > 10.0 * tol * scale) for m, v in zip(masks, values)])
-        if apart.any():
-            k = np.argmax(apart)
-            branch_vals = [float(v[k]) for m, v in zip(masks, values) if m[k]]
+        ref = select(masks, values, math.nan)  # the first branch that applies
+        known = where(off, False, masks[0] | masks[1] | masks[2] | masks[3])
+        apart, limit = False, 10.0 * tol * scale  # known entries where a branch leaves ref
+        for m, v in zip(masks, values):
+            apart = apart | (known & m & (abs(v - ref) > limit))
+        if any_true(apart):
+            k = int(np.argmax(apart))
+            branch_vals = [float(np.ravel(v)[k]) for m, v in zip(masks, values)
+                           if np.ravel(m)[k]]
             raise BranchDisagreement(
                 f"closed-form branches disagree near a region boundary: {branch_vals}")
+        if any_true(known & (ref == math.inf)):  # finite |F|^2, an overflowing value
+            raise DomainError("closed-form envelope value overflows")
 
-        single = np.where(d1 < 0.0, st.single1, st.single2)
-        whom = np.where(off, np.inf, np.where(known, _pos(ref), np.nan))
-        bounds = ~off & ~known
-        if s.is_orthogonal:
-            whom = np.where(bounds, _pos(single), whom)
-            bounds = np.zeros_like(bounds)
-        lower = np.where(bounds, np.maximum(h3, hp3), np.nan)
-        upper = single
-        for z, floor, candidate in ((st.z3, math.sin(s.theta), h_plus),
-                                    (st.z3p, math.cos(s.theta), h_perp_plus)):
-            use = bounds & (z >= floor - 1e-12)
-            value = candidate(np.where(use, z, floor), s.theta)
-            upper = np.where(use & (value < upper), value, upper)
-        upper = np.where(bounds, upper, np.nan)
+        # open set N1\N2 or N2\N1: one slip norm below 1 - tol, the other above 1 + tol
+        single = where(d1 < 0.0, st.single1, st.single2)
+        whom = where(off, math.inf, where(known, _pos(ref), math.nan))
+        if s.is_orthogonal:  # the single-slip value is Known there
+            whom = where(off | known, whom, _pos(single))
+        bounds = where(off | known | s.is_orthogonal, False, True)
+        lower = where(bounds, where(hp3 > h3, hp3, h3), math.nan)
+        upper = where(bounds, single, math.nan)
+        if any_true(bounds):
+            for z, floor, candidate in ((st.z3, math.sin(s.theta), h_plus),
+                                        (st.z3p, math.cos(s.theta), h_perp_plus)):
+                use = bounds & (z >= floor - 1e-12)
+                value = candidate(where(use, z, floor), s.theta)
+                upper = where(use & (value < upper), value, upper)
     return whom, lower, upper
 
 

@@ -10,7 +10,7 @@ class DegenerateFrame(LamlabError):
 
 
 class DomainError(LamlabError):
-    """A function was evaluated below its domain floor."""
+    """A function was evaluated below its domain floor, or its value overflows."""
 
 
 class OffManifold(LamlabError):

@@ -5,21 +5,23 @@ stretched regions A / APerp (both slip norms above 1, split by the sign of
 Fv1.Fv2) and the compressed regions built from N_i = {|Fv_i| < 1}, with
 explicit tolerance bands on every defining inequality.
 
-`classify` labels one matrix; `region_map` labels a whole (b, c) grid in one
-array pass over the same slip-state quantities (`energy.slip_state`).
+`classify_arrays` is the one decision tree, on the slip state
+(`energy.slip_state`) of one matrix or of a stack: `classify` labels one
+matrix with it, `region_map` a whole (b, c) grid in one array pass.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from numbers import Integral
 
 import numpy as np
 
-from .algebra import Mat, bc_diagonal
-from .energy import (DEFAULT_TOL, Bounds, ExtendedEnergy, INFINITE, Known, SlipState,
-                     SlipSystem, matrix_state, off_manifold, slip_state, w_hom_arrays)
+from .algebra import Mat, bc_diagonal, select, where
+from .energy import (DEFAULT_TOL, SlipState, SlipSystem, energy_record, matrix_state,
+                     off_manifold, slip_state, w_hom_arrays)
 from .errors import PreconditionError
 
 TAGS = ("SO2", "M1", "M2", "A", "APerp", "N1capN2", "N1only", "N2only", "OffManifold")
@@ -38,89 +40,56 @@ class RegionLabel:
         if self.tag not in TAGS:
             raise ValueError(f"unknown region tag {self.tag!r}")
 
-    @property
-    def on_boundary(self) -> bool:
-        return bool(self.boundary)
 
-
+@lru_cache(maxsize=None)
 def adjacent_tags(bits: int) -> frozenset:
     """The tags of a boundary bit set (bit i stands for TAGS[i])."""
     return frozenset(tag for tag, bit in _BIT.items() if bits & bit)
 
 
 def classify(f: Mat, s: SlipSystem, tol: float = DEFAULT_TOL) -> RegionLabel:
-    """Classify a matrix into the phase diagram of the two-slip model.
+    """Classify one matrix: the label of `classify_arrays` on its float SlipState."""
+    return region_label(*classify_arrays(matrix_state(f, s), tol))
 
-    `classify_arrays` is the same decision tree over a stack of matrices.
-    """
-    if tol <= 0.0:
-        raise PreconditionError("classification tolerance must be positive")
-    st = matrix_state(f, s)
-    if off_manifold(st, tol):
-        return RegionLabel("OffManifold")
-    d1, d2, dot = st.d1, st.d2, st.dot
-    tol_s = tol * max(1.0, st.fro)
 
-    on1, on2 = abs(d1) <= tol, abs(d2) <= tol
-    if on1 and on2:
-        return RegionLabel("SO2")
-    if on1:
-        if d2 > 0:
-            adj = {"N1only", "A" if dot > tol_s else "APerp"}
-            if abs(dot) <= tol_s:
-                adj = {"N1only", "A", "APerp"}
-        else:
-            adj = {"N1capN2", "N2only"}
-        return RegionLabel("M1", frozenset(adj))
-    if on2:
-        if d1 > 0:
-            adj = {"N2only", "A" if dot > tol_s else "APerp"}
-            if abs(dot) <= tol_s:
-                adj = {"N2only", "A", "APerp"}
-        else:
-            adj = {"N1capN2", "N1only"}
-        return RegionLabel("M2", frozenset(adj))
-    if d1 > 0 and d2 > 0:
-        if abs(dot) <= tol_s:
-            # only SO(2) separates A from APerp on the manifold; honest report
-            return RegionLabel("A" if dot >= 0 else "APerp", frozenset({"A", "APerp"}))
-        return RegionLabel("A" if dot > 0 else "APerp")
-    if d1 < 0 and d2 < 0:
-        return RegionLabel("N1capN2")
-    return RegionLabel("N1only" if d1 < 0 else "N2only")
+def region_label(code, bits) -> RegionLabel:
+    """The `classify` label of one (code, boundary) entry of `classify_arrays`."""
+    return RegionLabel(TAGS[code], adjacent_tags(int(bits)))
 
 
 def classify_arrays(st: SlipState, tol: float = DEFAULT_TOL):
-    """`classify` of every matrix of a stack, given its array SlipState.
+    """The phase-diagram decision tree, on one matrix or a stack.
 
-    Returns (code, boundary): the TAGS index of each label and its adjacent
-    tags as a bit set (see `adjacent_tags`).  The masks take the branches of
-    `classify` in its order.  Outside the |dot| <= tol_s band dot > 0 and
-    dot >= 0 agree (tol_s > 0), so one sign test picks A or APerp.
+    Takes the SlipState of one matrix (floats) or of a stack (arrays) and
+    returns (code, boundary) of the same kind: the TAGS index of each label
+    and its adjacent tags as a bit set (see `adjacent_tags`).  The tags are
+    tested in the order OffManifold, SO2, M1, M2, A / APerp (by the sign of
+    Fv1.Fv2), N1capN2, N1only / N2only.
     """
     if tol <= 0.0:
         raise PreconditionError("classification tolerance must be positive")
-    with np.errstate(invalid="ignore", over="ignore"):
-        d1, d2, dot = st.d1, st.d2, st.dot
-        tol_s = tol * np.maximum(1.0, st.fro)
-        off = off_manifold(st, tol)
-        on1, on2 = np.abs(d1) <= tol, np.abs(d2) <= tol
-        up1, up2 = d1 > 0, d2 > 0
-        a_or_p = np.where(dot >= 0, CODE["A"], CODE["APerp"])
-        code = np.select(
-            [off, on1 & on2, on1, on2, up1 & up2, (d1 < 0) & (d2 < 0), d1 < 0],
-            [CODE["OffManifold"], CODE["SO2"], CODE["M1"], CODE["M2"], a_or_p,
-             CODE["N1capN2"], CODE["N1only"]],
-            CODE["N2only"])
-        # the stretched sides a manifold cell touches: A unless dot < -tol_s,
-        # APerp unless dot > tol_s
-        sides = np.where(dot >= -tol_s, _BIT["A"], 0) | np.where(dot > tol_s, 0, _BIT["APerp"])
-        m1 = np.where(up2, _BIT["N1only"] | sides, _BIT["N1capN2"] | _BIT["N2only"])
-        m2 = np.where(up1, _BIT["N2only"] | sides, _BIT["N1capN2"] | _BIT["N1only"])
-        boundary = np.select(
-            [off | (on1 & on2), on1, on2, up1 & up2 & (np.abs(dot) <= tol_s)],
-            [0, m1, m2, _BIT["A"] | _BIT["APerp"]], 0)
-    return code.astype(np.int8), boundary.astype(np.int16)
+    d1, d2, dot = st.d1, st.d2, st.dot
+    tol_s = tol * where(st.fro > 1.0, st.fro, 1.0)
+    off = off_manifold(st, tol)
+    on1, on2 = abs(d1) <= tol, abs(d2) <= tol
+    up1, up2 = d1 > 0, d2 > 0
+    # outside the |dot| <= tol_s band dot > 0 and dot >= 0 agree (tol_s > 0)
+    a_or_p = where(dot >= 0, CODE["A"], CODE["APerp"])
+    code = select(
+        [off, on1 & on2, on1, on2, up1 & up2, (d1 < 0) & (d2 < 0), d1 < 0],
+        [CODE["OffManifold"], CODE["SO2"], CODE["M1"], CODE["M2"], a_or_p,
+         CODE["N1capN2"], CODE["N1only"]],
+        CODE["N2only"])
+    # the stretched sides a manifold cell touches: A unless dot < -tol_s,
+    # APerp unless dot > tol_s
+    sides = where(dot >= -tol_s, _BIT["A"], 0) | where(dot > tol_s, 0, _BIT["APerp"])
+    m1 = where(up2, _BIT["N1only"] | sides, _BIT["N1capN2"] | _BIT["N2only"])
+    m2 = where(up1, _BIT["N2only"] | sides, _BIT["N1capN2"] | _BIT["N1only"])
+    # only SO(2) separates A from APerp on the manifold: both are reported
+    boundary = select(
+        [off | (on1 & on2), on1, on2, up1 & up2 & (abs(dot) <= tol_s)],
+        [0, m1, m2, _BIT["A"] | _BIT["APerp"]], 0)
+    return code, boundary
 
 
 @dataclass(frozen=True)
@@ -152,14 +121,11 @@ class RegionMap:
 
     def label(self, k: int) -> RegionLabel:
         """The `classify` label of cell k."""
-        return RegionLabel(TAGS[self.code[k]], adjacent_tags(int(self.boundary[k])))
+        return region_label(self.code[k], self.boundary[k])
 
     def energy(self, k: int):
         """The `w_hom` record of cell k."""
-        whom = float(self.whom[k])
-        if math.isnan(whom):
-            return Bounds(lower=float(self.lower[k]), upper=float(self.upper[k]))
-        return Known(INFINITE if whom == math.inf else ExtendedEnergy.finite(whom))
+        return energy_record(self.whom[k], self.lower[k], self.upper[k])
 
 
 def region_map(s: SlipSystem, bc_range: float, n: int, tol: float = DEFAULT_TOL) -> RegionMap:
@@ -181,8 +147,8 @@ def region_map(s: SlipSystem, bc_range: float, n: int, tol: float = DEFAULT_TOL)
         upper_left = b >= 0.0
         f00, f11 = np.where(upper_left, big, small), np.where(upper_left, small, big)
         st = slip_state(f00, c, c, f11, s)
-    code, boundary = classify_arrays(st, tol)
+        code, boundary = classify_arrays(st, tol)
     whom, lower, upper = w_hom_arrays(st, s, tol)
     fs = np.stack([f00, c, c, f11], axis=-1).reshape(-1, 2, 2)
-    return RegionMap(b=b, c=c, fs=fs, code=code, boundary=boundary,
-                     whom=whom, lower=lower, upper=upper)
+    return RegionMap(b=b, c=c, fs=fs, code=code.astype(np.int8),
+                     boundary=boundary.astype(np.int16), whom=whom, lower=lower, upper=upper)

@@ -4,7 +4,11 @@ import math
 import numpy as np
 import pytest
 
+from lamlab.algebra import bc_to_matrix
 from lamlab.cli import fmt, main
+from lamlab.energy import SlipSystem, slip_state, w_hom, w_hom_arrays
+from lamlab.errors import BranchDisagreement, DomainError
+from lamlab.regions import region_map
 
 ORTHO_E1E2 = {"slip": {"v1": [1.0, 0.0], "v2": [0.0, 1.0]}, "lambda": 0.5}
 
@@ -63,6 +67,45 @@ def test_overflowing_matrix_exit_code(capsys, theta, matrix):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: target |F|^2 overflows\n"
+
+
+def test_branch_disagreement_on_the_grid_the_scalar_api_and_the_cli(tmp_path, capsys):
+    # at tol 1e-1 the boundary bands are wide enough for two branches to differ
+    s = SlipSystem.from_theta(0.45 * math.pi, 0.5)
+    message = ("closed-form branches disagree near a region boundary: "
+               "[53.33189095961308, 130.0504171033021]")
+    with pytest.raises(BranchDisagreement) as raised:
+        region_map(s, 3.0, 61, 1e-1)
+    assert str(raised.value) == message
+    grid = region_map(s, 3.0, 61, 1e-2)  # the same cells at a tolerance that passes
+    failing = []
+    for b, c in zip(grid.b.tolist(), grid.c.tolist()):
+        try:
+            w_hom(bc_to_matrix(b, c), s, 1e-1)
+        except BranchDisagreement as exc:
+            failing.append((b, c, str(exc)))
+    assert len(failing) == 8
+    assert failing[0] == (-2.9508196721311477, -2.557377049180328, message)
+    code = main(["--theta", repr(0.45 * math.pi), "--tol", "1e-1", "--range", "3", "--n", "61",
+                 "regionmap", "--out", str(tmp_path / "map.csv")])
+    assert code == 3
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_overflowing_envelope_value_exit_code(capsys):
+    # |F|^2 = 1e308 is finite, but h_perp(|F v3_perp|) at 0.45 pi overflows
+    theta = 0.45 * math.pi
+    assert main(["--theta", repr(theta), "classify", "--matrix", "1e154,0,0,1e-154"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: closed-form envelope value overflows\n"
+    s = SlipSystem.from_theta(theta, 0.5)
+    with pytest.raises(DomainError, match="overflows"):
+        w_hom(np.diag([1e154, 1e-154]), s)
+    fs = np.stack([np.eye(2), np.diag([1e154, 1e-154])])
+    st = slip_state(fs[:, 0, 0], fs[:, 0, 1], fs[:, 1, 0], fs[:, 1, 1], s)
+    with pytest.raises(DomainError, match="overflows"):
+        w_hom_arrays(st, s)
 
 
 def test_classify_usage_errors(capsys):
