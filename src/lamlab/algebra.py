@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateFrame
+from .errors import DegenerateFrame, DomainError
 
 Vec = np.ndarray
 Mat = np.ndarray
@@ -120,13 +120,19 @@ def solve_unit_image_times(line: RankOneLine, v: Vec):
     |Fa|^2 - det(F)^2 (a_perp.v)^2 comes from identity (F1), free of the
     cancellation of the expanded coefficients at large |F|.  Returns an
     empty list when no real root exists or when n.v = 0 (F(t) v does not
-    move).  Each root gets one Newton step on the vector residual.
+    move).  Each root gets one Newton step on the vector residual.  Raises
+    DomainError when the coefficients |Fa|^2 or Fa.Fv overflow.
     """
     f, a, n = line.base, line.left, line.normal
     fa, fv = f @ a, f @ v
     nv = float(n @ v)
     if abs(nv) <= EPS * math.hypot(n[0], n[1]) * math.hypot(v[0], v[1]):
         return []
+    # Python floats overflow to inf without a warning; the factor 2 covers
+    # the rounding of the dot products against the product of the norms
+    norm_fa = math.hypot(fa[0], fa[1])
+    if 2.0 * norm_fa * max(norm_fa, math.hypot(fv[0], fv[1])) == math.inf:
+        raise DomainError("rank-one root solve overflows")
     faa = float(fa @ fa)
     fafv = float(fa @ fv)
     cross = det2(f) * float(perp(a) @ v)

@@ -20,14 +20,17 @@ from .laminate import decompose
 
 CELL_ENERGY_TOL = 1e-6
 
-# Grid rows per step in both grid passes: the rasterizer's blocks of soft rows
-# (a block never spans two layer periods) and the interface count's blocks of
-# label rows.  Best of 7 at 4096^2, one band or three, 2 vCPUs, in ms:
-#   rows                    8      16     32     64     128    256    512    2048
-#   build, eps = 1/64      27-51  27-43  31-42  32-42  31-40  30-41  28-40  28-38
-#   build, eps = 1/8       25-36  25-27  25-26  25-30  32-33  30-41  32     36
-#   energy, eps = 1/64     18-23  14-18  13-16  14-17  14-19  18-21  18-28  19-27
-# At eps = 1/64 a layer period holds 32 soft rows, so larger blocks build alike.
+# Distinct rows per step in both passes: the rasterizer's blocks of distinct
+# soft-row heights and the interface count's blocks of distinct (above, row,
+# below) triples.  Fastest and median of 7, one band or three, 2 vCPUs, in ms:
+#   rows                        8        16       32       64       128      256
+#   build, eps = 1/64, 4096^2   1.3-1.6  1.6-2.0  1.9-2.3  2.2-2.8  1.6-2.2  1.9-2.0
+#   build, eps = 1/100, 4096^2  20-21    21       22-24    24-26    27-29    48-53
+#   build, grid_1001            5.0-5.3  3.6-3.9  3.1-3.4  3.4-3.6  3.6-3.8  4.5-4.8
+#   energy, eps = 1/100, 4096^2 13-14    9.6-11   9.2-9.6  11       12       13-15
+#   energy, grid_1001           3.7-3.8  2.4-2.5  1.7-1.8  1.4-1.5  1.3-1.5  1.4-1.6
+# eps = 1/64 has 32 distinct soft heights, so blocks of 32 and up build alike;
+# at eps = 1/100 (1,104 heights) and in grid_1001 (501) no two soft rows share one.
 _ROW_BLOCK = 64
 
 
@@ -63,10 +66,10 @@ class MicrostructureSpec:
             raise PreconditionError("band edges must end at the domain side")
         if any(b <= a for a, b in zip([0.0] + edges[:-1], edges)):
             raise PreconditionError("band edges must be strictly increasing")
-        # band k labels its cells 2k + 1 and 2k + 2 in an int16 grid
+        # band k labels its cells 2k + 1 and 2k + 2 in int16 label rows
         if 2 * len(self.gammas) > np.iinfo(np.int16).max:
             raise PreconditionError(
-                f"{len(self.gammas)} bands: the int16 label grid holds at most "
+                f"{len(self.gammas)} bands: the int16 label rows hold at most "
                 f"{np.iinfo(np.int16).max // 2}")
         lam = self.slip.lam
         finest = min(self.epsilon * lam, self.laminate_period * self.epsilon * lam)
@@ -81,25 +84,30 @@ class MicrostructureSpec:
 
 @dataclass(frozen=True)
 class GradientField:
-    """Cell-centered piecewise-constant gradient pattern.
+    """Cell-centered piecewise-constant gradient pattern, stored by row.
 
-    counts[k] is the number of cells with label k, tallied by the rasterizer
-    as it writes them, so scoring needs no pass over the grid per label.
+    A grid row's labels depend only on its height within its layer period, so
+    each distinct row is stored once: grid row r holds rows[row_of[r]], and
+    rows[0] is the all-rigid row.  counts[k] is the number of grid cells with
+    label k, tallied as the rows are written, so scoring needs no pass over
+    the grid per label.
     """
 
-    labels: np.ndarray        # (grid_n, grid_n) indices into values
+    rows: np.ndarray          # (1 + distinct soft rows, grid_n) int16 indices into values
+    row_of: np.ndarray        # (grid_n,) index into rows of each grid row
     values: list              # label 0 is the rigid gradient R
     counts: np.ndarray        # int64, one cell count per entry of values
     spec: MicrostructureSpec
 
 
 def build_gradient_field(spec: MicrostructureSpec) -> GradientField:
-    """Rasterize the layered pattern with grafted laminates onto the grid.
+    """Rasterize the layered pattern with grafted laminates, one row per height.
 
-    Rigid rows and columns outside every band keep label 0, so the laminate
-    is evaluated only on the soft rows of each band's column range, a block
-    of rows at a time, and written as a slice of the label grid.  Each block
-    adds its plus and minus cells to the label counts; label 0 gets the rest.
+    The soft rows that share an in-strip height carry the same labels, so the
+    laminate is evaluated once per distinct height on each band's column
+    range, a block of heights at a time.  Each height's plus cells count once
+    per grid row at that height; the band's other soft cells are minus cells
+    and label 0 gets the rest.
     """
     gn, l, eps = spec.grid_n, spec.domain_side, spec.epsilon
     lam = spec.slip.lam
@@ -107,15 +115,15 @@ def build_gradient_field(spec: MicrostructureSpec) -> GradientField:
     xe = xs / eps
     soft = xe - np.floor(xe) < lam
     x2_in_strip = xs - np.floor(xs / eps) * eps
-    # soft rows come in runs, one per layer period; blocks never straddle two
-    run_edges = np.flatnonzero(np.diff(np.concatenate(([False], soft, [False]))))
-    blocks = [(r0, min(r0 + _ROW_BLOCK, stop))
-              for start, stop in run_edges.reshape(-1, 2).tolist()
-              for r0 in range(start, stop, _ROW_BLOCK)]
-    labels = np.zeros((gn, gn), dtype=np.int16)
+    heights, inverse, mult = np.unique(x2_in_strip[soft], return_inverse=True,
+                                       return_counts=True)
+    row_of = np.zeros(gn, dtype=np.int64)
+    row_of[soft] = 1 + inverse
+    rows = np.zeros((1 + heights.size, gn), dtype=np.int16)
     values = [spec.rotation.copy()]
     counts = np.zeros(1 + 2 * len(spec.gammas), dtype=np.int64)
     h_abs = spec.laminate_period * eps * lam
+    block = min(_ROW_BLOCK, heights.size)
 
     left = 0.0
     for band_index, (gamma, right) in enumerate(spec.gammas):
@@ -136,23 +144,26 @@ def build_gradient_field(spec: MicrostructureSpec) -> GradientField:
         n_hat = normal / np.linalg.norm(normal)
         u1 = (xs[i0:i1] - x_lo) * n_hat[0]
         # per-block scratch, reused by every block of the band
-        u_buf = np.empty((_ROW_BLOCK, i1 - i0))
+        u_buf = np.empty((block, i1 - i0))
         frac_buf = np.empty_like(u_buf)
         plus_buf = np.empty(u_buf.shape, dtype=bool)
-        for r0, r1 in blocks:
-            u = np.add(u1, x2_in_strip[r0:r1, None] * n_hat[1], out=u_buf[:r1 - r0])
+        n_plus = 0
+        for k0 in range(0, heights.size, block):
+            k1 = min(k0 + block, heights.size)
+            u = np.add(u1, heights[k0:k1, None] * n_hat[1], out=u_buf[:k1 - k0])
             u /= h_abs
-            frac = np.floor(u, out=frac_buf[:r1 - r0])
+            frac = np.floor(u, out=frac_buf[:k1 - k0])
             np.subtract(u, frac, out=frac)
-            plus = np.less(frac, dec.mu, out=plus_buf[:r1 - r0])
+            plus = np.less(frac, dec.mu, out=plus_buf[:k1 - k0])
             # plus cells take lab_plus, minus cells lab_plus + 1
-            np.subtract(lab_plus + 1, plus, out=labels[r0:r1, i0:i1], dtype=np.int16)
-            n_plus = np.count_nonzero(plus)
-            counts[lab_plus] += n_plus
-            counts[lab_plus + 1] += plus.size - n_plus
+            np.subtract(lab_plus + 1, plus, out=rows[1 + k0:1 + k1, i0:i1], dtype=np.int16)
+            # per-row sums run fastest in the narrowest type that holds them
+            n_plus += int(plus.sum(axis=1, dtype=np.min_scalar_type(i1 - i0)) @ mult[k0:k1])
+        counts[lab_plus] = n_plus
+        counts[lab_plus + 1] = (i1 - i0) * inverse.size - n_plus
     # the snapped band column ranges are disjoint: every other cell is rigid
     counts[0] = gn * gn - counts[1:].sum()
-    return GradientField(labels=labels, values=values, counts=counts, spec=spec)
+    return GradientField(rows=rows, row_of=row_of, values=values, counts=counts, spec=spec)
 
 
 @dataclass(frozen=True)
@@ -176,13 +187,14 @@ def _whom_value(n_mat: Mat, s: SlipSystem) -> float:
 def energy_of_field(field: GradientField, spec: MicrostructureSpec) -> EnergyReport:
     """Grid energy of the pattern against the homogenized band-weighted target.
 
-    The label counts come with the field; the interface cells are counted
-    _ROW_BLOCK rows at a time against a one-row halo above and below, so no
-    temporary is as large as the label grid.
+    The label counts come with the field.  A cell is an interface cell when a
+    4-neighbour has a different label, so a grid row's interface cells depend
+    only on its pattern and the patterns above and below it: each distinct
+    (above, row, below) triple is counted once, _ROW_BLOCK triples at a time,
+    and weighted by how many grid rows it stands for.
     """
     gn, l = spec.grid_n, spec.domain_side
     cell_area = (l / gn) ** 2
-    lab = field.labels
     counts = field.counts
     e_eps = 0.0
     for label, value in enumerate(field.values):
@@ -193,22 +205,22 @@ def energy_of_field(field: GradientField, spec: MicrostructureSpec) -> EnergyRep
             raise PreconditionError("pattern cell gradient falls off the slip manifolds")
         e_eps += counts[label] * w.value * cell_area
 
-    # interface cells: any 4-neighbour with a different label
+    # an edge row is its own missing neighbour; one int64 key per triple
+    rows, row_of = field.rows, field.row_of
+    base = rows.shape[0]
+    above = np.concatenate((row_of[:1], row_of[:-1]))
+    below = np.concatenate((row_of[1:], row_of[-1:]))
+    triples, mult = np.unique((above * base + row_of) * base + below, return_counts=True)
     n_flagged = 0
-    for r0 in range(0, gn, _ROW_BLOCK):
-        r1 = min(r0 + _ROW_BLOCK, gn)
-        top, bottom = max(r0 - 1, 0), min(r1 + 1, gn)
-        rows = lab[top:bottom]
-        differs = rows[1:] != rows[:-1]
-        flagged = np.zeros(rows.shape, dtype=bool)
-        flagged[1:] |= differs
-        flagged[:-1] |= differs
-        flagged = flagged[r0 - top:r1 - top]
-        block = lab[r0:r1]
-        differs = block[:, 1:] != block[:, :-1]
+    for k0 in range(0, triples.size, _ROW_BLOCK):
+        key, n_rows = triples[k0:k0 + _ROW_BLOCK], mult[k0:k0 + _ROW_BLOCK]
+        mid = rows[key // base % base]
+        flagged = mid != rows[key // (base * base)]
+        flagged |= mid != rows[key % base]
+        differs = mid[:, 1:] != mid[:, :-1]
         flagged[:, 1:] |= differs
         flagged[:, :-1] |= differs
-        n_flagged += np.count_nonzero(flagged)
+        n_flagged += int(flagged.sum(axis=1, dtype=np.min_scalar_type(gn)) @ n_rows)
     flagged_area = float(n_flagged) * cell_area
 
     area = l * l
@@ -225,7 +237,7 @@ def energy_of_field(field: GradientField, spec: MicrostructureSpec) -> EnergyRep
 
     avg = np.zeros((2, 2))
     for label, value in enumerate(field.values):
-        avg = avg + (counts[label] / lab.size) * value
+        avg = avg + (counts[label] / (gn * gn)) * value
     avg_target = lam * n_bar + (1.0 - lam) * spec.rotation
     return EnergyReport(epsilon=spec.epsilon, e_eps=e_eps, target=target,
                         rel_error=rel_error, avg_gradient=avg,

@@ -43,3 +43,9 @@ run hplot --theta 0.9424777960769379 hplot --zmax 3 --samples 301 --out "$out/hp
 run whomgamma whomgamma --gamma-range=-3:3:61 --out "$out/whomgamma.csv"
 run homogenize homogenize --gamma-bands=0.2:0.3,-0.5:0.6,0.4:1 --eps-list 1/8,1/16,1/32 \
     --out "$out/homogenize.csv"
+# eps = 1/128 runs at the 4096^2 grid cap; 1/3 and 1/5 put no two soft rows
+# at the same height within their layer periods
+run homogenize-cap homogenize --gamma-bands=0.2:0.3,-0.5:0.6,0.4:1 --eps-list 1/64,1/128 \
+    --out "$out/homogenize-cap.csv"
+run homogenize-non-dyadic homogenize --gamma-bands=0.2:0.3,-0.5:0.6,0.4:1 --eps-list 1/3,1/5 \
+    --out "$out/homogenize-non-dyadic.csv"

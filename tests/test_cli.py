@@ -108,6 +108,16 @@ def test_overflowing_envelope_value_exit_code(capsys):
         w_hom_arrays(st, s)
 
 
+@pytest.mark.parametrize("theta", ("0.7853981633974483", "1.413716694115407"))
+def test_overflowing_laminate_exit_code(capsys, theta):
+    # |F|^2 = 1e308 is finite, but |F a|^2 along the laminate's rank-one lines
+    # overflows; RuntimeWarnings are errors here, so any warning fails
+    assert main(["--theta", theta, "laminate", "--matrix", "1e154,0,0,1e-154"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: rank-one root solve overflows\n"
+
+
 def test_classify_usage_errors(capsys):
     assert main(["classify"]) == 2
     assert main(["classify", "--matrix", "1,2,3"]) == 2
@@ -199,7 +209,7 @@ def test_homogenize_csv(tmp_path):
 
 
 def test_homogenize_band_limit(tmp_path, capsys):
-    # 16,400 bands overflow the int16 label grid (band k writes label 2k + 2);
+    # 16,400 bands overflow the int16 label rows (band k writes label 2k + 2);
     # the option is too long for a command line, so main runs in-process
     n = 16399
     bands = ",".join(f"0.4:{(k + 1) / (4 * (n + 1))!r}" for k in range(n)) + ",0.4:1"

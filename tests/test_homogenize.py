@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -33,7 +34,7 @@ def test_spec_validation():
         make_spec(gammas=((0.4, 0.7), (0.1, 0.6), (0.0, 1.0)))
     with pytest.raises(PreconditionError):
         make_spec(laminate_period=math.nan)
-    # band k labels its cells 2k + 1 and 2k + 2 in the int16 label grid
+    # band k labels its cells 2k + 1 and 2k + 2 in the int16 label rows
     bands = tuple((0.4, (k + 1) / 16384) for k in range(16383)) + ((0.4, 1.0),)
     make_spec(gammas=bands[1:])
     with pytest.raises(PreconditionError):
@@ -65,10 +66,10 @@ def test_zero_shear_field_is_rigid():
 def test_three_distinct_values_single_band():
     spec = make_spec()
     field = build_gradient_field(spec)
-    labels = set(np.unique(field.labels))
-    assert labels == {0, 1, 2}
+    labels = field.rows[field.row_of]
+    assert set(np.unique(labels)) == {0, 1, 2}
     # rigid cells occupy about 1 - lambda of the domain
-    rigid_frac = float(np.mean(field.labels == 0))
+    rigid_frac = float(np.mean(labels == 0))
     assert rigid_frac == pytest.approx(1 - SLIP.lam, abs=0.02)
 
 
@@ -91,7 +92,7 @@ def test_on_manifold_band_is_single_valued():
         or abs(np.linalg.norm(n @ SLIP.v2) - 1.0) < 1e-12
     spec = make_spec(gammas=((gamma_star, 1.0),))
     field = build_gradient_field(spec)
-    soft_labels = set(np.unique(field.labels)) - {0}
+    soft_labels = set(np.unique(field.rows[field.row_of])) - {0}
     vals = [field.values[i] for i in soft_labels]
     for v in vals:
         assert np.allclose(v, n)
@@ -163,10 +164,13 @@ RASTER_CASES = {
                     "gammas": ((-0.6, 0.4), (0.8, 1.0))},
     # 125.125 grid rows per layer period
     "grid_1001": {"grid_n": 1001},
+    # 170.67 grid rows per layer period: no two soft rows share a height
+    "eps_third": {"epsilon": 1 / 3},
     **{f"seeded_{seed}": seeded_layout(seed) for seed in SEEDED},
 }
-# one-row and five-row blocks put every row next to a block seam
-SEAM_CASES = ["three_bands", "side_2", "theta_0.3pi", "grid_1001", "seeded_4"]
+# one-row and five-row blocks put every distinct row and row triple next to
+# a block seam
+SEAM_CASES = ["three_bands", "side_2", "theta_0.3pi", "grid_1001", "eps_third", "seeded_4"]
 
 
 @pytest.mark.parametrize("case,row_block",
@@ -179,12 +183,20 @@ def test_raster_matches_reference(case, row_block, monkeypatch):
     if row_block is not None:
         monkeypatch.setattr(homogenize, "_ROW_BLOCK", row_block)
     ref_labels, ref_counts, ref_flagged = reference_raster(spec)
-    # the soft rows span at least three row blocks
-    assert np.count_nonzero(ref_labels.any(axis=1)) > 2 * homogenize._ROW_BLOCK
     field = build_gradient_field(spec)
-    assert field.labels.dtype == np.int16
-    assert np.array_equal(field.labels, ref_labels)
-    assert np.array_equal(np.bincount(field.labels.ravel(), minlength=ref_counts.size),
+    if row_block is not None:
+        # the distinct soft rows and the distinct row triples each span at
+        # least three blocks
+        assert field.rows.shape[0] - 1 > 2 * row_block
+        row_of = field.row_of
+        triples = np.stack((np.concatenate((row_of[:1], row_of[:-1])), row_of,
+                            np.concatenate((row_of[1:], row_of[-1:]))))
+        assert np.unique(triples, axis=1).shape[1] > 2 * row_block
+    assert field.rows.dtype == np.int16
+    assert not field.rows[0].any()
+    labels = field.rows[field.row_of]
+    assert np.array_equal(labels, ref_labels)
+    assert np.array_equal(np.bincount(labels.ravel(), minlength=ref_counts.size),
                           ref_counts)
     assert np.array_equal(field.counts, ref_counts)
     if not spec.slip.is_orthogonal:
@@ -201,6 +213,33 @@ def test_raster_matches_reference(case, row_block, monkeypatch):
     assert rep.e_eps == e_eps
     assert rep.flagged_area == ref_flagged
     assert np.array_equal(rep.avg_gradient, avg)
+
+
+THREE_BANDS = RASTER_CASES["three_bands"]["gammas"]
+
+
+def test_rows_are_distinct_heights():
+    # 64 grid rows per layer period, 32 of them soft: each soft height once
+    spec = make_spec(gammas=THREE_BANDS, epsilon=1 / 64, grid_n=4096)
+    field = build_gradient_field(spec)
+    assert field.rows.shape == (1 + 32, 4096)
+    assert np.count_nonzero(field.row_of) == 2048
+    assert np.array_equal(np.bincount(field.row_of), [2048] + [64] * 32)
+    # 170.67 rows per period at eps = 1/3: every soft row is its own height
+    field = build_gradient_field(make_spec(**RASTER_CASES["eps_third"]))
+    assert field.rows.shape[0] - 1 == np.count_nonzero(field.row_of) == 256
+
+
+def test_grid_cap_allocates_no_grid():
+    # eps = 1/128 at the 4096^2 cap; a whole int16 label grid is 2 gn^2 bytes
+    spec = make_spec(gammas=THREE_BANDS, epsilon=1 / 128, grid_n=4096)
+    tracemalloc.start()
+    try:
+        energy_of_field(build_gradient_field(spec), spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < spec.grid_n ** 2 / 4
 
 
 def test_sweep_monotone_and_accurate():
