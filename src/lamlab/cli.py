@@ -11,6 +11,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -56,33 +57,49 @@ def _merge(base: dict, override: dict) -> dict:
     return out
 
 
-def load_config(args) -> dict:
+@dataclass(frozen=True)
+class Settings:
+    """The checked config values the commands run with."""
+
+    slip: SlipSystem
+    tol: float
+    bc_range: float
+    n: int
+    n_dirs: int
+
+
+def read_settings(args) -> Settings:
+    """DEFAULTS <- the JSON config file <- the flags, checked.
+
+    A value no command can run with raises ValueError (a usage error, exit 2).
+    """
     cfg = DEFAULTS
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
-            cfg = _merge(cfg, json.load(fh))
+            loaded = json.load(fh)
+        if not isinstance(loaded, dict):
+            raise ValueError("config: the top level must be a JSON object")
+        cfg = _merge(cfg, loaded)
     flat = {}
-    if getattr(args, "theta", None) is not None:
+    if args.theta is not None:
         flat["slip"] = {"theta": args.theta}
-    if getattr(args, "lam", None) is not None:
+    if args.lam is not None:
         flat["lambda"] = args.lam
-    if getattr(args, "tol", None) is not None:
+    if args.tol is not None:
         flat["tolerances"] = {"manifold": args.tol}
-    if getattr(args, "grid_range", None) is not None:
+    if args.grid_range is not None:
         flat.setdefault("grid", {})["range"] = args.grid_range
-    if getattr(args, "grid_n", None) is not None:
+    if args.grid_n is not None:
         flat.setdefault("grid", {})["n"] = args.grid_n
-    if getattr(args, "n_dirs", None) is not None:
+    if args.n_dirs is not None:
         flat["oracle"] = {"n_dirs": args.n_dirs}
     cfg = _merge(cfg, flat)
-    _check_config(cfg)
-    return cfg
-
-
-def _check_config(cfg: dict) -> None:
-    """Reject config values no command can run with, as usage errors (exit 2)."""
     try:
-        s = slip_from_config(cfg)
+        slip, lam = cfg["slip"], float(cfg["lambda"])
+        if "v1" in slip and "v2" in slip:
+            s = SlipSystem.from_vectors(slip["v1"], slip["v2"], lam)
+        else:
+            s = SlipSystem.from_theta(float(slip["theta"]), lam)
         tol = float(cfg["tolerances"]["manifold"])
         bc_range = float(cfg["grid"]["range"])
         n = float(cfg["grid"]["n"])
@@ -100,14 +117,7 @@ def _check_config(cfg: dict) -> None:
         raise ValueError("config: the grid resolution must be an integer >= 1")
     if not (8.0 <= n_dirs < math.inf and n_dirs == int(n_dirs)):
         raise ValueError("config: the oracle direction count must be an integer >= 8")
-
-
-def slip_from_config(cfg: dict) -> SlipSystem:
-    slip = cfg["slip"]
-    lam = float(cfg["lambda"])
-    if "v1" in slip and "v2" in slip:
-        return SlipSystem.from_vectors(slip["v1"], slip["v2"], lam)
-    return SlipSystem.from_theta(float(slip["theta"]), lam)
+    return Settings(s, tol, bc_range, int(n), int(n_dirs))
 
 
 def _parse_floats(text: str, count: int, what: str):
@@ -148,15 +158,12 @@ def _energy_json(record) -> dict:
     return {"bounds": {"lower": record.lower, "upper": record.upper}}
 
 
-def _column(values: np.ndarray) -> list:
-    """fmt of every entry of a float array; nan marks an empty field."""
-    return ["" if x != x else fmt(x) for x in values.tolist()]
-
-
-def _write_csv(path: str, header: list, rows):
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(row))
+def _write_csv(path: str, columns: dict) -> None:
+    """A CSV with one column per entry: a float array (fmt; nan writes an
+    empty field) or a list of strings."""
+    fields = [["" if x != x else fmt(x) for x in col.tolist()] if isinstance(col, np.ndarray)
+              else col for col in columns.values()]
+    lines = [",".join(columns)] + [",".join(row) for row in zip(*fields)]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -165,27 +172,20 @@ def _write_csv(path: str, header: list, rows):
 # subcommands
 
 
-def cmd_classify(args) -> int:
-    cfg = load_config(args)
-    s = slip_from_config(cfg)
-    tol = float(cfg["tolerances"]["manifold"])
+def cmd_classify(args, cfg: Settings) -> int:
     f = _matrix_from_args(args)
-    label = classify(f, s, tol)
+    label = classify(f, cfg.slip, cfg.tol)
     out = {"region": label.tag, "boundary": sorted(label.boundary),
            "det_residual": abs(det2(f) - 1.0)}
     if label.tag != "OffManifold":
-        out.update(_energy_json(w_hom(f, s, tol)))
+        out.update(_energy_json(w_hom(f, cfg.slip, cfg.tol)))
     print(json.dumps(out, sort_keys=True))
     return EXIT_DOMAIN if label.tag == "OffManifold" else EXIT_OK
 
 
-def cmd_laminate(args) -> int:
-    cfg = load_config(args)
-    s = slip_from_config(cfg)
-    tol = float(cfg["tolerances"]["manifold"])
+def cmd_laminate(args, cfg: Settings) -> int:
     f = _matrix_from_args(args)
-    d = decompose(f, s, tol)
-    report = verify_decomposition(d, f, s)
+    d = decompose(f, cfg.slip, cfg.tol)
     out = {
         "kind": d.kind,
         "mu": d.mu,
@@ -195,66 +195,48 @@ def cmd_laminate(args) -> int:
         "direction": {"a": list(map(float, d.direction[0])),
                       "n": list(map(float, d.direction[1]))},
         "degenerate_tie": d.degenerate_tie,
-        "residuals": {
-            "convex_combination": report.convex_combination,
-            "rank_one": report.rank_one,
-            "manifold": report.manifold,
-            "energy_equality": report.energy_equality,
-            "preserved_vector": report.preserved_vector,
-        },
+        "residuals": asdict(verify_decomposition(d, f, cfg.slip)),
     }
     print(json.dumps(out, sort_keys=True))
     return EXIT_OK
 
 
-def cmd_verify_envelope(args) -> int:
-    cfg = load_config(args)
-    s = slip_from_config(cfg)
-    scan = envelope_scan(s, float(cfg["grid"]["range"]), int(cfg["grid"]["n"]),
-                         n_dirs=int(cfg["oracle"]["n_dirs"]),
-                         tol=float(cfg["tolerances"]["manifold"]))
+def cmd_verify_envelope(args, cfg: Settings) -> int:
+    scan = envelope_scan(cfg.slip, cfg.bc_range, cfg.n, n_dirs=cfg.n_dirs, tol=cfg.tol)
     grid = scan.grid
-    table = zip(_column(grid.b), _column(grid.c), grid.tags, _column(scan.closed),
-                _column(scan.oracle), _column(scan.discrepancy), _column(scan.slack_lo),
-                _column(scan.slack_hi))
-    _write_csv(args.out, ["b", "c", "region", "closed", "oracle",
-                          "discrepancy", "slack_lo", "slack_hi"], table)
+    _write_csv(args.out, {"b": grid.b, "c": grid.c, "region": grid.tags, "closed": scan.closed,
+                          "oracle": scan.oracle, "discrepancy": scan.discrepancy,
+                          "slack_lo": scan.slack_lo, "slack_hi": scan.slack_hi})
     return EXIT_OK
 
 
-def cmd_regionmap(args) -> int:
-    cfg = load_config(args)
-    s = slip_from_config(cfg)
-    grid = region_map(s, float(cfg["grid"]["range"]), int(cfg["grid"]["n"]),
-                      tol=float(cfg["tolerances"]["manifold"]))
+def cmd_regionmap(args, cfg: Settings) -> int:
+    grid = region_map(cfg.slip, cfg.bc_range, cfg.n, tol=cfg.tol)
     boundary = grid.boundary.tolist()
     names = {bits: ";".join(sorted(adjacent_tags(bits))) for bits in set(boundary)}
-    table = zip(_column(grid.b), _column(grid.c), grid.tags, [names[bits] for bits in boundary],
-                _column(grid.whom), _column(grid.lower), _column(grid.upper))
-    _write_csv(args.out, ["b", "c", "region", "boundary", "whom", "lower", "upper"],
-               table)
+    _write_csv(args.out, {"b": grid.b, "c": grid.c, "region": grid.tags,
+                          "boundary": [names[bits] for bits in boundary],
+                          "whom": grid.whom, "lower": grid.lower, "upper": grid.upper})
     return EXIT_OK
 
 
-def cmd_hplot(args) -> int:
-    cfg = load_config(args)
-    s = slip_from_config(cfg)
-    theta = s.theta
-    zs = np.linspace(0.0, args.zmax, args.samples)
-    table = []
-    for z in zs:
-        z = float(z)
-        hs = h_star(z, theta) if z >= math.sin(theta) else None
-        hps = h_perp_star(z, theta) if z >= math.cos(theta) else None
-        table.append([fmt(z), fmt(h(z, theta)), fmt(hs),
-                      fmt(h_perp(z, theta)), fmt(hps)])
-    _write_csv(args.out, ["z", "h", "h_star", "h_perp", "h_perp_star"], table)
+def cmd_hplot(args, cfg: Settings) -> int:
+    if not 0.0 <= args.zmax < math.inf:
+        raise ValueError("--zmax must be nonnegative and finite")
+    theta = cfg.slip.theta
+    s, c = math.sin(theta), math.cos(theta)
+    z = np.linspace(0.0, args.zmax, args.samples)
+    with np.errstate(over="ignore", invalid="ignore"):  # as on floats, z^2 may overflow to inf
+        # the starred profiles are nan (an empty field) below their domain floors
+        columns = {"z": z, "h": h(z, theta),
+                   "h_star": np.where(z >= s, h_star(np.maximum(z, s), theta), np.nan),
+                   "h_perp": h_perp(z, theta),
+                   "h_perp_star": np.where(z >= c, h_perp_star(np.maximum(z, c), theta), np.nan)}
+    _write_csv(args.out, columns)
     return EXIT_OK
 
 
-def cmd_homogenize(args) -> int:
-    cfg = load_config(args)
-    s = slip_from_config(cfg)
+def cmd_homogenize(args, cfg: Settings) -> int:
     bands = []
     for chunk in args.gamma_bands.split(","):
         gamma, edge = chunk.split(":")
@@ -268,23 +250,20 @@ def cmd_homogenize(args) -> int:
     if args.cells_per_feature < 4:
         raise ValueError("--cells-per-feature must be at least 4, the fewest cells "
                          "a feature may span")
-    reports = run_sweep(s, np.eye(2), bands, eps_list, laminate_period=hlam,
+    reports = run_sweep(cfg.slip, np.eye(2), bands, eps_list, laminate_period=hlam,
                         cells_per_feature=args.cells_per_feature)
-    table = [[fmt(r.epsilon), fmt(hlam), fmt(r.e_eps), fmt(r.target),
-              fmt(r.rel_error), fmt(r.flagged_area)] for r in reports]
-    _write_csv(args.out, ["epsilon", "hlam", "e_eps", "target", "rel_error",
-                          "flagged_area"], table)
+    table = np.array([[r.epsilon, hlam, r.e_eps, r.target, r.rel_error, r.flagged_area]
+                      for r in reports])
+    _write_csv(args.out, dict(zip(["epsilon", "hlam", "e_eps", "target", "rel_error",
+                                   "flagged_area"], table.T)))
     return EXIT_OK
 
 
-def cmd_whomgamma(args) -> int:
-    cfg = load_config(args)
-    s = slip_from_config(cfg)
+def cmd_whomgamma(args, cfg: Settings) -> int:
     lo, hi, n = args.gamma_range.split(":")
-    lo, hi, n = _parse_number(lo), _parse_number(hi), int(n)
-    gammas = np.linspace(lo, hi, n)
-    table = [[fmt(float(g)), fmt(w_hom_scalar(float(g), s))] for g in gammas]
-    _write_csv(args.out, ["gamma", "whom"], table)
+    gammas = np.linspace(_parse_number(lo), _parse_number(hi), int(n))
+    _write_csv(args.out, {"gamma": gammas,
+                          "whom": np.array([w_hom_scalar(g, cfg.slip) for g in gammas.tolist()])})
     return EXIT_OK
 
 
@@ -350,11 +329,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except (ValueError, KeyError, json.JSONDecodeError, OSError) as exc:
+        return args.func(args, read_settings(args))
+    except (ValueError, KeyError, OSError) as exc:  # JSONDecodeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except LamlabError as exc:

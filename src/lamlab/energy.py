@@ -209,52 +209,46 @@ def chi(z: float) -> float:
     return _pos(math.sqrt(_pos(2.0 * z * z - 1.0)) - 1.0) ** 2
 
 
-# h, h_perp, h_plus and h_perp_plus take floats or arrays (see slip_state)
+# the h profiles take floats or arrays (see slip_state)
 
 
-def h(z, theta: float):
-    s, c = math.sin(theta), math.cos(theta)
+def _h(z, s: float, c: float):
     t = _pos(sqrt(_pos(z * z / (s * s) - 1.0)) - c / s)
     return t * t
 
 
+def h(z, theta: float):
+    return _h(z, math.sin(theta), math.cos(theta))
+
+
 def h_perp(z, theta: float):
-    s, c = math.sin(theta), math.cos(theta)
-    t = _pos(sqrt(_pos(z * z / (c * c) - 1.0)) - s / c)
-    return t * t
+    return _h(z, math.cos(theta), math.sin(theta))
 
 
-def _sqrt_floor(z, floor: float, name: str):
+def _h_root(z, s: float, c: float, sign: float, name: str):
+    """(1 + z^2 + sign 2 c sqrt(z^2 - s^2)) / s^2 - 2 for z at or above the floor s."""
     # z must not fall below the domain floor beyond 1e-12 slack
-    d = z * z - floor * floor
+    d = z * z - s * s
     low = z[d < -1e-12] if isinstance(d, np.ndarray) else [z] if d < -1e-12 else []
     if len(low):
         raise DomainError(f"{name} evaluated below its domain floor (z={low[0]})")
-    return sqrt(_pos(d))
+    return (1.0 + z * z + sign * 2.0 * c * sqrt(_pos(d))) / (s * s) - 2.0
 
 
-def h_star(z: float, theta: float) -> float:
-    s, c = math.sin(theta), math.cos(theta)
-    r = _sqrt_floor(z, s, "h_star")
-    return (1.0 + z * z - 2.0 * c * r) / (s * s) - 2.0
+def h_star(z, theta: float):
+    return _h_root(z, math.sin(theta), math.cos(theta), -1.0, "h_star")
 
 
-def h_perp_star(z: float, theta: float) -> float:
-    s, c = math.sin(theta), math.cos(theta)
-    r = _sqrt_floor(z, c, "h_perp_star")
-    return (1.0 + z * z - 2.0 * s * r) / (c * c) - 2.0
+def h_perp_star(z, theta: float):
+    return _h_root(z, math.cos(theta), math.sin(theta), -1.0, "h_perp_star")
 
 
-def h_plus(z: float, theta: float) -> float:
-    s, c = math.sin(theta), math.cos(theta)
-    r = _sqrt_floor(z, s, "h_plus")
-    return (1.0 + z * z + 2.0 * c * r) / (s * s) - 2.0
+def h_plus(z, theta: float):
+    return _h_root(z, math.sin(theta), math.cos(theta), 1.0, "h_plus")
 
 
-def h_perp_plus(z: float, theta: float) -> float:
-    s, c = math.sin(theta), math.cos(theta)
-    r = _sqrt_floor(z, c, "h_perp_plus")
-    return (1.0 + z * z + 2.0 * s * r) / (c * c) - 2.0
+def h_perp_plus(z, theta: float):
+    return _h_root(z, math.cos(theta), math.sin(theta), 1.0, "h_perp_plus")
 
 
 # ---------------------------------------------------------------------------

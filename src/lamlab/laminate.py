@@ -15,7 +15,7 @@ import numpy as np
 from .algebra import (Mat, RankOneLine, Vec, det2, frobenius_sq, perp,
                       solve_unit_image_times)
 from .energy import DEFAULT_TOL, SlipSystem, matrix_state, off_manifold
-from .errors import DegenerateTangency, OffManifold, PreconditionError
+from .errors import DegenerateTangency, DomainError, OffManifold, PreconditionError
 
 KINDS = ("CaseA", "CaseAPerp", "CaseN1lemN2", "CaseN2", "CaseN1capN2",
          "CaseOnManifold", "UpperBoundOnly")
@@ -43,9 +43,23 @@ class LaminateDecomposition:
             raise ValueError(f"unknown laminate kind {self.kind!r}")
 
 
+def _fro_sq(m: Mat, what: str) -> float:
+    """|M|^2 with the bits of `frobenius_sq` (Python and NumPy float powers
+    agree), but an overflow raises DomainError naming `what`, not a
+    RuntimeWarning."""
+    (a, b), (c, d) = m.tolist()
+    try:
+        fro = a ** 2 + b ** 2 + c ** 2 + d ** 2
+        if fro < math.inf:
+            return fro
+    except OverflowError:  # a square overflows; an overflowing sum is inf
+        pass
+    raise DomainError(f"{what} overflows")
+
+
 def _w_manifold(f: Mat) -> float:
     """Condensed energy of a matrix assumed to lie on M."""
-    return max(frobenius_sq(f) - 2.0, 0.0)
+    return max(_fro_sq(f, "laminate endpoint |F|^2") - 2.0, 0.0)
 
 
 def _end(line: RankOneLine, t: float):
@@ -177,12 +191,15 @@ class DecompositionReport:
 
 
 def verify_decomposition(d: LaminateDecomposition, n: Mat, s: SlipSystem) -> DecompositionReport:
-    """Residuals of the defining identities of a laminate decomposition."""
+    """Residuals of the defining identities of a laminate decomposition.
+
+    Raises DomainError when the jump |F+ - F-|^2 overflows.
+    """
     scale = max(1.0, math.sqrt(frobenius_sq(n)))
     comb = d.mu * d.f_plus + (1.0 - d.mu) * d.f_minus - n
     conv = math.sqrt(frobenius_sq(comb)) / scale
     diff = d.f_plus - d.f_minus
-    dn = frobenius_sq(diff)
+    dn = _fro_sq(diff, "laminate jump |F+ - F-|^2")
     rank1 = abs(det2(diff)) / dn if dn > 0.0 else 0.0
     man = 0.0
     for f in (d.f_plus, d.f_minus):

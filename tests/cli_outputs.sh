@@ -49,3 +49,23 @@ run homogenize-cap homogenize --gamma-bands=0.2:0.3,-0.5:0.6,0.4:1 --eps-list 1/
     --out "$out/homogenize-cap.csv"
 run homogenize-non-dyadic homogenize --gamma-bands=0.2:0.3,-0.5:0.6,0.4:1 --eps-list 1/3,1/5 \
     --out "$out/homogenize-non-dyadic.csv"
+# slip vectors from a config file: v1 = e1, v2 at 2 theta = 0.6 pi from it
+printf '%s\n' '{"slip": {"v1": [1.0, 0.0], "v2": [-0.30901699437494745, 0.9510565162951535]},' \
+    ' "lambda": 0.4, "grid": {"range": 2, "n": 41}}' >"$out/config-vectors.json"
+i=0
+for point in "--bc=0,0" "--bc=0.5,0.3" "--bc=-1.2,0.7" "--matrix=2,0,0,0.5" "--matrix=1,0.8,0,1"; do
+    i=$((i + 1))
+    run "config-vectors-classify-$i" --config "$out/config-vectors.json" classify "$point"
+    run "config-vectors-laminate-$i" --config "$out/config-vectors.json" laminate "$point"
+done
+run config-vectors-regionmap --config "$out/config-vectors.json" regionmap \
+    --out "$out/config-vectors-regionmap.csv"
+# a flag overrides the config file: theta = 0.3 pi and n = 61 from the file, n = 21 from --n
+printf '%s\n' '{"slip": {"theta": 0.9424777960769379}, "grid": {"range": 2, "n": 61}}' \
+    >"$out/config-theta.json"
+run config-theta-regionmap --config "$out/config-theta.json" --n 21 regionmap \
+    --out "$out/config-theta-regionmap.csv"
+# usage errors: message and exit code
+run usage-tol --tol 0 classify --bc=0,0
+run usage-n --n 0 regionmap --out "$out/usage-n.csv"
+run usage-bc classify --bc=1,2,3

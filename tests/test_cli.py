@@ -108,14 +108,26 @@ def test_overflowing_envelope_value_exit_code(capsys):
         w_hom_arrays(st, s)
 
 
-@pytest.mark.parametrize("theta", ("0.7853981633974483", "1.413716694115407"))
+OVERFLOWING_LAMINATES = {  # theta: (target, message) pairs
+    # |F|^2 = 1e308 is finite, but |F a|^2 along the laminate's rank-one lines overflows
+    "0.7853981633974483": [("1e154,0,0,1e-154", "rank-one root solve overflows")],
+    "1.413716694115407": [("1e154,0,0,1e-154", "rank-one root solve overflows"),
+                          # an endpoint's |F|^2 overflows
+                          ("3e153,0,0,3.333333333333333e-154",
+                           "laminate endpoint |F|^2 overflows")],
+    # the endpoints are finite, but the jump |F+ - F-|^2 = 1.9e308 overflows
+    "0.9424777960769379": [("5e153,0,0,2e-154", "laminate jump |F+ - F-|^2 overflows")],
+}
+
+
+@pytest.mark.parametrize("theta", OVERFLOWING_LAMINATES)
 def test_overflowing_laminate_exit_code(capsys, theta):
-    # |F|^2 = 1e308 is finite, but |F a|^2 along the laminate's rank-one lines
-    # overflows; RuntimeWarnings are errors here, so any warning fails
-    assert main(["--theta", theta, "laminate", "--matrix", "1e154,0,0,1e-154"]) == 3
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "error: rank-one root solve overflows\n"
+    # RuntimeWarnings are errors here, so any warning fails
+    for matrix, message in OVERFLOWING_LAMINATES[theta]:
+        assert main(["--theta", theta, "laminate", "--matrix", matrix]) == 3, matrix
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
 
 
 def test_classify_usage_errors(capsys):
@@ -127,13 +139,17 @@ def test_classify_usage_errors(capsys):
 def test_non_finite_input_is_usage_error(tmp_path, capsys):
     sweep = ["homogenize", "--gamma-bands", "0.4:1", "--eps-list", "1/4",
              "--out", str(tmp_path / "sweep.csv")]
+    hplot = ["hplot", "--samples", "3", "--out", str(tmp_path / "h.csv")]
     for argv in (["classify", "--matrix", "nan,0,0,1"],
                  ["classify", "--matrix", "1,0,0,inf"],
                  ["classify", "--bc=-inf,0"],
                  ["laminate", "--bc", "0,nan"],
                  ["classify", "--bc", "1/0,0"],
                  [*sweep, "--hlam", "nan"],
-                 [*sweep, "--hlam", "inf"]):
+                 [*sweep, "--hlam", "inf"],
+                 [*hplot, "--zmax", "nan"],
+                 [*hplot, "--zmax", "inf"],
+                 [*hplot, "--zmax", "-1"]):
         assert main(argv) == 2, argv
     assert capsys.readouterr().out == ""
 
@@ -235,6 +251,9 @@ def test_bad_config_is_usage_error(tmp_path):
     assert main(["--config", str(bad), "classify", "--bc", "0,0"]) == 2
     missing = tmp_path / "missing.json"
     assert main(["--config", str(missing), "classify", "--bc", "0,0"]) == 2
+    for top_level in ("[]", "1", "null"):  # not a JSON object
+        bad.write_text(top_level)
+        assert main(["--config", str(bad), "classify", "--bc", "0,0"]) == 2, top_level
     out = str(tmp_path / "scan.csv")
     for flags in (["--lambda", "1.5"], ["--n", "0"], ["--range", "-1"], ["--n-dirs", "4"],
                   ["--tol", "0"], ["--theta", "nan"]):
