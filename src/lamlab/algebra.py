@@ -65,7 +65,14 @@ def det2(m: Mat) -> float:
 
 
 def frobenius_sq(m: Mat) -> float:
-    return float(m[0, 0] ** 2 + m[0, 1] ** 2 + m[1, 0] ** 2 + m[1, 1] ** 2)
+    """|M|^2 in the `slip_state` arithmetic: a*a + b*b + c*c + d*d on Python
+    floats, whose products are correctly rounded (`x ** 2` need not be).
+    Raises DomainError when the sum overflows."""
+    (a, b), (c, d) = m.tolist()
+    fro = a * a + b * b + c * c + d * d
+    if fro == math.inf:
+        raise DomainError("|M|^2 overflows")
+    return fro
 
 
 def identity_f1(f: Mat, a: Vec, b: Vec) -> tuple[float, float]:
@@ -157,21 +164,22 @@ def solve_unit_image_times(line: RankOneLine, v: Vec):
 
 
 def bc_diagonal(b, c):
-    """Diagonal entries (a + |b|, a - |b|) of the (b, c) representative.
+    """Diagonal entries (a + b, a - b) of the (b, c) representative.
 
     a = sqrt(1 + b^2 + c^2).  The smaller entry is formed as
     (1 + c^2)/(a + |b|), free of the cancellation in a - |b| at large |b|, so
     the determinant stays 1 to rounding.  Takes floats or arrays.
     """
     big = sqrt(1.0 + b * b + c * c) + abs(b)
-    return big, (1.0 + c * c) / big
+    small = (1.0 + c * c) / big
+    return where(b >= 0.0, big, small), where(b >= 0.0, small, big)
 
 
 def bc_to_matrix(b: float, c: float) -> Mat:
     """Symmetric positive-definite det-1 representative of the (b, c) orbit:
     [[a+b, c], [c, a-b]] with a = sqrt(1 + b^2 + c^2), see `bc_diagonal`."""
-    big, small = bc_diagonal(b, c)
-    return np.array([[big, c], [c, small]] if b >= 0.0 else [[small, c], [c, big]])
+    f00, f11 = bc_diagonal(b, c)
+    return np.array([[f00, c], [c, f11]])
 
 
 def random_det1(rng: np.random.Generator, spread: float = 1.5) -> Mat:

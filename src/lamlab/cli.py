@@ -221,12 +221,12 @@ def cmd_regionmap(args, cfg: Settings) -> int:
 
 
 def cmd_hplot(args, cfg: Settings) -> int:
-    if not 0.0 <= args.zmax < math.inf:
-        raise ValueError("--zmax must be nonnegative and finite")
+    if not (args.zmax >= 0.0 and args.zmax * args.zmax < math.inf):
+        raise ValueError("--zmax must be nonnegative with a finite square")
     theta = cfg.slip.theta
     s, c = math.sin(theta), math.cos(theta)
     z = np.linspace(0.0, args.zmax, args.samples)
-    with np.errstate(over="ignore", invalid="ignore"):  # as on floats, z^2 may overflow to inf
+    with np.errstate(over="ignore"):  # as on floats, z^2 / s^2 may overflow to inf
         # the starred profiles are nan (an empty field) below their domain floors
         columns = {"z": z, "h": h(z, theta),
                    "h_star": np.where(z >= s, h_star(np.maximum(z, s), theta), np.nan),

@@ -154,6 +154,13 @@ def off_manifold(st: SlipState, tol: float):
     return where((abs(st.det_off) <= tol) & (st.fro < math.inf), False, True)
 
 
+def w_on_manifold(st: SlipState, tol: float):
+    """Condensed density W: max(|F|^2 - 2, 0) on M = M1 u M2 (a slip norm
+    within tol of 1), inf off it (float or array)."""
+    far = (abs(st.d1) > tol) & (abs(st.d2) > tol)
+    return where(off_manifold(st, tol) | far, math.inf, _pos(st.fro - 2.0))
+
+
 # ---------------------------------------------------------------------------
 # extended-real energies
 
@@ -259,10 +266,8 @@ def w_condensed(f: Mat, s: SlipSystem, tol: float = DEFAULT_TOL) -> ExtendedEner
     """Condensed two-slip density: |F|^2 - 2 on M = M1 u M2, Infinite off it."""
     if tol <= 0.0:
         raise PreconditionError("membership tolerance must be positive")
-    st = matrix_state(f, s)
-    if off_manifold(st, tol) or min(abs(st.d1), abs(st.d2)) > tol:
-        return INFINITE
-    return ExtendedEnergy.finite(_pos(st.fro - 2.0))
+    w = w_on_manifold(matrix_state(f, s), tol)
+    return INFINITE if w == math.inf else ExtendedEnergy.finite(w)
 
 
 def f_majorant(f: Mat, s: SlipSystem) -> float:

@@ -24,11 +24,11 @@ from typing import Optional
 
 import numpy as np
 
-from .algebra import Mat
+from .algebra import Mat, RankOneLine, perp
 from .energy import (DEFAULT_TOL, INFINITE, ExtendedEnergy, SlipSystem, off_manifold,
-                     slip_state)
+                     slip_state, w_on_manifold)
 from .errors import OffManifold, PreconditionError
-from .laminate import LaminateDecomposition
+from .laminate import LaminateDecomposition, decompose, laminate_on_line
 from .regions import CODE, RegionMap, region_map
 
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
@@ -173,7 +173,7 @@ def _golden(fs: np.ndarray, s: SlipSystem, center: np.ndarray, half: float) -> n
 @dataclass(frozen=True)
 class _Batch:
     value: np.ndarray     # min(coarse, refined, single), >= 0 as each of them is
-    single: np.ndarray    # max(|F|^2 - 2, 0) where F lies on a slip manifold, else inf
+    single: np.ndarray    # W of `w_on_manifold`: finite where F lies on a slip manifold
     phi_best: np.ndarray  # direction of the better of the coarse and refined candidates
 
 
@@ -200,8 +200,7 @@ def _oracle(fs: np.ndarray, s: SlipSystem, n_dirs: int, tol: float) -> _Batch:
 
     phi_star = _golden(fs, s, phi_coarse, step)
     refined = _at(fs, s, phi_star)
-    on = np.minimum(np.abs(st.d1), np.abs(st.d2)) <= tol
-    single = np.where(on, np.maximum(st.fro - 2.0, 0.0), np.inf)
+    single = w_on_manifold(st, tol)
     return _Batch(value=np.minimum(np.minimum(coarse, refined), single), single=single,
                   phi_best=np.where(refined <= coarse, phi_star, phi_coarse))
 
@@ -218,28 +217,24 @@ def wlc_numeric(f: Mat, s: SlipSystem, n_dirs: int = 720,
 
     Scans n_dirs uniformly spaced rank-one directions on [0, pi), refines the
     best one by golden-section search, and includes the single-point
-    candidate when F itself lies on a slip manifold.
+    candidate when F lies on a slip manifold, where the laminate is
+    `decompose`'s; elsewhere it is the best direction's UpperBoundOnly pair.
     """
     fs = np.asarray(f, dtype=float)[None]
     batch = _oracle(fs, s, n_dirs, tol)
     value, single = float(batch.value[0]), float(batch.single[0])
 
     best_dec = None
-    if math.isfinite(single) and single <= value:
-        best_dec = LaminateDecomposition(
-            f_plus=f.copy(), f_minus=f.copy(), mu=0.5,
-            direction=(s.v3, s.v3_perp), energy=single, kind="CaseOnManifold")
+    if math.isfinite(single):
+        best_dec = decompose(f, s, tol)
     else:
         phi = float(batch.phi_best[0])
         energy, lo, hi = (float(x[0]) for x in _at(fs, s, batch.phi_best, pair=True))
         if math.isfinite(energy):
             m = np.array([math.cos(phi), math.sin(phi)])
-            mperp = np.array([-m[1], m[0]])
-            f_lo = f @ (np.eye(2) + lo * np.outer(m, mperp))
-            f_hi = f @ (np.eye(2) + hi * np.outer(m, mperp))
-            best_dec = LaminateDecomposition(
-                f_plus=f_hi, f_minus=f_lo, mu=-lo / (hi - lo),
-                direction=(m, mperp), energy=value, kind="UpperBoundOnly")
+            line = RankOneLine(f, m, perp(m))
+            best_dec = laminate_on_line(line, (lo, line.point(lo)), (hi, line.point(hi)),
+                                        value, "UpperBoundOnly")
     energy = INFINITE if value == math.inf else ExtendedEnergy.finite(value)
     return OracleResult(value=energy, best=best_dec)
 

@@ -14,7 +14,7 @@ import numpy as np
 
 from .algebra import (Mat, RankOneLine, Vec, det2, frobenius_sq, perp,
                       solve_unit_image_times)
-from .energy import DEFAULT_TOL, SlipSystem, matrix_state, off_manifold
+from .energy import DEFAULT_TOL, SlipSystem, matrix_state, off_manifold, w_on_manifold
 from .errors import DegenerateTangency, DomainError, OffManifold, PreconditionError
 
 KINDS = ("CaseA", "CaseAPerp", "CaseN1lemN2", "CaseN2", "CaseN1capN2",
@@ -43,23 +43,12 @@ class LaminateDecomposition:
             raise ValueError(f"unknown laminate kind {self.kind!r}")
 
 
-def _fro_sq(m: Mat, what: str) -> float:
-    """|M|^2 with the bits of `frobenius_sq` (Python and NumPy float powers
-    agree), but an overflow raises DomainError naming `what`, not a
-    RuntimeWarning."""
-    (a, b), (c, d) = m.tolist()
-    try:
-        fro = a ** 2 + b ** 2 + c ** 2 + d ** 2
-        if fro < math.inf:
-            return fro
-    except OverflowError:  # a square overflows; an overflowing sum is inf
-        pass
-    raise DomainError(f"{what} overflows")
-
-
 def _w_manifold(f: Mat) -> float:
-    """Condensed energy of a matrix assumed to lie on M."""
-    return max(_fro_sq(f, "laminate endpoint |F|^2") - 2.0, 0.0)
+    """Condensed energy of a laminate endpoint, assumed to lie on M."""
+    try:
+        return max(frobenius_sq(f) - 2.0, 0.0)
+    except DomainError:
+        raise DomainError("laminate endpoint |F|^2 overflows") from None
 
 
 def _end(line: RankOneLine, t: float):
@@ -68,10 +57,10 @@ def _end(line: RankOneLine, t: float):
     return t, f, _w_manifold(f)
 
 
-def _laminate(line: RankOneLine, lo, hi, energy: float, kind: str,
-              tie: bool = False) -> LaminateDecomposition:
-    """Laminate of the endpoints lo (t <= 0) and hi (t >= 0) from _end."""
-    (t_lo, f_lo, _), (t_hi, f_hi, _) = lo, hi
+def laminate_on_line(line: RankOneLine, lo, hi, energy: float, kind: str,
+                     tie: bool = False) -> LaminateDecomposition:
+    """Laminate of the line points lo = (t, F(t), ...) at t <= 0 and hi at t >= 0."""
+    (t_lo, f_lo, *_), (t_hi, f_hi, *_) = lo, hi
     return LaminateDecomposition(
         f_plus=f_hi, f_minus=f_lo, mu=-t_lo / (t_hi - t_lo),
         direction=(line.left, line.normal), energy=energy, kind=kind,
@@ -86,7 +75,7 @@ def _single_slip(n: Mat, v: Vec, kind: str):
     if len(roots) != 2 or not roots[0] <= 0.0 <= roots[1]:
         return None
     lo, hi = (_end(line, t) for t in roots)
-    return _laminate(line, lo, hi, hi[2], kind)
+    return laminate_on_line(line, lo, hi, hi[2], kind)
 
 
 def _equal_energy_pair(line: RankOneLine, va: Vec, vb: Vec, kind: str):
@@ -121,7 +110,7 @@ def _equal_energy_pair(line: RankOneLine, va: Vec, vb: Vec, kind: str):
     energy, lo, hi = best
     tie = kind in ("CaseA", "CaseAPerp") and any(
         abs(e[0][2] - e[1][2]) <= 1e-9 * scale for e in ends)
-    return _laminate(line, lo, hi, energy, kind, tie)
+    return laminate_on_line(line, lo, hi, energy, kind, tie)
 
 
 def decompose(n: Mat, s: SlipSystem, tol: float = DEFAULT_TOL) -> LaminateDecomposition:
@@ -141,11 +130,12 @@ def decompose(n: Mat, s: SlipSystem, tol: float = DEFAULT_TOL) -> LaminateDecomp
     if off_manifold(st, tol):
         raise OffManifold("target |F|^2 overflows" if st.fro == math.inf
                           else "target determinant differs from 1 beyond tolerance")
-    d1, d2 = st.d1, st.d2
-    if min(abs(d1), abs(d2)) <= tol:
+    w = w_on_manifold(st, tol)
+    if w < math.inf:
         return LaminateDecomposition(
             f_plus=n.copy(), f_minus=n.copy(), mu=0.5, direction=(s.v3, s.v3_perp),
-            energy=_w_manifold(n), kind="CaseOnManifold")
+            energy=w, kind="CaseOnManifold")
+    d1, d2 = st.d1, st.d2
     if d1 > 0.0 and d2 > 0.0:
         bis, bis_perp = s.v1 + s.v2, s.v1 - s.v2
         if st.dot >= 0.0:
@@ -199,7 +189,10 @@ def verify_decomposition(d: LaminateDecomposition, n: Mat, s: SlipSystem) -> Dec
     comb = d.mu * d.f_plus + (1.0 - d.mu) * d.f_minus - n
     conv = math.sqrt(frobenius_sq(comb)) / scale
     diff = d.f_plus - d.f_minus
-    dn = _fro_sq(diff, "laminate jump |F+ - F-|^2")
+    try:
+        dn = frobenius_sq(diff)
+    except DomainError:
+        raise DomainError("laminate jump |F+ - F-|^2 overflows") from None
     rank1 = abs(det2(diff)) / dn if dn > 0.0 else 0.0
     man = 0.0
     for f in (d.f_plus, d.f_minus):

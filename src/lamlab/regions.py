@@ -143,9 +143,7 @@ def region_map(s: SlipSystem, bc_range: float, n: int, tol: float = DEFAULT_TOL)
     axis = -bc_range + (np.arange(n) + 0.5) * step
     b, c = np.tile(axis, n), np.repeat(axis, n)
     with np.errstate(invalid="ignore", over="ignore"):
-        big, small = bc_diagonal(b, c)
-        upper_left = b >= 0.0
-        f00, f11 = np.where(upper_left, big, small), np.where(upper_left, small, big)
+        f00, f11 = bc_diagonal(b, c)
         st = slip_state(f00, c, c, f11, s)
         code, boundary = classify_arrays(st, tol)
     whom, lower, upper = w_hom_arrays(st, s, tol)

@@ -28,12 +28,17 @@ for theta in 0.7853981633974483 0.9424777960769379; do
     run "verify-envelope-$theta" --theta "$theta" --range 3 --n 61 --n-dirs 720 verify-envelope \
         --out "$out/verify-envelope-$theta.csv"
 done
+# theta = 0.45 pi: oracle values on Bounds cells
+run verify-envelope-1.413716694115407 --theta 1.413716694115407 --n 21 verify-envelope \
+    --out "$out/verify-envelope-1.413716694115407.csv"
+# the (b, c) diagonal at large |b|
+run regionmap-range1e6 --range 1e6 --n 21 regionmap --out "$out/regionmap-range1e6.csv"
 for theta in 0.7853981633974483 0.9424777960769379 1.0995574287564276 1.413716694115407; do
     i=0
     for point in "--bc=0,0" "--bc=0.5,0.3" "--bc=-1.2,0.7" "--bc=2,-1.5" "--bc=-0.3,-2.4" \
                  "--bc=1e3,0.1" "--bc=-2.9508196721311477,-2.557377049180328" \
                  "--matrix=2,0,0,0.5" "--matrix=1,0.8,0,1" "--matrix=1,0,0,2" \
-                 "--matrix=1e160,0,0,1e-160"; do
+                 "--matrix=1e160,0,0,1e-160" "--bc=1e5,0.3"; do
         i=$((i + 1))
         run "classify-$theta-$i" --theta "$theta" classify "$point"
         run "laminate-$theta-$i" --theta "$theta" laminate "$point"

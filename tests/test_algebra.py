@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from lamlab.algebra import (RankOneLine, bc_to_matrix, det2, frobenius_sq,
                             identity_f1, identity_f2, perp, random_det1,
                             rotation, solve_unit_image_times)
-from lamlab.errors import DegenerateFrame
+from lamlab.errors import DegenerateFrame, DomainError
 
 
 def vec(x, y):
@@ -56,6 +57,14 @@ def test_identity_f2():
         assert abs(val - frobenius_sq(f)) <= 1e-10 * max(1.0, frobenius_sq(f))
     with pytest.raises(DegenerateFrame):
         identity_f2(np.eye(2), vec(1, 0), vec(-1, 0))
+
+
+def test_frobenius_sq_is_correctly_rounded():
+    # x ** 2 rounds this square up on some C libraries; x * x is correctly rounded
+    x = 2.2495245843880927
+    assert frobenius_sq(np.array([[0.0, x], [0.0, 0.0]])) == float(Fraction(x) ** 2)
+    with pytest.raises(DomainError):
+        frobenius_sq(np.array([[1e154, 0.0], [1e154, 1e-154]]))
 
 
 def test_rank_one_line_preserves_determinant():

@@ -149,7 +149,8 @@ def test_non_finite_input_is_usage_error(tmp_path, capsys):
                  [*sweep, "--hlam", "inf"],
                  [*hplot, "--zmax", "nan"],
                  [*hplot, "--zmax", "inf"],
-                 [*hplot, "--zmax", "-1"]):
+                 [*hplot, "--zmax", "-1"],
+                 [*hplot, "--zmax", "1e200"]):
         assert main(argv) == 2, argv
     assert capsys.readouterr().out == ""
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from decimal import Decimal, localcontext
 
@@ -7,10 +8,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from lamlab.algebra import bc_to_matrix, perp, random_det1, rotation
-from lamlab.energy import DEFAULT_TOL, SlipSystem, f_majorant, h, h_perp, matrix_state, w_hom
+from lamlab.energy import (DEFAULT_TOL, SlipSystem, f_majorant, h, h_perp, matrix_state,
+                           w_condensed, w_hom)
 from lamlab.envelope_oracle import (_direction_energy, envelope_scan,
                                     wlc_numeric)
 from lamlab.errors import OffManifold, PreconditionError
+from lamlab.laminate import decompose, verify_decomposition
 
 ORTHO = SlipSystem.orthogonal(v1=(1.0, 0.0))
 ANGLES = (math.pi / 4, 0.3 * math.pi, 0.35 * math.pi, 0.45 * math.pi)
@@ -286,16 +289,44 @@ def test_kernel_matches_all_pairs_reference_property(theta, b, c, angle, phi):
 @pytest.mark.parametrize("theta", (0.3 * math.pi, 0.45 * math.pi))
 def test_on_manifold_targets_are_their_own_laminate(theta):
     # every laminate candidate is >= max(|F|^2 - 2, 0), so the single-point
-    # candidate wins on the manifold, also where |F|^2 - 2 rounds below 0
+    # candidate wins on the manifold, also where |F|^2 - 2 rounds below 0; the
+    # laminate is decompose's and the value w_condensed's, to the last bit
     s = SlipSystem.from_theta(theta, 0.5)
     rng = np.random.default_rng(45)
     phis = np.arange(180) * (math.pi / 180)
+    # at 0.3 pi, x ** 2 in place of x * x rounds |F|^2 - 2 of the rotation-5.9
+    # target to 0.25 instead of 0.25000000000000044
+    targets = [rotation(angle) @ (np.eye(2) + 0.5 * np.outer(s.v2, perp(s.v2)))
+               for angle in (0.59, 5.9)]
     for v in (s.v1, s.v2):
         for gamma in (0.0, 1e-12, -1e-12, 1e-9, 1e-6, -1e-3, 0.1, 0.5, -1.0, 2.0):
-            for _ in range(5):
-                f = rotation(rng.uniform(0.0, 2.0 * math.pi)) @ (
-                    np.eye(2) + gamma * np.outer(v, perp(v)))
-                res = wlc_numeric(f, s, n_dirs=180)
-                assert res.best is not None and res.best.kind == "CaseOnManifold"
-                assert res.value.value >= 0.0 and res.best.energy >= 0.0
-                assert _direction_energy(f[None], np.cos(phis), np.sin(phis), s).min() >= 0.0
+            targets += [rotation(rng.uniform(0.0, 2.0 * math.pi)) @ (
+                np.eye(2) + gamma * np.outer(v, perp(v))) for _ in range(5)]
+    for f in targets:
+        res = wlc_numeric(f, s, n_dirs=180)
+        assert res.best is not None and res.best.kind == "CaseOnManifold"
+        assert res.value.value >= 0.0 and res.best.energy >= 0.0
+        assert _direction_energy(f[None], np.cos(phis), np.sin(phis), s).min() >= 0.0
+        dec = decompose(f, s)
+        for field in dataclasses.fields(dec):
+            np.testing.assert_array_equal(getattr(res.best, field.name),
+                                          getattr(dec, field.name), err_msg=field.name)
+        assert res.best.energy == res.value.value == w_condensed(f, s).value
+
+
+@pytest.mark.parametrize("theta", ANGLES)
+def test_upper_bound_laminates_meet_criterion_03(theta):
+    # the oracle's laminate off the manifold, within the criterion-03 bounds
+    s = SlipSystem.from_theta(theta, 0.5)
+    rng = np.random.default_rng(46)
+    for spread in (2.0, 30.0):
+        for _ in range(20):
+            f = random_det1(rng, spread=spread)
+            res = wlc_numeric(f, s)
+            if res.best.kind == "CaseOnManifold":
+                continue
+            assert res.best.kind == "UpperBoundOnly"
+            rep = verify_decomposition(res.best, f, s)
+            assert rep.convex_combination <= 1e-10 and rep.rank_one <= 1e-10
+            assert rep.manifold <= 1e-9
+            assert rep.energy_equality <= 1e-8 * max(1.0, res.value.as_float())
