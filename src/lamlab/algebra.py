@@ -111,12 +111,16 @@ class RankOneLine:
     normal: Vec
 
     def __post_init__(self):
-        scale = max(1.0, float(np.linalg.norm(self.left)) * float(np.linalg.norm(self.normal)))
-        if abs(float(self.left @ self.normal)) > EPS * scale:
+        (a0, a1), (n0, n1) = self.left.tolist(), self.normal.tolist()
+        scale = max(1.0, math.hypot(a0, a1) * math.hypot(n0, n1))
+        if abs(a0 * n0 + a1 * n1) > EPS * scale:
             raise ValueError("det-preserving line requires a.n = 0")
 
     def point(self, t: float) -> Mat:
-        return self.base @ (np.eye(2) + t * np.outer(self.left, self.normal))
+        # the bits of np.eye(2) + t * np.outer(a, n): 0.0 + x turns -0.0 into 0.0
+        (a0, a1), (n0, n1) = self.left.tolist(), self.normal.tolist()
+        return self.base @ np.array([[1.0 + t * (a0 * n0), 0.0 + t * (a0 * n1)],
+                                     [0.0 + t * (a1 * n0), 1.0 + t * (a1 * n1)]])
 
 
 def solve_unit_image_times(line: RankOneLine, v: Vec):
@@ -128,37 +132,43 @@ def solve_unit_image_times(line: RankOneLine, v: Vec):
     cancellation of the expanded coefficients at large |F|.  Returns an
     empty list when no real root exists or when n.v = 0 (F(t) v does not
     move).  Each root gets one Newton step on the vector residual.  Raises
-    DomainError when the coefficients |Fa|^2 or Fa.Fv overflow.
+    DomainError when the coefficients |Fa|^2 or Fa.Fv overflow.  The
+    arithmetic is on Python floats, as in `slip_state`.
     """
-    f, a, n = line.base, line.left, line.normal
-    fa, fv = f @ a, f @ v
-    nv = float(n @ v)
-    if abs(nv) <= EPS * math.hypot(n[0], n[1]) * math.hypot(v[0], v[1]):
+    (f00, f01), (f10, f11) = line.base.tolist()
+    a0, a1 = line.left.tolist()
+    n0, n1 = line.normal.tolist()
+    v0, v1 = v.tolist()
+    fa0, fa1 = f00 * a0 + f01 * a1, f10 * a0 + f11 * a1
+    fv0, fv1 = f00 * v0 + f01 * v1, f10 * v0 + f11 * v1
+    nv = n0 * v0 + n1 * v1
+    if abs(nv) <= EPS * math.hypot(n0, n1) * math.hypot(v0, v1):
         return []
     # Python floats overflow to inf without a warning; the factor 2 covers
     # the rounding of the dot products against the product of the norms
-    norm_fa = math.hypot(fa[0], fa[1])
-    if 2.0 * norm_fa * max(norm_fa, math.hypot(fv[0], fv[1])) == math.inf:
+    norm_fa = math.hypot(fa0, fa1)
+    if 2.0 * norm_fa * max(norm_fa, math.hypot(fv0, fv1)) == math.inf:
         raise DomainError("rank-one root solve overflows")
-    faa = float(fa @ fa)
-    fafv = float(fa @ fv)
-    cross = det2(f) * float(perp(a) @ v)
+    faa = fa0 * fa0 + fa1 * fa1
+    fafv = fa0 * fv0 + fa1 * fv1
+    cross = (f00 * f11 - f01 * f10) * (a0 * v1 - a1 * v0)
     disc = faa - cross * cross
-    tol = EPS * max(1.0, frobenius_sq(f))
+    tol = EPS * max(1.0, frobenius_sq(line.base))
     if disc < -tol:
         return []
     if disc <= tol:
         roots = [-fafv / (nv * faa)]
     else:
         q = -(fafv + math.copysign(math.sqrt(disc), fafv))
-        c0 = float(fv @ fv) - 1.0
+        c0 = fv0 * fv0 + fv1 * fv1 - 1.0
         roots = sorted((q / (nv * faa), c0 / (nv * q)))
     polished = []
     for t in roots:
-        w = fv + (t * nv) * fa
-        dg = 2.0 * nv * float(fa @ w)
+        s = t * nv
+        w0, w1 = fv0 + s * fa0, fv1 + s * fa1
+        dg = 2.0 * nv * (fa0 * w0 + fa1 * w1)
         if dg != 0.0:
-            t -= (float(w @ w) - 1.0) / dg
+            t -= (w0 * w0 + w1 * w1 - 1.0) / dg
         polished.append(t)
     return polished
 

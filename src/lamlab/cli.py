@@ -8,6 +8,7 @@ along -e2 and (v1, v2) is right-handed with mutual angle 2*theta.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -158,11 +159,21 @@ def _energy_json(record) -> dict:
     return {"bounds": {"lower": record.lower, "upper": record.upper}}
 
 
+def _format_column(col: np.ndarray) -> list:
+    """fmt of every entry of a float array, nan as an empty field: one %
+    over the whole column, then the non-finite fields mended."""
+    text = ("%.17g\n" * len(col)) % tuple(col.tolist())
+    fields = text.split("\n")[:-1]
+    if "n" in text:  # only nan, inf and -inf spell an n
+        fields = ["" if x == "nan" else "inf" if x == "-inf" else x for x in fields]
+    return fields
+
+
 def _write_csv(path: str, columns: dict) -> None:
     """A CSV with one column per entry: a float array (fmt; nan writes an
     empty field) or a list of strings."""
-    fields = [["" if x != x else fmt(x) for x in col.tolist()] if isinstance(col, np.ndarray)
-              else col for col in columns.values()]
+    fields = [_format_column(col) if isinstance(col, np.ndarray) else col
+              for col in columns.values()]
     lines = [",".join(columns)] + [",".join(row) for row in zip(*fields)]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -271,7 +282,9 @@ def cmd_whomgamma(args, cfg: Settings) -> int:
 # parser
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parse_args leaves it as it was."""
     parser = argparse.ArgumentParser(
         prog="lamlab",
         description="Relaxation envelopes, optimal laminates and layered "

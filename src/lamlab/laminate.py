@@ -180,6 +180,11 @@ class DecompositionReport:
                    self.energy_equality, self.preserved_vector)
 
 
+def _norm(x: Vec) -> float:
+    """Euclidean norm of a float vector, as np.linalg.norm forms it."""
+    return math.sqrt(float(x.dot(x)))
+
+
 def verify_decomposition(d: LaminateDecomposition, n: Mat, s: SlipSystem) -> DecompositionReport:
     """Residuals of the defining identities of a laminate decomposition.
 
@@ -196,8 +201,7 @@ def verify_decomposition(d: LaminateDecomposition, n: Mat, s: SlipSystem) -> Dec
     rank1 = abs(det2(diff)) / dn if dn > 0.0 else 0.0
     man = 0.0
     for f in (d.f_plus, d.f_minus):
-        dev = min(abs(float(np.linalg.norm(f @ s.v1)) - 1.0),
-                  abs(float(np.linalg.norm(f @ s.v2)) - 1.0))
+        dev = min(abs(_norm(f @ s.v1) - 1.0), abs(_norm(f @ s.v2) - 1.0))
         man = max(man, dev)
     wp, wm = _w_manifold(d.f_plus), _w_manifold(d.f_minus)
     if d.kind == "UpperBoundOnly":
@@ -205,11 +209,11 @@ def verify_decomposition(d: LaminateDecomposition, n: Mat, s: SlipSystem) -> Dec
     else:
         energy_res = max(abs(wp - d.energy), abs(wm - d.energy))
     a = np.asarray(d.direction[0], dtype=float)
-    norm_a = float(np.linalg.norm(a))
+    norm_a = _norm(a)
     pres = 0.0
     if norm_a > 0.0:
         a_hat = a / norm_a
         for f in (d.f_plus, d.f_minus):
-            pres = max(pres, float(np.linalg.norm((f - n) @ a_hat)) / scale)
+            pres = max(pres, _norm((f - n) @ a_hat) / scale)
     return DecompositionReport(convex_combination=conv, rank_one=rank1, manifold=man,
                                energy_equality=energy_res, preserved_vector=pres)

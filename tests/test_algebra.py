@@ -4,10 +4,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from lamlab.algebra import (RankOneLine, bc_to_matrix, det2, frobenius_sq,
+from lamlab.algebra import (EPS, RankOneLine, bc_to_matrix, det2, frobenius_sq,
                             identity_f1, identity_f2, perp, random_det1,
                             rotation, solve_unit_image_times)
+from lamlab.energy import SlipSystem
 from lamlab.errors import DegenerateFrame, DomainError
+from lamlab.laminate import decompose, verify_decomposition
 
 
 def vec(x, y):
@@ -106,6 +108,105 @@ def test_solve_unit_image_times_root_accuracy():
         for t in solve_unit_image_times(line, v):
             assert abs(np.linalg.norm(line.point(t) @ v) - 1.0) <= 1e-10 * max(
                 1.0, frobenius_sq(line.point(t)))
+
+
+def reference_solve(line, v):
+    """The NumPy-form root solve: the same steps as solve_unit_image_times,
+    with every product and dot product a NumPy `@`."""
+    f, a, n = line.base, line.left, line.normal
+    fa, fv = f @ a, f @ v
+    nv = float(n @ v)
+    if abs(nv) <= EPS * math.hypot(n[0], n[1]) * math.hypot(v[0], v[1]):
+        return []
+    faa = float(fa @ fa)
+    fafv = float(fa @ fv)
+    cross = det2(f) * float(perp(a) @ v)
+    disc = faa - cross * cross
+    tol = EPS * max(1.0, frobenius_sq(f))
+    if disc < -tol:
+        return []
+    if disc <= tol:
+        roots = [-fafv / (nv * faa)]
+    else:
+        q = -(fafv + math.copysign(math.sqrt(disc), fafv))
+        roots = sorted((q / (nv * faa), (float(fv @ fv) - 1.0) / (nv * q)))
+    polished = []
+    for t in roots:
+        w = fv + (t * nv) * fa
+        dg = 2.0 * nv * float(fa @ w)
+        if dg != 0.0:
+            t -= (float(w @ w) - 1.0) / dg
+        polished.append(t)
+    return polished
+
+
+def exact_unit_residual(line, v, t):
+    """|F(t) v|^2 - 1 in exact rational arithmetic on the float inputs."""
+    (f00, f01), (f10, f11) = [[Fraction(x) for x in row] for row in line.base.tolist()]
+    a0, a1 = map(Fraction, line.left.tolist())
+    n0, n1 = map(Fraction, line.normal.tolist())
+    v0, v1 = map(Fraction, v.tolist())
+    s = Fraction(t) * (n0 * v0 + n1 * v1)
+    x0, x1 = v0 + s * a0, v1 + s * a1
+    w0, w1 = f00 * x0 + f01 * x1, f10 * x0 + f11 * x1
+    return w0 * w0 + w1 * w1 - 1
+
+
+def seeded_lines(seed, count):
+    """(line, slip vector) pairs: `count` targets per angle and spread, each on
+    the v3 / v3_perp lines, the two bisector lines and a random det-preserving
+    direction, against both slip vectors."""
+    rng = np.random.default_rng(seed)
+    for theta in (0.25, 0.3, 0.35, 0.45):
+        s = SlipSystem.from_theta(theta * math.pi, 0.5)
+        for spread in (1.0, 30.0, 1e3):
+            for _ in range(count):
+                f = random_det1(rng, spread)
+                m = random_unit(rng)
+                for a, n in ((s.v3, s.v3_perp), (s.v3_perp, s.v3), (s.v1 + s.v2, s.v1 - s.v2),
+                             (s.v1 - s.v2, s.v1 + s.v2), (m, perp(m))):
+                    for v in (s.v1, s.v2):
+                        yield RankOneLine(f, a, n), v
+
+
+def test_float_solve_matches_numpy_form_and_is_exact_to_rounding():
+    roots_seen = 0
+    for line, v in seeded_lines(15, 60):
+        roots, ref = solve_unit_image_times(line, v), reference_solve(line, v)
+        assert len(roots) == len(ref)
+        scale = max(1.0, frobenius_sq(line.base))
+        for t, t_ref in zip(roots, ref):
+            assert abs(t - t_ref) <= 64 * math.ulp(max(1.0, abs(t_ref))) * scale
+            assert abs(exact_unit_residual(line, v, t)) <= 256 * np.finfo(float).eps * scale
+            roots_seen += 1
+    assert roots_seen > 10_000
+
+
+def test_point_and_verify_norms_keep_the_numpy_bits():
+    rng = np.random.default_rng(16)
+    lines = [(RankOneLine(np.array([[2.0, -0.0], [-0.0, 0.5]]), vec(0.0, -1.0), vec(1.0, 0.0)),
+              -0.5)]  # t * (a0 * n1) is -0.0; a BLAS that keeps signed zeros passes it on
+    for k in range(2000):
+        base = rng.normal(size=(2, 2)) * 10.0 ** rng.uniform(-3, 3)
+        a = vec(0.0, -1.0) if k % 4 == 0 else random_unit(rng) * rng.uniform(0.1, 3.0)
+        lines.append((RankOneLine(base, a, perp(a) * rng.uniform(0.1, 3.0)),
+                      float(rng.normal() * 10.0 ** rng.uniform(-3, 3))))
+    for line, t in lines:
+        old = line.base @ (np.eye(2) + t * np.outer(line.left, line.normal))
+        assert line.point(t).tobytes() == old.tobytes()
+    for theta in (0.25, 0.3, 0.45):
+        s = SlipSystem.from_theta(theta * math.pi, 0.5)
+        for _ in range(100):
+            n = random_det1(rng, 3.0)
+            d = decompose(n, s)
+            rep = verify_decomposition(d, n, s)
+            man = max(min(abs(float(np.linalg.norm(f @ s.v1)) - 1.0),
+                          abs(float(np.linalg.norm(f @ s.v2)) - 1.0))
+                      for f in (d.f_plus, d.f_minus))
+            a = d.direction[0] / float(np.linalg.norm(d.direction[0]))
+            pres = max(float(np.linalg.norm((f - n) @ a)) for f in (d.f_plus, d.f_minus))
+            assert rep.manifold == man
+            assert rep.preserved_vector == pres / max(1.0, math.sqrt(frobenius_sq(n)))
 
 
 def test_bc_to_matrix():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from lamlab.algebra import bc_to_matrix
-from lamlab.cli import fmt, main
+from lamlab.cli import _write_csv, build_parser, fmt, main
 from lamlab.energy import SlipSystem, slip_state, w_hom, w_hom_arrays
 from lamlab.errors import BranchDisagreement, DomainError
 from lamlab.regions import region_map
@@ -25,11 +25,45 @@ def run(capsys, argv):
     return code, capsys.readouterr().out
 
 
-def test_fmt():
+def test_fmt(tmp_path):
     assert fmt(None) == ""
     assert fmt(math.inf) == "inf"
     assert fmt(1.0) == "1"
     assert fmt(1 / 3) == "0.33333333333333331"
+    assert fmt(-math.inf) == "inf"
+    assert fmt(-0.0) == "-0"
+    assert fmt(5e-324) == "4.9406564584124654e-324"
+    # a CSV column is fmt of each entry: nan is an empty field, both infinities
+    # read inf, -0.0 and subnormals keep their digits
+    values = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -2.225073858507201e-308,
+              1 / 3, -1e300, 7.0]
+    path = tmp_path / "columns.csv"
+    _write_csv(str(path), {"x": np.array(values), "tag": [str(k) for k in range(len(values))],
+                           "none": np.array([math.nan] * len(values))})
+    rows = ["x,tag,none"] + ["%s,%d," % ("" if x != x else fmt(x), k) for k, x in enumerate(values)]
+    assert path.read_text() == "\n".join(rows) + "\n"
+    _write_csv(str(path), {"x": np.array([]), "y": np.array([])})
+    assert path.read_text() == "x,y\n"
+
+
+def test_parser_built_once_survives_usage_errors(capsys, tmp_path):
+    calls = [["classify", "--bc", "0.5,0.3"],
+             ["--theta", "0.9424777960769379", "laminate", "--bc=-1.2,0.7"],
+             ["--n", "5", "regionmap", "--out", str(tmp_path / "map.csv")]]
+
+    def run_all():
+        return [run(capsys, argv) for argv in calls] + [(tmp_path / "map.csv").read_bytes()]
+
+    build_parser.cache_clear()
+    fresh = run_all()
+    assert build_parser() is build_parser()
+    for argv in (["classify", "--no-such-flag"], ["regionmap"], ["no-such-command"]):
+        with pytest.raises(SystemExit) as exited:
+            main(argv)
+        assert exited.value.code == 2
+    assert main(["--tol", "0", "classify", "--bc=0,0"]) == 2
+    capsys.readouterr()
+    assert run_all() == fresh
 
 
 def test_classify_bc_origin(capsys):
