@@ -10,17 +10,21 @@ The determinant stays 1 along each line, so the chord identity of
 `_direction_energy` makes the nearest root on each side of t = 0 the best
 two-point laminate on it; no other pair of roots is formed.
 
-One NumPy kernel evaluates a stack of matrices against their directions; the
-grid scan feeds it every certified cell at once (the coarse scan in chunks of
-fixed size, the refinement in lock-step) and `wlc_numeric` is its
-single-matrix caller.
+One NumPy kernel evaluates a stack of matrices against their directions, in
+three parts: the per-matrix factors (`_prepare`), the per-direction factors
+(`_directions`) and the per-pair core (`_core`), which writes into buffers
+its caller owns (`_Workspace`).  The grid scan prepares every certified cell
+and the row of coarse directions once, runs the coarse scan in chunks of
+fixed size through one reused workspace and the refinement in lock-step on
+the same prepared cells; `_direction_energy` composes the three parts for a
+single call, and `wlc_numeric` is the single-matrix caller.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -38,15 +42,15 @@ _REFINE_WIDTH = 1e-8
 
 # Cell x direction elements per coarse-scan chunk (16 cells at 720 directions),
 # so that --n-dirs cannot grow the working set.  Oracle time for the 3721 cells
-# of a 61^2 grid at 720 directions (fastest of four interleaved sets of 8 runs,
-# which spread by up to 35 %; 2-vCPU Xeon VM, NumPy 2.4.6), and peak RSS of the
-# process:
-#   cells per chunk  2     4     8     16    24    32    64    256   3721
-#   pi/4 oracle s    0.35  0.23  0.16  0.14  0.13  0.14  0.13  0.15  0.32
-#   0.3 pi oracle s  0.35  0.22  0.16  0.15  0.13  0.14  0.13  0.15  0.26
-#   peak RSS MB      31    31    31    32    33    33    36    52    276
-# 24 to 64 cells ran up to 19 % faster than 16 within a set, less than the
-# spread between sets; 16 keeps the smaller working set.
+# of a 61^2 grid at 720 directions (fastest of six interleaved sets of 8 runs,
+# whose medians lie up to 41 % above it; 2-vCPU Xeon VM, NumPy 2.4.6), and peak
+# RSS of the process:
+#   cells per chunk  8      16     32     64     128    256
+#   pi/4 oracle s    0.139  0.131  0.122  0.129  0.136  0.180
+#   0.3 pi oracle s  0.177  0.149  0.157  0.144  0.157  0.185
+#   peak RSS MB      31.4   32.1   33.1   34.9   39.5   48.0
+# 16 to 128 cells lie within 12 % of each other, less than the spread between
+# sets, and no size wins at both angles; 16 keeps the smaller working set.
 _CHUNK_ELEMENTS = 16 * 720
 
 
@@ -62,10 +66,133 @@ def _cross(cos, sin, v0: float, v1: float):
     return (sin - sign * v1) * v0 - (cos - sign * v0) * v1
 
 
-def _nearest(neg, pos, t):
+class _Slip(NamedTuple):
+    fv0: np.ndarray  # F v, as [N, 1] columns
+    fv1: np.ndarray
+    c0: np.ndarray   # |F v|^2 - 1
+    low: np.ndarray  # |F v| <= 1 as a flat mask: the rows where the far root counts
+
+
+class _Cells(NamedTuple):
+    """What the kernel needs of each matrix, as [N, 1] columns."""
+
+    f00: np.ndarray
+    f01: np.ndarray
+    f10: np.ndarray
+    f11: np.ndarray
+    w0: np.ndarray    # |F|^2 - 2
+    det2: np.ndarray  # det(F)^2
+    eps: np.ndarray   # the far-root threshold _ROOT_EPS max(1, |F|^2)
+    slips: tuple      # one _Slip per slip vector v1, v2
+
+    def rows(self, start: int, stop: int) -> "_Cells":
+        part = slice(start, stop)
+        *columns, slips = self
+        return _Cells(*(x[part] for x in columns),
+                      tuple(_Slip(*(x[part] for x in v)) for v in slips))
+
+
+def _prepare(fs: np.ndarray, s: SlipSystem) -> _Cells:
+    f00, f01, f10, f11 = (fs[:, i, j, None] for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)))
+    fro = f00 * f00 + f01 * f01 + f10 * f10 + f11 * f11
+    det = f00 * f11 - f01 * f10
+    slips = []
+    for v0, v1 in (s.v1, s.v2):
+        fv0, fv1 = f00 * v0 + f01 * v1, f10 * v0 + f11 * v1
+        c0 = fv0 * fv0 + fv1 * fv1 - 1.0
+        slips.append(_Slip(fv0, fv1, c0, c0[:, 0] <= 0.0))
+    return _Cells(f00, f01, f10, f11, fro - 2.0, det * det,
+                  _ROOT_EPS * np.maximum(1.0, fro), tuple(slips))
+
+
+class _Directions(NamedTuple):
+    """The directions m = (cos, sin): a [1, K] row shared by every matrix or
+    an [N, 1] column, one per matrix."""
+
+    cos: np.ndarray
+    sin: np.ndarray
+    vm: tuple   # per slip vector v: v x m = -(m_perp . v), nan where F(t) v does not move
+    vm2: tuple  # per slip vector: vm * vm
+
+
+def _directions(cos, sin, s: SlipSystem) -> _Directions:
+    cos, sin = np.atleast_2d(cos, sin)
+    vm = [_cross(cos, sin, v0, v1) for v0, v1 in (s.v1, s.v2)]
+    vm = tuple(np.where(x == 0.0, np.nan, x) for x in vm)
+    return _Directions(cos, sin, vm, tuple(x * x for x in vm))
+
+
+class _Workspace(NamedTuple):
+    """Buffers of the kernel for an [n, K] block, owned by the caller and
+    overwritten by each `_core` call.  `energy` and `ok` (a pair more than
+    1e-15 apart), `neg` and `pos` hold its result."""
+
+    fm0: np.ndarray
+    fm1: np.ndarray
+    am2: np.ndarray
+    p: np.ndarray
+    w: np.ndarray
+    near: np.ndarray
+    neg: np.ndarray
+    pos: np.ndarray
+    tmp: np.ndarray
+    energy: np.ndarray
+    ok: np.ndarray
+
+    @staticmethod
+    def of(shape) -> "_Workspace":
+        shape = tuple(shape)
+        floats = np.empty((len(_Workspace._fields) - 1,) + shape)
+        return _Workspace(*floats, np.empty(shape, dtype=bool))
+
+    def rows(self, n: int) -> "_Workspace":
+        return _Workspace(*(x[:n] for x in self))
+
+
+def _nearest(neg, pos, t, mask):
     """Fold the roots t into the nearest root on each side of t = 0."""
-    np.fmax(neg, t, out=neg, where=t <= 0.0)
-    np.fmin(pos, t, out=pos, where=t >= 0.0)
+    np.fmax(neg, t, out=neg, where=np.less_equal(t, 0.0, out=mask))
+    np.fmin(pos, t, out=pos, where=np.greater_equal(t, 0.0, out=mask))
+
+
+def _core(c: _Cells, d: _Directions, ws: _Workspace) -> None:
+    """`_direction_energy` of prepared matrices and directions, into `ws`.
+
+    Each line evaluates an expression of the kernel with the operands and in
+    the order of the unbuffered form, only into buffers, so every value keeps
+    its bits.  `ok` serves as a scratch mask until it takes the result.
+    """
+    fm0, fm1, am2, p, w, near, neg, pos, tmp, energy, ok = ws
+    np.add(np.multiply(c.f00, d.cos, out=fm0), np.multiply(c.f01, d.sin, out=tmp), out=fm0)
+    np.add(np.multiply(c.f10, d.cos, out=fm1), np.multiply(c.f11, d.sin, out=tmp), out=fm1)
+    np.add(np.multiply(fm0, fm0, out=am2), np.multiply(fm1, fm1, out=tmp), out=am2)
+    neg.fill(np.nan)
+    pos.fill(np.nan)
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for (fv0, fv1, c0, low), vm, vm2 in zip(c.slips, d.vm, d.vm2):
+            np.add(np.multiply(fm0, fv0, out=p), np.multiply(fm1, fv1, out=tmp), out=p)
+            np.sqrt(np.subtract(am2, np.multiply(c.det2, vm2, out=w), out=w), out=w)
+            np.add(p, np.copysign(w, p, out=w), out=w)
+            np.divide(c0, np.multiply(vm, w, out=near), out=near)
+            if np.equal(w, 0.0, out=ok).any():  # p = disc = 0: a double root at t = 0
+                np.copyto(near, w, where=ok)
+            _nearest(neg, pos, near, ok)
+            # the far root, on the rows with |F v| <= 1; a row of directions
+            # shared by every matrix serves the gathered rows as it is
+            rows = np.flatnonzero(low)
+            if rows.size:
+                vmr, am2r = (vm if len(vm) == 1 else vm[rows]), am2[rows]
+                den = vmr * am2r
+                far = np.where(vmr * den > c.eps[rows], w[rows] / den, np.nan)
+                nr, pr = neg[rows], pos[rows]
+                _nearest(nr, pr, far, np.empty(far.shape, dtype=bool))
+                neg[rows], pos[rows] = nr, pr
+
+        np.greater(np.subtract(pos, neg, out=tmp), 1e-15, out=ok)
+        np.subtract(c.w0, np.multiply(np.multiply(am2, neg, out=tmp), pos, out=tmp), out=tmp)
+        energy.fill(np.inf)
+        np.maximum(tmp, 0.0, out=energy, where=ok)
 
 
 def _direction_energy(fs: np.ndarray, cos, sin, s: SlipSystem, pair: bool = False):
@@ -98,53 +225,22 @@ def _direction_energy(fs: np.ndarray, cos, sin, s: SlipSystem, pair: bool = Fals
     no such pair is more than 1e-15 apart; with `pair` also (neg, pos) as
     (lo, hi), nan where none.
     """
-    f00, f01, f10, f11 = (fs[:, i, j, None] for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)))
-    fro = f00 * f00 + f01 * f01 + f10 * f10 + f11 * f11
-    det = f00 * f11 - f01 * f10
-    eps = _ROOT_EPS * np.maximum(1.0, fro)
-    fm0, fm1 = f00 * cos + f01 * sin, f10 * cos + f11 * sin
-    am2 = fm0 * fm0 + fm1 * fm1
-    neg = np.full(am2.shape, np.nan)
-    pos = np.full(am2.shape, np.nan)
-
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for v0, v1 in (s.v1, s.v2):
-            fv0, fv1 = f00 * v0 + f01 * v1, f10 * v0 + f11 * v1
-            c0 = fv0 * fv0 + fv1 * fv1 - 1.0
-            # vm = v x m = -(m_perp . v), nan where F(t) v does not move
-            vm = _cross(cos, sin, v0, v1)
-            vm = np.where(vm == 0.0, np.nan, vm)
-            p = fm0 * fv0 + fm1 * fv1
-            w = p + np.copysign(np.sqrt(am2 - (det * det) * (vm * vm)), p)
-            near = c0 / (vm * w)
-            sym = w == 0.0  # p = disc = 0: a double root at t = 0
-            if sym.any():
-                near = np.where(sym, w, near)
-            _nearest(neg, pos, near)
-            # the far root, on the rows with |F v| <= 1
-            rows = np.flatnonzero(c0[:, 0] <= 0.0)
-            if rows.size:
-                vmr, am2r = np.broadcast_to(vm, am2.shape)[rows], am2[rows]
-                den = vmr * am2r
-                far = np.where(vmr * den > eps[rows], w[rows] / den, np.nan)
-                nr, pr = neg[rows], pos[rows]
-                _nearest(nr, pr, far)
-                neg[rows], pos[rows] = nr, pr
-
-        ok = pos - neg > 1e-15
-        best = np.where(ok, np.maximum(fro - 2.0 - am2 * neg * pos, 0.0), np.inf)
+    cells, dirs = _prepare(fs, s), _directions(cos, sin, s)
+    ws = _Workspace.of(np.broadcast_shapes(cells.w0.shape, dirs.cos.shape))
+    _core(cells, dirs, ws)
     if pair:
-        return best, np.where(ok, neg, np.nan), np.where(ok, pos, np.nan)
-    return best
+        return ws.energy, np.where(ws.ok, ws.neg, np.nan), np.where(ws.ok, ws.pos, np.nan)
+    return ws.energy
 
 
-def _at(fs: np.ndarray, s: SlipSystem, phi: np.ndarray, pair: bool = False):
-    """The kernel at one direction per matrix."""
-    out = _direction_energy(fs, np.cos(phi)[:, None], np.sin(phi)[:, None], s, pair)
-    return tuple(x[:, 0] for x in out) if pair else out[:, 0]
+def _at(cells: _Cells, s: SlipSystem, phi: np.ndarray, ws: _Workspace) -> np.ndarray:
+    """The kernel at one direction per matrix, in an [N, 1] workspace."""
+    _core(cells, _directions(np.cos(phi)[:, None], np.sin(phi)[:, None], s), ws)
+    return ws.energy[:, 0].copy()
 
 
-def _golden(fs: np.ndarray, s: SlipSystem, center: np.ndarray, half: float) -> np.ndarray:
+def _golden(cells: _Cells, s: SlipSystem, center: np.ndarray, half: float,
+            ws: _Workspace) -> np.ndarray:
     """Golden-section minimization of the per-direction energy, all matrices in lock-step.
 
     Every bracket [center - half, center + half] has the same width, so every
@@ -159,15 +255,38 @@ def _golden(fs: np.ndarray, s: SlipSystem, center: np.ndarray, half: float) -> n
         steps += 1
     c = b - (b - a) / GOLDEN
     d = a + (b - a) / GOLDEN
-    fc, fd = _at(fs, s, c), _at(fs, s, d)
+    fc, fd = _at(cells, s, c, ws), _at(cells, s, d, ws)
     for _ in range(steps):
         left = fc < fd
         a, b = np.where(left, a, c), np.where(left, d, b)
         x = np.where(left, b - (b - a) / GOLDEN, a + (b - a) / GOLDEN)
-        fx = _at(fs, s, x)
+        fx = _at(cells, s, x, ws)
         c, d = np.where(left, x, d), np.where(left, c, x)
         fc, fd = np.where(left, fx, fd), np.where(left, fc, fx)
     return 0.5 * (a + b)
+
+
+def _coarse_scan(cells: _Cells, s: SlipSystem, n_dirs: int):
+    """The best of n_dirs uniformly spaced directions on [0, pi) per matrix,
+    as (energy, phi).
+
+    One direction row serves every chunk of at most _CHUNK_ELEMENTS cell x
+    direction elements, and every chunk runs in the same workspace.
+    """
+    phis = np.arange(n_dirs) * (math.pi / n_dirs)
+    dirs = _directions(np.cos(phis), np.sin(phis), s)
+    n = len(cells.w0)
+    coarse, phi_coarse = np.empty(n), np.empty(n)
+    chunk = max(1, _CHUNK_ELEMENTS // n_dirs)
+    block = _Workspace.of((min(chunk, n), n_dirs))
+    for start in range(0, n, chunk):
+        stop = min(start + chunk, n)
+        ws = block.rows(stop - start)
+        _core(cells.rows(start, stop), dirs, ws)
+        i_best = np.argmin(ws.energy, axis=1)
+        coarse[start:stop] = ws.energy[np.arange(len(i_best)), i_best]
+        phi_coarse[start:stop] = phis[i_best]
+    return coarse, phi_coarse
 
 
 @dataclass(frozen=True)
@@ -186,20 +305,11 @@ def _oracle(fs: np.ndarray, s: SlipSystem, n_dirs: int, tol: float) -> _Batch:
     if np.any(off_manifold(st, tol)):
         raise OffManifold("oracle targets must have unit determinant and a finite |F|^2")
 
-    step = math.pi / n_dirs
-    phis = np.arange(n_dirs) * step
-    cos, sin = np.cos(phis), np.sin(phis)
-    n = len(fs)
-    coarse, phi_coarse = np.empty(n), np.empty(n)
-    chunk = max(1, _CHUNK_ELEMENTS // n_dirs)
-    for start in range(0, n, chunk):
-        energy = _direction_energy(fs[start:start + chunk], cos, sin, s)
-        i_best = np.argmin(energy, axis=1)
-        coarse[start:start + chunk] = energy[np.arange(len(i_best)), i_best]
-        phi_coarse[start:start + chunk] = phis[i_best]
-
-    phi_star = _golden(fs, s, phi_coarse, step)
-    refined = _at(fs, s, phi_star)
+    cells = _prepare(fs, s)
+    coarse, phi_coarse = _coarse_scan(cells, s, n_dirs)
+    column = _Workspace.of((len(fs), 1))
+    phi_star = _golden(cells, s, phi_coarse, math.pi / n_dirs, column)
+    refined = _at(cells, s, phi_star, column)
     single = w_on_manifold(st, tol)
     return _Batch(value=np.minimum(np.minimum(coarse, refined), single), single=single,
                   phi_best=np.where(refined <= coarse, phi_star, phi_coarse))
@@ -229,7 +339,8 @@ def wlc_numeric(f: Mat, s: SlipSystem, n_dirs: int = 720,
         best_dec = decompose(f, s, tol)
     else:
         phi = float(batch.phi_best[0])
-        energy, lo, hi = (float(x[0]) for x in _at(fs, s, batch.phi_best, pair=True))
+        energy, lo, hi = (float(x[0, 0]) for x in _direction_energy(
+            fs, np.cos(batch.phi_best)[:, None], np.sin(batch.phi_best)[:, None], s, pair=True))
         if math.isfinite(energy):
             m = np.array([math.cos(phi), math.sin(phi)])
             line = RankOneLine(f, m, perp(m))

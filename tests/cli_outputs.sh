@@ -31,6 +31,13 @@ done
 # theta = 0.45 pi: oracle values on Bounds cells
 run verify-envelope-1.413716694115407 --theta 1.413716694115407 --n 21 verify-envelope \
     --out "$out/verify-envelope-1.413716694115407.csv"
+# coarse-scan chunk edges: 1001 directions put 11 cells in a chunk, 12000 one
+for theta in 0.7853981633974483 1.413716694115407; do
+    for dirs in 1001 12000; do
+        run "verify-envelope-$theta-dirs$dirs" --theta "$theta" --n 9 --n-dirs "$dirs" verify-envelope \
+            --out "$out/verify-envelope-$theta-dirs$dirs.csv"
+    done
+done
 # the (b, c) diagonal at large |b|
 run regionmap-range1e6 --range 1e6 --n 21 regionmap --out "$out/regionmap-range1e6.csv"
 for theta in 0.7853981633974483 0.9424777960769379 1.0995574287564276 1.413716694115407; do

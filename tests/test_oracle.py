@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from lamlab.algebra import bc_to_matrix, perp, random_det1, rotation
 from lamlab.energy import (DEFAULT_TOL, SlipSystem, f_majorant, h, h_perp, matrix_state,
                            w_condensed, w_hom)
-from lamlab.envelope_oracle import (_direction_energy, envelope_scan,
-                                    wlc_numeric)
+from lamlab.envelope_oracle import (_CHUNK_ELEMENTS, _coarse_scan, _direction_energy, _prepare,
+                                    envelope_scan, wlc_numeric)
 from lamlab.errors import OffManifold, PreconditionError
 from lamlab.laminate import decompose, verify_decomposition
 
@@ -256,6 +256,39 @@ def test_scan_matches_per_cell_oracle():
             f = bc_to_matrix(scan.grid.b[k], scan.grid.c[k])
             ref = wlc_numeric(f, s, n_dirs=120).value.as_float()
             assert abs(scan.oracle[k] - ref) <= 1e-12
+
+
+def stretch(v, k):
+    """The det-1 stretch by k along the unit vector v, by 1/k across it: |F v| = k."""
+    return k * np.outer(v, v) + np.outer(perp(v), perp(v)) / k
+
+
+@pytest.mark.parametrize("theta", (math.pi / 4, 0.45 * math.pi))
+@pytest.mark.parametrize("n, n_dirs", [
+    (1, 720),       # one cell
+    (5, 720),       # fewer cells than one chunk holds (16)
+    (37, 720),      # 2 full chunks and a part chunk
+    (37, 8),        # the fewest directions; every cell in one chunk
+    (37, 1001),     # odd n_dirs: 11 cells per chunk, 3 full chunks and a part
+    (3, _CHUNK_ELEMENTS + 480),  # more directions than a chunk holds: one cell each
+])
+def test_coarse_scan_chunks_match_one_kernel_call(theta, n, n_dirs):
+    # the chunked scan in its reused workspace gives, bit for bit, the row
+    # minimum and its direction of one unchunked kernel call
+    s = SlipSystem.from_theta(theta, 0.5)
+    rng = np.random.default_rng(47)
+    # |F v| < 1 on every third matrix: the far-root rows are a strict subset
+    fs = np.array([rotation(rng.uniform(0.0, 2.0 * math.pi)) @ stretch(s.v1 if k % 2 else s.v2, 0.6)
+                   if k % 3 == 1 else random_det1(rng, spread=2.0) for k in range(n)])
+    if n > 1:
+        low = [slip.low for slip in _prepare(fs, s).slips]
+        assert 0 < np.count_nonzero(low[0] | low[1]) < n
+    coarse, phi = _coarse_scan(_prepare(fs, s), s, n_dirs)
+    phis = np.arange(n_dirs) * (math.pi / n_dirs)
+    energy = _direction_energy(fs, np.cos(phis), np.sin(phis), s)
+    i_best = np.argmin(energy, axis=1)
+    assert np.array_equal(coarse.view(np.int64), energy[np.arange(n), i_best].view(np.int64))
+    assert np.array_equal(phi.view(np.int64), phis[i_best].view(np.int64))
 
 
 @pytest.mark.parametrize("theta", ANGLES)
