@@ -17,9 +17,9 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .algebra import bc_to_matrix, det2
-from .energy import (Bounds, Known, SlipSystem, h, h_perp, h_perp_star, h_star,
+from .energy import (DEFAULT_TOL, Bounds, Known, SlipSystem, h, h_perp, h_perp_star, h_star,
                      w_hom, w_hom_scalar)
-from .envelope_oracle import envelope_scan
+from .envelope_oracle import DEFAULT_N_DIRS, envelope_scan
 from .errors import LamlabError
 from .homogenize import run_sweep
 from .laminate import decompose, verify_decomposition
@@ -32,20 +32,10 @@ EXIT_DOMAIN = 3
 DEFAULTS = {
     "slip": {"theta": math.pi / 4},
     "lambda": 0.5,
-    "tolerances": {"manifold": 1e-9},
+    "tolerances": {"manifold": DEFAULT_TOL},
     "grid": {"range": 3.0, "n": 61},
-    "oracle": {"n_dirs": 720},
+    "oracle": {"n_dirs": DEFAULT_N_DIRS},
 }
-
-
-def fmt(x) -> str:
-    """17-significant-digit decimal; empty for None; 'inf' for infinities."""
-    if x is None:
-        return ""
-    x = float(x)
-    if math.isinf(x):
-        return "inf"
-    return "%.17g" % x
 
 
 def _merge(base: dict, override: dict) -> dict:
@@ -160,8 +150,9 @@ def _energy_json(record) -> dict:
 
 
 def _format_column(col: np.ndarray) -> list:
-    """fmt of every entry of a float array, nan as an empty field: one %
-    over the whole column, then the non-finite fields mended."""
+    """Every entry of a float array as a 17-significant-digit decimal, nan
+    as an empty field and both infinities as inf: one % over the whole
+    column, then the non-finite fields mended."""
     text = ("%.17g\n" * len(col)) % tuple(col.tolist())
     fields = text.split("\n")[:-1]
     if "n" in text:  # only nan, inf and -inf spell an n
@@ -170,8 +161,8 @@ def _format_column(col: np.ndarray) -> list:
 
 
 def _write_csv(path: str, columns: dict) -> None:
-    """A CSV with one column per entry: a float array (fmt; nan writes an
-    empty field) or a list of strings."""
+    """A CSV with one column per entry: a float array (`_format_column`) or
+    a list of strings."""
     fields = [_format_column(col) if isinstance(col, np.ndarray) else col
               for col in columns.values()]
     lines = [",".join(columns)] + [",".join(row) for row in zip(*fields)]

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from contextlib import nullcontext
 from dataclasses import dataclass
-from functools import cached_property, total_ordering
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -149,57 +149,56 @@ def off_manifold(st: SlipState, tol: float):
     """|det F - 1| > tol or |F|^2 overflows (float or array).
 
     A nan determinant counts as off; so does an infinite |F|^2, whose
-    tolerance scale max(1, |F|^2) would admit every branch.
+    tolerance scale max(1, |F|^2) would admit every branch.  Every function
+    that takes a membership tolerance calls this before it uses tol, so this
+    is the one place that rejects a tol outside (0, inf), nan included.
     """
+    if not 0.0 < tol < math.inf:
+        raise PreconditionError(f"membership tolerance must be positive and finite, not {tol!r}")
     return where((abs(st.det_off) <= tol) & (st.fro < math.inf), False, True)
 
 
 def w_on_manifold(st: SlipState, tol: float):
     """Condensed density W: max(|F|^2 - 2, 0) on M = M1 u M2 (a slip norm
     within tol of 1), inf off it (float or array)."""
+    off = off_manifold(st, tol)
     far = (abs(st.d1) > tol) & (abs(st.d2) > tol)
-    return where(off_manifold(st, tol) | far, math.inf, _pos(st.fro - 2.0))
+    return where(off | far, math.inf, _pos(st.fro - 2.0))
 
 
 # ---------------------------------------------------------------------------
 # extended-real energies
 
 
-@total_ordering
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class ExtendedEnergy:
-    """Nonnegative energy value or the distinguished value Infinite."""
+    """Nonnegative energy value; inf is the distinguished value Infinite."""
 
     value: float
-    infinite: bool = False
+
+    def __post_init__(self):
+        if not self.value >= 0.0:  # nan fails too
+            raise ValueError(f"energies must be nonnegative, not {self.value}")
 
     @classmethod
     def finite(cls, value: float) -> "ExtendedEnergy":
         if not 0.0 <= value < math.inf:
             raise ValueError(f"finite energies must be finite and nonnegative, not {value}")
-        return cls(value=float(value))
+        return cls(float(value))
 
-    @classmethod
-    def inf(cls) -> "ExtendedEnergy":
-        return cls(value=math.inf, infinite=True)
+    @property
+    def infinite(self) -> bool:
+        return self.value == math.inf
 
     @property
     def is_finite(self) -> bool:
-        return not self.infinite
+        return self.value < math.inf
 
     def as_float(self) -> float:
-        return math.inf if self.infinite else self.value
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ExtendedEnergy):
-            return NotImplemented
-        return self.as_float() == other.as_float()
-
-    def __lt__(self, other) -> bool:
-        return self.as_float() < other.as_float()
+        return self.value
 
 
-INFINITE = ExtendedEnergy.inf()
+INFINITE = ExtendedEnergy(math.inf)
 
 
 # ---------------------------------------------------------------------------
@@ -264,10 +263,7 @@ def h_perp_plus(z, theta: float):
 
 def w_condensed(f: Mat, s: SlipSystem, tol: float = DEFAULT_TOL) -> ExtendedEnergy:
     """Condensed two-slip density: |F|^2 - 2 on M = M1 u M2, Infinite off it."""
-    if tol <= 0.0:
-        raise PreconditionError("membership tolerance must be positive")
-    w = w_on_manifold(matrix_state(f, s), tol)
-    return INFINITE if w == math.inf else ExtendedEnergy.finite(w)
+    return ExtendedEnergy(w_on_manifold(matrix_state(f, s), tol))
 
 
 def f_majorant(f: Mat, s: SlipSystem) -> float:
@@ -300,7 +296,7 @@ def energy_record(whom, lower, upper):
     whom = float(whom)
     if math.isnan(whom):
         return Bounds(lower=float(lower), upper=float(upper))
-    return Known(INFINITE if whom == math.inf else ExtendedEnergy.finite(whom))
+    return Known(ExtendedEnergy(whom))
 
 
 def w_hom(f: Mat, s: SlipSystem, tol: float = DEFAULT_TOL):
@@ -328,8 +324,6 @@ def w_hom_arrays(st: SlipState, s: SlipSystem, tol: float = DEFAULT_TOL):
     names the values of the first entry where they do not.  A Known value
     that overflows raises DomainError.
     """
-    if tol <= 0.0:
-        raise PreconditionError("membership tolerance must be positive")
     # nan and inf entries of a stack are masked below; floats raise no warnings
     arrays = isinstance(st.d1, np.ndarray)
     with np.errstate(invalid="ignore", over="ignore") if arrays else nullcontext():

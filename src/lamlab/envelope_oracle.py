@@ -29,13 +29,15 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .algebra import Mat, RankOneLine, perp
-from .energy import (DEFAULT_TOL, INFINITE, ExtendedEnergy, SlipSystem, off_manifold,
-                     slip_state, w_on_manifold)
+from .energy import (DEFAULT_TOL, ExtendedEnergy, SlipSystem, off_manifold, slip_state,
+                     w_on_manifold)
 from .errors import OffManifold, PreconditionError
 from .laminate import LaminateDecomposition, decompose, laminate_on_line
 from .regions import CODE, RegionMap, region_map
 
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
+
+DEFAULT_N_DIRS = 720
 
 _ROOT_EPS = 1e-13
 _REFINE_WIDTH = 1e-8
@@ -321,7 +323,7 @@ class OracleResult:
     best: Optional[LaminateDecomposition]
 
 
-def wlc_numeric(f: Mat, s: SlipSystem, n_dirs: int = 720,
+def wlc_numeric(f: Mat, s: SlipSystem, n_dirs: int = DEFAULT_N_DIRS,
                 tol: float = DEFAULT_TOL) -> OracleResult:
     """Numeric lamination envelope at a unit-determinant matrix.
 
@@ -346,8 +348,7 @@ def wlc_numeric(f: Mat, s: SlipSystem, n_dirs: int = 720,
             line = RankOneLine(f, m, perp(m))
             best_dec = laminate_on_line(line, (lo, line.point(lo)), (hi, line.point(hi)),
                                         value, "UpperBoundOnly")
-    energy = INFINITE if value == math.inf else ExtendedEnergy.finite(value)
-    return OracleResult(value=energy, best=best_dec)
+    return OracleResult(value=ExtendedEnergy(value), best=best_dec)
 
 
 # ---------------------------------------------------------------------------
@@ -373,7 +374,7 @@ class EnvelopeScan:
     slack_hi: np.ndarray
 
 
-def envelope_scan(s: SlipSystem, bc_range: float, n: int, n_dirs: int = 720,
+def envelope_scan(s: SlipSystem, bc_range: float, n: int, n_dirs: int = DEFAULT_N_DIRS,
                   tol: float = DEFAULT_TOL) -> EnvelopeScan:
     """Certify the closed-form envelope against the oracle on a (b, c) grid.
 

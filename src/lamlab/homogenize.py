@@ -20,6 +20,9 @@ from .laminate import decompose
 
 CELL_ENERGY_TOL = 1e-6
 
+# the most cells per side of a run_sweep grid
+GRID_CAP = 4096
+
 # Distinct rows per step in both passes: the rasterizer's blocks of distinct
 # soft-row heights and the interface count's blocks of distinct (above, row,
 # below) triples.  Fastest and median of 7, one band or three, 2 vCPUs, in ms:
@@ -97,7 +100,6 @@ class GradientField:
     row_of: np.ndarray        # (grid_n,) index into rows of each grid row
     values: list              # label 0 is the rigid gradient R
     counts: np.ndarray        # int64, one cell count per entry of values
-    spec: MicrostructureSpec
 
 
 def build_gradient_field(spec: MicrostructureSpec) -> GradientField:
@@ -163,7 +165,7 @@ def build_gradient_field(spec: MicrostructureSpec) -> GradientField:
         counts[lab_plus + 1] = (i1 - i0) * inverse.size - n_plus
     # the snapped band column ranges are disjoint: every other cell is rigid
     counts[0] = gn * gn - counts[1:].sum()
-    return GradientField(rows=rows, row_of=row_of, values=values, counts=counts, spec=spec)
+    return GradientField(rows=rows, row_of=row_of, values=values, counts=counts)
 
 
 @dataclass(frozen=True)
@@ -245,8 +247,12 @@ def energy_of_field(field: GradientField, spec: MicrostructureSpec) -> EnergyRep
 
 
 def run_sweep(slip: SlipSystem, rotation: Mat, gammas, eps_list, laminate_period: float,
-              domain_side: float = 1.0, cells_per_feature: int = 8, grid_cap: int = 4096):
-    """Energy reports over a layer-period sweep at fixed feature resolution."""
+              cells_per_feature: int = 8):
+    """Energy reports over a layer-period sweep at fixed feature resolution.
+
+    The domain is the unit square; each grid has cells_per_feature cells
+    across the finest feature, at most GRID_CAP per side.
+    """
     # a band whose target is unknown fails here, before any grid is built
     for gamma, _ in gammas:
         _whom_value(shear_from_gamma(gamma, slip.lam, rotation), slip)
@@ -256,10 +262,10 @@ def run_sweep(slip: SlipSystem, rotation: Mat, gammas, eps_list, laminate_period
         finest = min(eps * lam, laminate_period * eps * lam)
         if not finest > 0.0:
             raise PreconditionError("layer period and laminate period must be positive")
-        gn = min(int(math.ceil(cells_per_feature * domain_side / finest)), grid_cap)
+        gn = min(int(math.ceil(cells_per_feature / finest)), GRID_CAP)
         spec = MicrostructureSpec(slip=slip, rotation=rotation, gammas=tuple(gammas),
                                   epsilon=eps, laminate_period=laminate_period,
-                                  domain_side=domain_side, grid_n=gn)
+                                  domain_side=1.0, grid_n=gn)
         reports.append(energy_of_field(build_gradient_field(spec), spec))
     return reports
 

@@ -15,7 +15,7 @@ import numpy as np
 from .algebra import (Mat, RankOneLine, Vec, det2, frobenius_sq, perp,
                       solve_unit_image_times)
 from .energy import DEFAULT_TOL, SlipSystem, matrix_state, off_manifold, w_on_manifold
-from .errors import DegenerateTangency, DomainError, OffManifold, PreconditionError
+from .errors import DegenerateTangency, DomainError, OffManifold
 
 KINDS = ("CaseA", "CaseAPerp", "CaseN1lemN2", "CaseN2", "CaseN1capN2",
          "CaseOnManifold", "UpperBoundOnly")
@@ -124,8 +124,6 @@ def decompose(n: Mat, s: SlipSystem, tol: float = DEFAULT_TOL) -> LaminateDecomp
     least-energy of the single-slip and the two mixed-manifold laminates is
     returned with kind UpperBoundOnly.
     """
-    if tol <= 0.0:
-        raise PreconditionError("membership tolerance must be positive")
     st = matrix_state(n, s)
     if off_manifold(st, tol):
         raise OffManifold("target |F|^2 overflows" if st.fro == math.inf

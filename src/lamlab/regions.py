@@ -66,11 +66,9 @@ def classify_arrays(st: SlipState, tol: float = DEFAULT_TOL):
     tested in the order OffManifold, SO2, M1, M2, A / APerp (by the sign of
     Fv1.Fv2), N1capN2, N1only / N2only.
     """
-    if tol <= 0.0:
-        raise PreconditionError("classification tolerance must be positive")
+    off = off_manifold(st, tol)
     d1, d2, dot = st.d1, st.d2, st.dot
     tol_s = tol * where(st.fro > 1.0, st.fro, 1.0)
-    off = off_manifold(st, tol)
     on1, on2 = abs(d1) <= tol, abs(d2) <= tol
     up1, up2 = d1 > 0, d2 > 0
     # outside the |dot| <= tol_s band dot > 0 and dot >= 0 agree (tol_s > 0)

@@ -81,3 +81,10 @@ run config-theta-regionmap --config "$out/config-theta.json" --n 21 regionmap \
 run usage-tol --tol 0 classify --bc=0,0
 run usage-n --n 0 regionmap --out "$out/usage-n.csv"
 run usage-bc classify --bc=1,2,3
+# the CLI rejects a tolerance outside (0, inf), a direction count below 8 and
+# a nan range before the library sees them
+run usage-tol-nan --tol nan classify --bc=0,0
+run usage-tol-inf --tol inf classify --bc=0,0
+run usage-tol-negative --tol -1 classify --bc=0,0
+run usage-n-dirs --n-dirs 7 verify-envelope --out "$out/usage-n-dirs.csv"
+run usage-range-nan --range nan regionmap --out "$out/usage-range-nan.csv"

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from lamlab.algebra import bc_to_matrix
-from lamlab.cli import _write_csv, build_parser, fmt, main
+from lamlab.cli import _write_csv, build_parser, main
 from lamlab.energy import SlipSystem, slip_state, w_hom, w_hom_arrays
 from lamlab.errors import BranchDisagreement, DomainError
 from lamlab.regions import region_map
@@ -26,22 +26,26 @@ def run(capsys, argv):
 
 
 def test_fmt(tmp_path):
-    assert fmt(None) == ""
-    assert fmt(math.inf) == "inf"
-    assert fmt(1.0) == "1"
-    assert fmt(1 / 3) == "0.33333333333333331"
-    assert fmt(-math.inf) == "inf"
-    assert fmt(-0.0) == "-0"
-    assert fmt(5e-324) == "4.9406564584124654e-324"
-    # a CSV column is fmt of each entry: nan is an empty field, both infinities
-    # read inf, -0.0 and subnormals keep their digits
+    # a CSV float column writes 17 significant digits: nan is an empty field,
+    # both infinities read inf, -0.0 and subnormals keep their digits
     values = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -2.225073858507201e-308,
-              1 / 3, -1e300, 7.0]
+              1 / 3, -1e300, 7.0, 1.0]
     path = tmp_path / "columns.csv"
     _write_csv(str(path), {"x": np.array(values), "tag": [str(k) for k in range(len(values))],
                            "none": np.array([math.nan] * len(values))})
-    rows = ["x,tag,none"] + ["%s,%d," % ("" if x != x else fmt(x), k) for k, x in enumerate(values)]
-    assert path.read_text() == "\n".join(rows) + "\n"
+    assert path.read_bytes() == (
+        b"x,tag,none\n"
+        b",0,\n"
+        b"inf,1,\n"
+        b"inf,2,\n"
+        b"-0,3,\n"
+        b"0,4,\n"
+        b"4.9406564584124654e-324,5,\n"
+        b"-2.2250738585072009e-308,6,\n"
+        b"0.33333333333333331,7,\n"
+        b"-1.0000000000000001e+300,8,\n"
+        b"7,9,\n"
+        b"1,10,\n")
     _write_csv(str(path), {"x": np.array([]), "y": np.array([])})
     assert path.read_text() == "x,y\n"
 

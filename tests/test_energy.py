@@ -7,10 +7,12 @@ from lamlab.algebra import bc_to_matrix, det2, perp, random_det1, rotation
 from lamlab.energy import (DEFAULT_TOL, Bounds, ExtendedEnergy, INFINITE, Known,
                            SlipSystem, chi, f_majorant, h, h_perp, h_perp_plus,
                            h_perp_star, h_plus, h_star, lemma_fad_check,
-                           make_fad_pair, w_condensed, w_hom, w_hom_scalar)
+                           make_fad_pair, slip_state, w_condensed, w_hom, w_hom_arrays,
+                           w_hom_scalar)
+from lamlab.envelope_oracle import envelope_scan, wlc_numeric
 from lamlab.errors import DomainError, PreconditionError
 from lamlab.laminate import decompose
-from lamlab.regions import classify, region_map
+from lamlab.regions import classify, classify_arrays, region_map
 
 ORTHO = SlipSystem.orthogonal(v1=(1.0, 0.0))
 
@@ -99,6 +101,18 @@ class TestExtendedEnergy:
         assert INFINITE.as_float() == math.inf
         with pytest.raises(ValueError):
             ExtendedEnergy.finite(-0.5)
+
+    def test_one_value_decides_infinite(self):
+        assert ExtendedEnergy(math.inf) == INFINITE
+        assert not ExtendedEnergy(math.inf).is_finite and ExtendedEnergy(math.inf).infinite
+        assert ExtendedEnergy(2.0) == ExtendedEnergy.finite(2.0) and ExtendedEnergy(2.0).is_finite
+        assert sorted([INFINITE, ExtendedEnergy(2.0), ExtendedEnergy(0.0)]) == [
+            ExtendedEnergy(0.0), ExtendedEnergy(2.0), INFINITE]
+
+    @pytest.mark.parametrize("value", [math.nan, -1.0, -math.inf])
+    def test_rejects_nan_and_negative_values(self, value):
+        with pytest.raises(ValueError):
+            ExtendedEnergy(value)
 
 
 class TestCondensed:
@@ -325,11 +339,29 @@ class TestFadInequality:
             lemma_fad_check(a, bad_d, 32.0, ORTHO)
 
 
-@pytest.mark.parametrize("fn", [w_hom, decompose, classify, w_condensed],
-                         ids=lambda fn: fn.__name__)
-@pytest.mark.parametrize("tol", [0.0, -1.0])
+STACK = np.stack([np.eye(2), np.diag([2.0, 0.5])])
+
+
+def stack_state(s):
+    return slip_state(STACK[:, 0, 0], STACK[:, 0, 1], STACK[:, 1, 0], STACK[:, 1, 1], s)
+
+
+TOLERANT = [
+    w_hom, decompose, classify, w_condensed,
+    pytest.param(lambda f, s, tol: wlc_numeric(f, s, n_dirs=8, tol=tol), id="wlc_numeric"),
+    pytest.param(lambda f, s, tol: region_map(s, 3.0, 3, tol), id="region_map"),
+    pytest.param(lambda f, s, tol: envelope_scan(s, 3.0, 3, n_dirs=8, tol=tol),
+                 id="envelope_scan"),
+    pytest.param(lambda f, s, tol: classify_arrays(stack_state(s), tol), id="classify_arrays"),
+    pytest.param(lambda f, s, tol: w_hom_arrays(stack_state(s), s, tol), id="w_hom_arrays"),
+]
+
+
+@pytest.mark.parametrize("fn", TOLERANT, ids=lambda fn: fn.__name__)
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
 @pytest.mark.parametrize("s", [ORTHO, SlipSystem.from_theta(0.3 * math.pi, 0.5)],
                          ids=["pi_4", "0.3pi"])
 def test_non_positive_tolerance_is_rejected(fn, tol, s):
+    # off_manifold rejects a tol outside (0, inf) before any entry point uses it
     with pytest.raises(PreconditionError):
         fn(np.diag([2.0, 0.5]), s, tol)
