@@ -317,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("homogenize", help="layer-period energy sweep to CSV")
     p.add_argument("--gamma-bands", required=True,
-                   help="comma list gamma:right_edge, edges ending at the domain side")
+                   help="comma list gamma:right_edge, edges ending at 1")
     p.add_argument("--eps-list", required=True, help="comma list of layer periods")
     p.add_argument("--hlam", default="0.25",
                    help="laminate period as a fraction of eps*lambda")

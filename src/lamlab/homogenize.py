@@ -2,8 +2,8 @@
 
 Builds the layered rigid/soft gradient pattern at layer period epsilon with a
 simple laminate grafted into the soft layers, evaluates its energy on a
-uniform grid, and compares against the homogenized target
-lam * |Omega| * sum_i (t_i - t_{i-1})/l * W_hom(N_i).
+uniform grid over the unit square, and compares against the homogenized
+target lam * sum_i (t_i - t_{i-1}) * W_hom(N_i).
 """
 
 from __future__ import annotations
@@ -19,6 +19,9 @@ from .errors import PreconditionError
 from .laminate import decompose
 
 CELL_ENERGY_TOL = 1e-6
+
+# the side of the square domain: every microstructure fills the unit square
+DOMAIN_SIDE = 1.0
 
 # the most cells per side of a run_sweep grid
 GRID_CAP = 4096
@@ -44,9 +47,9 @@ def shear_from_gamma(gamma: float, lam: float, rotation: Mat) -> Mat:
 
 @dataclass(frozen=True)
 class MicrostructureSpec:
-    """Layered microstructure: bands of constant shear gamma_i over (0, l).
+    """Layered microstructure: bands of constant shear gamma_i over (0, 1).
 
-    gammas lists (gamma_i, t_i) with right band edges 0 < t_1 < ... < t_n = l.
+    gammas lists (gamma_i, t_i) with right band edges 0 < t_1 < ... < t_n = 1.
     laminate_period is the laminate repeat h_lam as a fraction of eps*lam.
     """
 
@@ -55,17 +58,15 @@ class MicrostructureSpec:
     gammas: tuple
     epsilon: float
     laminate_period: float
-    domain_side: float
     grid_n: int
 
     def __post_init__(self):
-        l = self.domain_side
-        if not 0.0 < self.epsilon <= l:
+        if not 0.0 < self.epsilon <= DOMAIN_SIDE:
             raise PreconditionError("layer period must lie in (0, domain side]")
         if not 0.0 < self.laminate_period < math.inf:
             raise PreconditionError("laminate period fraction must be positive and finite")
         edges = [t for _, t in self.gammas]
-        if not edges or abs(edges[-1] - l) > 1e-12 * max(1.0, l):
+        if not edges or abs(edges[-1] - DOMAIN_SIDE) > 1e-12:
             raise PreconditionError("band edges must end at the domain side")
         if any(b <= a for a, b in zip([0.0] + edges[:-1], edges)):
             raise PreconditionError("band edges must be strictly increasing")
@@ -76,7 +77,7 @@ class MicrostructureSpec:
                 f"{np.iinfo(np.int16).max // 2}")
         lam = self.slip.lam
         finest = min(self.epsilon * lam, self.laminate_period * self.epsilon * lam)
-        if self.grid_n < 4.0 * l / finest:
+        if self.grid_n < 4.0 * DOMAIN_SIDE / finest:
             raise PreconditionError(
                 f"grid_n={self.grid_n} resolves the finest feature with fewer than 4 cells")
 
@@ -111,9 +112,9 @@ def build_gradient_field(spec: MicrostructureSpec) -> GradientField:
     per grid row at that height; the band's other soft cells are minus cells
     and label 0 gets the rest.
     """
-    gn, l, eps = spec.grid_n, spec.domain_side, spec.epsilon
+    gn, eps = spec.grid_n, spec.epsilon
     lam = spec.slip.lam
-    xs = (np.arange(gn) + 0.5) * (l / gn)
+    xs = (np.arange(gn) + 0.5) * (DOMAIN_SIDE / gn)
     xe = xs / eps
     soft = xe - np.floor(xe) < lam
     x2_in_strip = xs - np.floor(xs / eps) * eps
@@ -195,8 +196,8 @@ def energy_of_field(field: GradientField, spec: MicrostructureSpec) -> EnergyRep
     (above, row, below) triple is counted once, _ROW_BLOCK triples at a time,
     and weighted by how many grid rows it stands for.
     """
-    gn, l = spec.grid_n, spec.domain_side
-    cell_area = (l / gn) ** 2
+    gn = spec.grid_n
+    cell_area = (DOMAIN_SIDE / gn) ** 2
     counts = field.counts
     e_eps = 0.0
     for label, value in enumerate(field.values):
@@ -225,13 +226,13 @@ def energy_of_field(field: GradientField, spec: MicrostructureSpec) -> EnergyRep
         n_flagged += int(flagged.sum(axis=1, dtype=np.min_scalar_type(gn)) @ n_rows)
     flagged_area = float(n_flagged) * cell_area
 
-    area = l * l
+    area = DOMAIN_SIDE * DOMAIN_SIDE
     lam = spec.slip.lam
     target = 0.0
     n_bar = np.zeros((2, 2))
     left = 0.0
     for n_mat, (_, right) in zip(spec.band_gradients, spec.gammas):
-        frac = (right - left) / l
+        frac = (right - left) / DOMAIN_SIDE
         left = right
         target += lam * area * frac * _whom_value(n_mat, spec.slip)
         n_bar = n_bar + frac * n_mat
@@ -264,8 +265,7 @@ def run_sweep(slip: SlipSystem, rotation: Mat, gammas, eps_list, laminate_period
             raise PreconditionError("layer period and laminate period must be positive")
         gn = min(int(math.ceil(cells_per_feature / finest)), GRID_CAP)
         spec = MicrostructureSpec(slip=slip, rotation=rotation, gammas=tuple(gammas),
-                                  epsilon=eps, laminate_period=laminate_period,
-                                  domain_side=1.0, grid_n=gn)
+                                  epsilon=eps, laminate_period=laminate_period, grid_n=gn)
         reports.append(energy_of_field(build_gradient_field(spec), spec))
     return reports
 

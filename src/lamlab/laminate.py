@@ -28,6 +28,8 @@ class LaminateDecomposition:
     direction is the (a, n) pair of the rank-one line N(I + t a (x) n);
     energy is the common endpoint energy, except kind = UpperBoundOnly where
     it is the mu-weighted combination (no optimality claim).
+    degenerate_tie marks a CaseA / CaseAPerp line on which the two roots of
+    one slip system have equal energies.
     """
 
     f_plus: Mat
@@ -68,61 +70,56 @@ def laminate_on_line(line: RankOneLine, lo, hi, energy: float, kind: str,
     )
 
 
-def _single_slip(n: Mat, v: Vec, kind: str):
-    """Laminate along N(I + t v_perp (x) v) with both endpoints on M_v, or None."""
-    line = RankOneLine(n, perp(v), v)
-    roots = solve_unit_image_times(line, v)
-    if len(roots) != 2 or not roots[0] <= 0.0 <= roots[1]:
-        return None
-    lo, hi = (_end(line, t) for t in roots)
-    return laminate_on_line(line, lo, hi, hi[2], kind)
+def _nearest_pair(line: RankOneLine, s: SlipSystem, kind: str):
+    """Laminate on `line` between the nearest unit-image roots on each side of
+    t = 0, or None when a side has none or the two are at most 1e-15 apart.
 
+    The roots are those of |F(t) v1| = 1 and |F(t) v2| = 1.  The determinant
+    is constant along the line, so |F(t)|^2 - 2 is a quadratic in t and the
+    mu-weighted energy of the roots ta <= 0 <= tb is its chord at t = 0,
+    which falls as ta tb shrinks: the largest root <= 0 and the smallest
+    root >= 0 are the best pair, as in `envelope_oracle._direction_energy`.
 
-def _equal_energy_pair(line: RankOneLine, va: Vec, vb: Vec, kind: str):
-    """Laminate on line with one endpoint on M_va and one on M_vb, or None.
-
-    Among the root pairs (one |F(t) va| = 1 root, one |F(t) vb| = 1 root)
-    that bracket the target t = 0 with equal endpoint energies, the one of
-    least energy.  For kinds CaseA / CaseAPerp, degenerate_tie flags two
-    roots of one slip system with equal energies, where the pairing is
-    ambiguous.
+    UpperBoundOnly reports mu W+ + (1-mu) W-, as `verify_decomposition` forms
+    it.  The known kinds report max(W-, W+) and raise DegenerateTangency when
+    the endpoint energies differ by more than 1e-6 max(1, |N|^2); for CaseA
+    and CaseAPerp, degenerate_tie flags two roots of one slip system with
+    equal energies.
     """
-    scale = max(1.0, frobenius_sq(line.base))
-    ends = []
-    for v in (va, vb):
-        roots = solve_unit_image_times(line, v)
-        if len(roots) != 2:
-            return None
-        ends.append([_end(line, t) for t in roots])
-    best = None
-    for a_end in ends[0]:
-        for b_end in ends[1]:
-            lo, hi = sorted((a_end, b_end), key=lambda end: end[0])
-            if not (lo[0] <= 0.0 <= hi[0]) or hi[0] - lo[0] <= 1e-15:
-                continue
-            if abs(lo[2] - hi[2]) > 1e-6 * scale:
-                continue
-            energy = max(lo[2], hi[2])
-            if best is None or energy < best[0]:
-                best = (energy, lo, hi)
-    if best is None:
+    roots = [solve_unit_image_times(line, v) for v in (s.v1, s.v2)]
+    ts = roots[0] + roots[1]
+    t_lo = max((t for t in ts if t <= 0.0), default=None)
+    t_hi = min((t for t in ts if t >= 0.0), default=None)
+    if t_lo is None or t_hi is None or t_hi - t_lo <= 1e-15:
         return None
-    energy, lo, hi = best
-    tie = kind in ("CaseA", "CaseAPerp") and any(
-        abs(e[0][2] - e[1][2]) <= 1e-9 * scale for e in ends)
-    return laminate_on_line(line, lo, hi, energy, kind, tie)
+    lo, hi = _end(line, t_lo), _end(line, t_hi)
+    if kind == "UpperBoundOnly":
+        mu = -t_lo / (t_hi - t_lo)  # as laminate_on_line forms it
+        return laminate_on_line(line, lo, hi, mu * hi[2] + (1.0 - mu) * lo[2], kind)
+    scale = max(1.0, frobenius_sq(line.base))
+    if abs(lo[2] - hi[2]) > 1e-6 * scale:
+        raise DegenerateTangency("the laminate endpoint energies differ on a known region")
+    tie = False
+    if kind in ("CaseA", "CaseAPerp"):
+        w = {t_lo: lo[2], t_hi: hi[2]}
+        for t in ts:
+            if t not in w:
+                w[t] = _end(line, t)[2]
+        tie = any(len(r) == 2 and abs(w[r[0]] - w[r[1]]) <= 1e-9 * scale for r in roots)
+    return laminate_on_line(line, lo, hi, max(lo[2], hi[2]), kind, tie)
 
 
 def decompose(n: Mat, s: SlipSystem, tol: float = DEFAULT_TOL) -> LaminateDecomposition:
     """Optimal first-order laminate of the unit-determinant target N.
 
-    Both slip norms above 1 (A, A_perp): equal-energy endpoints on M1 and M2
-    along the bisector line (v1+v2) (x) (v1-v2), or (v1-v2) (x) (v1+v2) when
-    N v1 . N v2 < 0.  Both below 1 (N1 n N2): the same search on the
-    v3 (x) v3_perp line.  One below 1: the single-slip laminate, exact for
-    orthogonal slips; at other angles the envelope is unknown there and the
-    least-energy of the single-slip and the two mixed-manifold laminates is
-    returned with kind UpperBoundOnly.
+    Every laminate off the manifolds is the `_nearest_pair` of one rank-one
+    line.  Both slip norms above 1 (A, A_perp): the bisector line
+    (v1+v2) (x) (v1-v2), or (v1-v2) (x) (v1+v2) when N v1 . N v2 < 0.  Both
+    below 1 (N1 n N2): the v3 (x) v3_perp line.  One below 1: the single-slip
+    line v_perp (x) v of that system, exact for orthogonal slips; at other
+    angles the envelope is unknown there and the least-energy laminate of
+    that line and the v3 (x) v3_perp and v3_perp (x) v3 lines is returned
+    with kind UpperBoundOnly.
     """
     st = matrix_state(n, s)
     if off_manifold(st, tol):
@@ -137,25 +134,20 @@ def decompose(n: Mat, s: SlipSystem, tol: float = DEFAULT_TOL) -> LaminateDecomp
     if d1 > 0.0 and d2 > 0.0:
         bis, bis_perp = s.v1 + s.v2, s.v1 - s.v2
         if st.dot >= 0.0:
-            found = _equal_energy_pair(RankOneLine(n, bis, bis_perp), s.v1, s.v2, "CaseA")
+            found = _nearest_pair(RankOneLine(n, bis, bis_perp), s, "CaseA")
         else:
-            found = _equal_energy_pair(RankOneLine(n, bis_perp, bis), s.v1, s.v2, "CaseAPerp")
+            found = _nearest_pair(RankOneLine(n, bis_perp, bis), s, "CaseAPerp")
     elif d1 < 0.0 and d2 < 0.0:
-        found = _equal_energy_pair(RankOneLine(n, s.v3, s.v3_perp), s.v1, s.v2, "CaseN1capN2")
+        found = _nearest_pair(RankOneLine(n, s.v3, s.v3_perp), s, "CaseN1capN2")
     else:
-        inside, outside = (s.v1, s.v2) if d1 < 0.0 else (s.v2, s.v1)
+        inside = s.v1 if d1 < 0.0 else s.v2
+        single = RankOneLine(n, perp(inside), inside)
         if s.is_orthogonal:
-            found = _single_slip(n, inside, "CaseN1lemN2" if d1 < 0.0 else "CaseN2")
+            found = _nearest_pair(single, s, "CaseN1lemN2" if d1 < 0.0 else "CaseN2")
         else:
-            candidates = [
-                _single_slip(n, inside, "UpperBoundOnly"),
-                _equal_energy_pair(RankOneLine(n, s.v3, s.v3_perp), inside, outside,
-                                   "UpperBoundOnly"),
-                _equal_energy_pair(RankOneLine(n, s.v3_perp, s.v3), inside, outside,
-                                   "UpperBoundOnly"),
-            ]
-            found = min((c for c in candidates if c is not None), key=lambda d: d.energy,
-                        default=None)
+            lines = (single, RankOneLine(n, s.v3, s.v3_perp), RankOneLine(n, s.v3_perp, s.v3))
+            found = min((c for c in (_nearest_pair(line, s, "UpperBoundOnly") for line in lines)
+                         if c is not None), key=lambda d: d.energy, default=None)
     if found is None:
         raise DegenerateTangency("no rank-one line through the target has admissible endpoints")
     return found

@@ -40,7 +40,8 @@ for theta in 0.7853981633974483 1.413716694115407; do
 done
 # the (b, c) diagonal at large |b|
 run regionmap-range1e6 --range 1e6 --n 21 regionmap --out "$out/regionmap-range1e6.csv"
-for theta in 0.7853981633974483 0.9424777960769379 1.0995574287564276 1.413716694115407; do
+for theta in 0.7853981633974483 0.9424777960769379 1.0995574287564276 1.2566370614359172 \
+             1.413716694115407; do
     i=0
     for point in "--bc=0,0" "--bc=0.5,0.3" "--bc=-1.2,0.7" "--bc=2,-1.5" "--bc=-0.3,-2.4" \
                  "--bc=1e3,0.1" "--bc=-2.9508196721311477,-2.557377049180328" \

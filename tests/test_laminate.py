@@ -5,9 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lamlab import laminate
 from lamlab.algebra import bc_to_matrix, det2, perp, random_det1, rotation
-from lamlab.energy import Known, SlipSystem, w_hom
-from lamlab.errors import OffManifold
+from lamlab.cli import main
+from lamlab.energy import Known, SlipSystem, matrix_state, w_hom
+from lamlab.envelope_oracle import _direction_energy
+from lamlab.errors import DegenerateTangency, OffManifold
 from lamlab.laminate import LaminateDecomposition, decompose, verify_decomposition
 from lamlab.regions import classify
 
@@ -181,3 +184,60 @@ def test_laminates_inside_the_manifold_tolerance_bands(frac, slip, gamma, angle,
         assert abs(d.energy - ref) <= 1e-8 * max(1.0, ref)
     else:
         assert res.lower - 1e-9 <= d.energy <= res.upper + 1e-9
+
+
+def upper_bound_targets(per_case=60):
+    """Seeded UpperBoundOnly targets at four slip angles and three spreads."""
+    rng = np.random.default_rng(36)
+    for frac in (0.3, 0.35, 0.4, 0.45):
+        s = SlipSystem.from_theta(frac * math.pi, 0.5)
+        for spread in (1.5, 3.0, 30.0):
+            found = 0
+            while found < per_case:
+                n = random_det1(rng, spread=spread)
+                d = decompose(n, s)
+                if d.kind == "UpperBoundOnly":
+                    found += 1
+                    yield n, s, d
+
+
+def test_upper_bound_laminate_is_the_oracle_best_of_its_lines():
+    # the nearest root on each side of the target is the oracle's rule, so on
+    # the single-slip line and the v3 and v3_perp lines decompose meets the
+    # oracle's per-direction energy
+    for n, s, d in upper_bound_targets():
+        inside = s.v1 if matrix_state(n, s).d1 < 0.0 else s.v2
+        ms = np.array([perp(inside), s.v3, s.v3_perp])
+        oracle = float(_direction_energy(n[None], ms[None, :, 0], ms[None, :, 1], s).min())
+        assert abs(d.energy - oracle) <= 1e-12 * max(1.0, abs(oracle))
+
+
+def test_upper_bound_energy_is_the_weighted_endpoint_energy():
+    for n, s, d in upper_bound_targets():
+        assert verify_decomposition(d, n, s).energy_equality == 0.0
+
+
+# the CLI's default slip system and a target of its region A
+CLI_SLIP = SlipSystem.from_theta(math.pi / 4, 0.5)
+CASE_A = np.diag([1 / 1.5, 1.5])
+CASE_A_ARG = ",".join(map(repr, CASE_A.ravel().tolist()))
+
+
+def test_no_bracketing_pair_raises_degenerate_tangency(monkeypatch, capsys):
+    monkeypatch.setattr(laminate, "solve_unit_image_times", lambda line, v: [])
+    with pytest.raises(DegenerateTangency, match="no rank-one line"):
+        decompose(CASE_A, CLI_SLIP)
+    assert main(["laminate", "--matrix", CASE_A_ARG]) == 3
+    assert "no rank-one line" in capsys.readouterr().err
+
+
+def test_unequal_known_endpoints_raise_degenerate_tangency(monkeypatch, capsys):
+    # shifted roots leave the CaseA endpoints at different energies
+    assert decompose(CASE_A, CLI_SLIP).kind == "CaseA"
+    solve = laminate.solve_unit_image_times
+    monkeypatch.setattr(laminate, "solve_unit_image_times",
+                        lambda line, v: [t + 0.1 for t in solve(line, v)])
+    with pytest.raises(DegenerateTangency, match="endpoint energies differ"):
+        decompose(CASE_A, CLI_SLIP)
+    assert main(["laminate", "--matrix", CASE_A_ARG]) == 3
+    assert "endpoint energies differ" in capsys.readouterr().err
