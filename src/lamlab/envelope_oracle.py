@@ -6,6 +6,11 @@ target: for each direction the line meets the slip manifolds in at most four
 points, and the best direction is refined by golden-section search.  Used to
 certify the closed-form envelopes and bounds.
 
+Every target is first scanned at _SHORT_DIRS directions.  Its laminate then
+gives a convex dual lower bound (`dual_lower`); where the scanned value meets
+that bound within _CERTIFY_RTOL it is the envelope to that tolerance, and only
+the other targets are scanned again at the full direction count.
+
 The determinant stays 1 along each line, so the chord identity of
 `_direction_energy` makes the nearest root on each side of t = 0 the best
 two-point laminate on it; no other pair of roots is formed.
@@ -14,8 +19,8 @@ One NumPy kernel evaluates a stack of matrices against their directions, in
 three parts: the per-matrix factors (`_prepare`), the per-direction factors
 (`_directions`) and the per-pair core (`_core`), which writes into buffers
 its caller owns (`_Workspace`).  The grid scan prepares every certified cell
-and the row of coarse directions once, runs the coarse scan in chunks of
-fixed size through one reused workspace and the refinement in lock-step on
+once and each span of coarse directions once, runs the coarse scan in chunks
+of fixed size through one reused workspace and the refinement in lock-step on
 the same prepared cells; `_direction_energy` composes the three parts for a
 single call, and `wlc_numeric` is the single-matrix caller.
 """
@@ -42,18 +47,29 @@ DEFAULT_N_DIRS = 720
 _ROOT_EPS = 1e-13
 _REFINE_WIDTH = 1e-8
 
-# Cell x direction elements per coarse-scan chunk (16 cells at 720 directions),
-# so that --n-dirs cannot grow the working set.  Oracle time for the 3721 cells
-# of a 61^2 grid at 720 directions (fastest of six interleaved sets of 8 runs,
-# whose medians lie up to 41 % above it; 2-vCPU Xeon VM, NumPy 2.4.6), and peak
-# RSS of the process:
+# Cell x direction elements per coarse-scan chunk (16 cells at 720 directions,
+# 480 at the first scan's 24, one cell and a span of as many directions beyond
+# them), so that --n-dirs cannot grow the working set.  Oracle time for the
+# 3721 cells of a 61^2 grid at 720 directions (fastest of six interleaved sets
+# of 8 runs, whose medians lie up to 41 % above it; 2-vCPU Xeon VM, NumPy
+# 2.4.6), and peak RSS of the process:
 #   cells per chunk  8      16     32     64     128    256
 #   pi/4 oracle s    0.139  0.131  0.122  0.129  0.136  0.180
 #   0.3 pi oracle s  0.177  0.149  0.157  0.144  0.157  0.185
 #   peak RSS MB      31.4   32.1   33.1   34.9   39.5   48.0
 # 16 to 128 cells lie within 12 % of each other, less than the spread between
 # sets, and no size wins at both angles; 16 keeps the smaller working set.
+# (Measured when every cell was scanned at 720 directions.)
 _CHUNK_ELEMENTS = 16 * 720
+
+# The first scan of every cell: its direction count, and the relative gap to
+# the dual bound within which its value stands without the n_dirs rescan.
+_SHORT_DIRS = 24
+_CERTIFY_RTOL = 1e-9
+
+# Newton steps of `_circle_min` at most; 7 reach its tolerance on seeded B
+# whose entries span twelve decades.
+_NEWTON_STEPS = 16
 
 
 def _cross(cos, sin, v0: float, v1: float):
@@ -87,8 +103,8 @@ class _Cells(NamedTuple):
     eps: np.ndarray   # the far-root threshold _ROOT_EPS max(1, |F|^2)
     slips: tuple      # one _Slip per slip vector v1, v2
 
-    def rows(self, start: int, stop: int) -> "_Cells":
-        part = slice(start, stop)
+    def rows(self, part) -> "_Cells":
+        """The cells at `part`, a slice or an index array."""
         *columns, slips = self
         return _Cells(*(x[part] for x in columns),
                       tuple(_Slip(*(x[part] for x in v)) for v in slips))
@@ -147,14 +163,24 @@ class _Workspace(NamedTuple):
         floats = np.empty((len(_Workspace._fields) - 1,) + shape)
         return _Workspace(*floats, np.empty(shape, dtype=bool))
 
-    def rows(self, n: int) -> "_Workspace":
-        return _Workspace(*(x[:n] for x in self))
+    def block(self, n: int, k: int) -> "_Workspace":
+        return _Workspace(*(x[:n, :k] for x in self))
 
 
 def _nearest(neg, pos, t, mask):
-    """Fold the roots t into the nearest root on each side of t = 0."""
-    np.fmax(neg, t, out=neg, where=np.less_equal(t, 0.0, out=mask))
-    np.fmin(pos, t, out=pos, where=np.greater_equal(t, 0.0, out=mask))
+    """Fold the roots t into the nearest root on each side of t = 0.
+
+    On a row block of directions a masked ufunc is the faster form; on an
+    [N, 1] column, whose mask changes from cell to cell, NumPy runs masked
+    ufuncs several times slower than a select.  Both forms only choose
+    between operands, so they give the same bits.
+    """
+    if t.shape[1] == 1:
+        np.fmax(neg, np.where(t <= 0.0, t, np.nan), out=neg)
+        np.fmin(pos, np.where(t >= 0.0, t, np.nan), out=pos)
+    else:
+        np.fmax(neg, t, out=neg, where=np.less_equal(t, 0.0, out=mask))
+        np.fmin(pos, t, out=pos, where=np.greater_equal(t, 0.0, out=mask))
 
 
 def _core(c: _Cells, d: _Directions, ws: _Workspace) -> None:
@@ -165,6 +191,7 @@ def _core(c: _Cells, d: _Directions, ws: _Workspace) -> None:
     its bits.  `ok` serves as a scratch mask until it takes the result.
     """
     fm0, fm1, am2, p, w, near, neg, pos, tmp, energy, ok = ws
+    column = energy.shape[1] == 1
     np.add(np.multiply(c.f00, d.cos, out=fm0), np.multiply(c.f01, d.sin, out=tmp), out=fm0)
     np.add(np.multiply(c.f10, d.cos, out=fm1), np.multiply(c.f11, d.sin, out=tmp), out=fm1)
     np.add(np.multiply(fm0, fm0, out=am2), np.multiply(fm1, fm1, out=tmp), out=am2)
@@ -180,8 +207,14 @@ def _core(c: _Cells, d: _Directions, ws: _Workspace) -> None:
             if np.equal(w, 0.0, out=ok).any():  # p = disc = 0: a double root at t = 0
                 np.copyto(near, w, where=ok)
             _nearest(neg, pos, near, ok)
-            # the far root, on the rows with |F v| <= 1; a row of directions
-            # shared by every matrix serves the gathered rows as it is
+            # the far root, on the rows with |F v| <= 1: selected on a column,
+            # gathered on a row block, where the row of directions shared by
+            # every matrix serves the gathered rows as it is
+            if column:
+                den = vm * am2
+                far = np.where(low[:, None] & (vm * den > c.eps), w / den, np.nan)
+                _nearest(neg, pos, far, ok)
+                continue
             rows = np.flatnonzero(low)
             if rows.size:
                 vmr, am2r = (vm if len(vm) == 1 else vm[rows]), am2[rows]
@@ -193,8 +226,11 @@ def _core(c: _Cells, d: _Directions, ws: _Workspace) -> None:
 
         np.greater(np.subtract(pos, neg, out=tmp), 1e-15, out=ok)
         np.subtract(c.w0, np.multiply(np.multiply(am2, neg, out=tmp), pos, out=tmp), out=tmp)
-        energy.fill(np.inf)
-        np.maximum(tmp, 0.0, out=energy, where=ok)
+        if column:  # select, as in _nearest
+            np.copyto(energy, np.where(ok, np.maximum(tmp, 0.0), np.inf))
+        else:
+            energy.fill(np.inf)
+            np.maximum(tmp, 0.0, out=energy, where=ok)
 
 
 def _direction_energy(fs: np.ndarray, cos, sin, s: SlipSystem, pair: bool = False):
@@ -272,34 +308,218 @@ def _coarse_scan(cells: _Cells, s: SlipSystem, n_dirs: int):
     """The best of n_dirs uniformly spaced directions on [0, pi) per matrix,
     as (energy, phi).
 
-    One direction row serves every chunk of at most _CHUNK_ELEMENTS cell x
-    direction elements, and every chunk runs in the same workspace.
+    The scan runs in blocks of at most _CHUNK_ELEMENTS cell x direction
+    elements, all in one workspace: as many cells as fit against every
+    direction, or, beyond _CHUNK_ELEMENTS directions, one cell at a time
+    against one span of directions, whose table is formed when the span is
+    scanned.  A later span replaces the best only where it is strictly lower,
+    so ties keep the first direction, as argmin does.
     """
-    phis = np.arange(n_dirs) * (math.pi / n_dirs)
-    dirs = _directions(np.cos(phis), np.sin(phis), s)
     n = len(cells.w0)
-    coarse, phi_coarse = np.empty(n), np.empty(n)
+    width = min(n_dirs, _CHUNK_ELEMENTS)
     chunk = max(1, _CHUNK_ELEMENTS // n_dirs)
-    block = _Workspace.of((min(chunk, n), n_dirs))
-    for start in range(0, n, chunk):
-        stop = min(start + chunk, n)
-        ws = block.rows(stop - start)
-        _core(cells.rows(start, stop), dirs, ws)
-        i_best = np.argmin(ws.energy, axis=1)
-        coarse[start:stop] = ws.energy[np.arange(len(i_best)), i_best]
-        phi_coarse[start:stop] = phis[i_best]
+    coarse, phi_coarse = np.full(n, np.inf), np.zeros(n)
+    work = _Workspace.of((min(chunk, n), width))
+    for first in range(0, n_dirs, width):
+        phis = np.arange(first, min(first + width, n_dirs)) * (math.pi / n_dirs)
+        dirs = _directions(np.cos(phis), np.sin(phis), s)
+        for start in range(0, n, chunk):
+            part = slice(start, min(start + chunk, n))
+            ws = work.block(part.stop - start, len(phis))
+            _core(cells.rows(part), dirs, ws)
+            i_best = np.argmin(ws.energy, axis=1)
+            best = ws.energy[np.arange(len(i_best)), i_best]
+            lower = best < coarse[part]
+            coarse[part] = np.where(lower, best, coarse[part])
+            phi_coarse[part] = np.where(lower, phis[i_best], phi_coarse[part])
     return coarse, phi_coarse
+
+
+def _scan(cells: _Cells, s: SlipSystem, n_dirs: int):
+    """The coarse scan of n_dirs directions and its golden-section refinement:
+    the better of the two per matrix, as (energy, phi)."""
+    coarse, phi_coarse = _coarse_scan(cells, s, n_dirs)
+    column = _Workspace.of((len(coarse), 1))
+    phi_star = _golden(cells, s, phi_coarse, math.pi / n_dirs, column)
+    refined = _at(cells, s, phi_star, column)
+    return np.minimum(coarse, refined), np.where(refined <= coarse, phi_star, phi_coarse)
+
+
+# ---------------------------------------------------------------------------
+# convex dual lower bound
+
+
+def _lstsq(a: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Least-squares solutions of a stack of systems a x = r, with the systems
+    last: a [m, n, N], r [m, N], x [n, N].
+
+    Householder QR, so the error of x grows with the condition number of a,
+    not with its square as through the normal equations.  An unknown whose
+    pivot is at most 1e-12 of the largest pivot of its system is set to 0.
+    """
+    a, r = a.copy(), r.copy()
+    n = a.shape[1]
+    for j in range(n):
+        h = a[j:, j].copy()
+        h[0] += np.copysign(np.sqrt((h * h).sum(axis=0)), h[0])
+        hh = (h * h).sum(axis=0)
+        scale = np.divide(2.0, hh, out=np.zeros_like(hh), where=hh > 0.0)
+        sub = a[j:, j:]
+        sub -= h[:, None] * (scale * (h[:, None] * sub).sum(axis=0))
+        r[j:] -= h * (scale * (h * r[j:]).sum(axis=0))
+    pivot = np.abs(a[range(n), range(n)])
+    live = pivot > 1e-12 * pivot.max(axis=0)
+    x = np.zeros(a.shape[1:])
+    for j in reversed(range(n)):
+        rest = r[j] - (a[j, j + 1:] * x[j + 1:]).sum(axis=0)
+        x[j] = np.where(live[j], rest / np.where(live[j], a[j, j], 1.0), 0.0)
+    return x
+
+
+def _circle_min(p0, p1, q0, q1):
+    """min over unit z of -(p . z) - (q . z)^2 / 4, for arrays p = (p0, p1)
+    and q = (q0, q1).
+
+    In the frame (e, e_perp) of e = q / |q| write z = (y1, y2), p = (a, b) and
+    k = |q|^2 / 4: the function is -a y1 - b y2 - k y1^2, a quadratic on the
+    unit circle as in the trust-region subproblem.  Its stationary points are
+    the real roots of a quartic; it is solved here through its dual instead.
+    For every u > 0 the Lagrangian with multiplier u + k is convex, and its
+    least value over the plane,
+
+        D(u) = -a^2 / (4 u) - b^2 / (4 (u + k)) - (u + k),
+
+    lies below the minimum.  It equals the minimum at the root u* of
+    |y(u)| = 1, y(u) = (a / (2 u), b / (2 (u + k))): y(u*) is then the global
+    minimizer.  |y(u)| falls on u > 0, so u* lies in
+    [max(|a| / 2, |p| / 2 - k), |p| / 2], and Newton's method on
+    1 / |y| - 1 climbs to it from the lower end; u* -> 0 in the hard case
+    a = 0, |b| <= 2 k.  Every term of D is <= 0, so it carries no
+    cancellation, and D(u) stays below the minimum wherever the iteration
+    stops.
+    """
+    tiny = np.finfo(float).tiny
+    qn = np.hypot(q0, q1)
+    live = qn > 0.0
+    qn = np.where(live, qn, 1.0)
+    e0, e1 = np.where(live, q0 / qn, 1.0), q1 / qn
+    k = 0.25 * (q0 * q0 + q1 * q1)
+    a, b = p0 * e0 + p1 * e1, p1 * e0 - p0 * e1
+    u = np.maximum(np.maximum(0.5 * np.abs(a), 0.5 * np.hypot(a, b) - k), tiny)
+    active = np.ones(u.shape, dtype=bool)
+    for _ in range(_NEWTON_STEPS):
+        y1, y2 = a / (2.0 * u), b / (2.0 * (u + k))
+        n2 = y1 * y1 + y2 * y2
+        step = n2 * (np.sqrt(n2) - 1.0) / (y1 * y1 / u + y2 * y2 / (u + k) + tiny)
+        u = np.where(active, np.maximum(u + step, tiny), u)
+        # an entry stops on its own tolerance, so its value does not depend on
+        # the other entries of the call
+        active &= ~(np.abs(step) <= 1e-12 * (u + k))
+        if not active.any():
+            break
+    return -a * a / (4.0 * u) - b * b / (4.0 * (u + k)) - (u + k)
+
+
+def _inner_min(b: np.ndarray, s: SlipSystem) -> np.ndarray:
+    """min over G in M = M1 u M2 of W(G) - <B, G>, for B given as the rows
+    b = [B00, B01, B10, B11] of shape [4, N].
+
+    On M_i, G = R_a (I + g v (x) v_perp) and W = g^2, so the minimum over g is
+    -c(a)^2 / 4 with c(a) = (R_a v) . (B v_perp), and what is left is
+    -<B, R_a> - c(a)^2 / 4 on the circle (cos a, sin a) (`_circle_min`).
+    Both slip vectors go through one call.
+    """
+    b00, b01, b10, b11 = b
+    q0, q1 = [], []
+    for v0, v1 in (s.v1, s.v2):
+        u0, u1 = b01 * v0 - b00 * v1, b11 * v0 - b10 * v1   # B v_perp
+        q0.append(v0 * u0 + v1 * u1)
+        q1.append(v0 * u1 - v1 * u0)
+    p0, p1 = b00 + b11, b10 - b01
+    both = _circle_min(np.concatenate([p0, p0]), np.concatenate([p1, p1]),
+                       np.concatenate(q0), np.concatenate(q1))
+    return np.minimum(both[:len(p0)], both[len(p0):])
+
+
+def dual_lower(fs: np.ndarray, f_minus: np.ndarray, f_plus: np.ndarray,
+               s: SlipSystem) -> np.ndarray:
+    """A lower bound of the lamination envelope at each unit-determinant
+    matrix of fs [N, 2, 2], from the endpoints f_minus, f_plus of a laminate
+    at it (both F where F is its own laminate).
+
+    W is inf off M, so for any B, <B, F> + min over M of (W - <B, G>) is an
+    affine minorant of W: it lies below the convex envelope of W and so below
+    the value of every laminate.  B is fitted to the five conditions of a
+    supporting hyperplane at the endpoints: with each endpoint written as
+    G = R_a (I + g v (x) v_perp) on the manifold of its nearer slip vector v,
+    g = (G v) . (G v_perp), they are <B, (G v) (x) v_perp> = 2 g and
+    <B, J G> = 0 (W - <B, .> stationary in g and a at both endpoints) and
+    <B, G+ - G-> = g+^2 - g-^2 (equal values there).  The least-squares B is
+    sought as (G+ + G-) + X, so a single point gets B = 2 F, the gradient of
+    |F|^2.  Returns <B, F> + `_inner_min`(B).
+    """
+    n = len(fs)
+    a, r, gammas = np.empty((5, 4, n)), np.zeros((5, n)), []
+    for row, g in ((0, f_minus), (2, f_plus)):
+        g00, g01, g10, g11 = g.reshape(n, 4).T
+        images = [(g00 * v0 + g01 * v1, g10 * v0 + g11 * v1) for v0, v1 in (s.v1, s.v2)]
+        d1, d2 = (np.abs(x0 * x0 + x1 * x1 - 1.0) for x0, x1 in images)
+        near = d1 <= d2
+        gv0, gv1 = (np.where(near, x, y) for x, y in zip(*images))
+        vp0, vp1 = (np.where(near, x, y) for x, y in zip(perp(s.v1), perp(s.v2)))
+        gamma = gv0 * (g00 * vp0 + g01 * vp1) + gv1 * (g10 * vp0 + g11 * vp1)
+        a[row] = gv0 * vp0, gv0 * vp1, gv1 * vp0, gv1 * vp1
+        a[row + 1] = -g10, -g11, g00, g01
+        r[row] = 2.0 * gamma
+        gammas.append(gamma)
+    a[4] = (f_plus - f_minus).reshape(n, 4).T
+    r[4] = gammas[1] * gammas[1] - gammas[0] * gammas[0]
+    base = (f_minus + f_plus).reshape(n, 4).T
+    b = base + _lstsq(a, r - (a * base).sum(axis=1))
+    return (b * fs.reshape(n, 4).T).sum(axis=0) + _inner_min(b, s)
+
+
+def _endpoints(fs: np.ndarray, cells: _Cells, s: SlipSystem, phi: np.ndarray,
+               point: np.ndarray):
+    """The laminate endpoints F (I + t m (x) m_perp) at the nearest roots of
+    direction phi, or F itself where `point` is set or no pair exists."""
+    ws = _Workspace.of((len(fs), 1))
+    cos, sin = np.cos(phi)[:, None], np.sin(phi)[:, None]
+    _core(cells, _directions(cos, sin, s), ws)
+    fm = np.stack([ws.fm0, ws.fm1], axis=1)            # [N, 2, 1]
+    mp = np.stack([-sin, cos], axis=2)                 # [N, 1, 2]
+    keep = (ws.ok & ~point[:, None])[:, :, None]
+    return tuple(fs + np.where(keep, t[:, :, None], 0.0) * fm * mp for t in (ws.neg, ws.pos))
+
+
+def _scan_dual(fs: np.ndarray, cells: _Cells, s: SlipSystem, phi: np.ndarray,
+               point: np.ndarray) -> np.ndarray:
+    """`dual_lower` at the laminates of the directions phi (at F itself where
+    `point` is set), in chunks of the short scan's size."""
+    dual = np.empty(len(fs))
+    chunk = _CHUNK_ELEMENTS // _SHORT_DIRS
+    for start in range(0, len(fs), chunk):
+        part = slice(start, start + chunk)
+        ends = _endpoints(fs[part], cells.rows(part), s, phi[part], point[part])
+        dual[part] = dual_lower(fs[part], *ends, s)
+    return dual
 
 
 @dataclass(frozen=True)
 class _Batch:
-    value: np.ndarray     # min(coarse, refined, single), >= 0 as each of them is
+    value: np.ndarray     # min(scanned, single), >= 0 as each of them is
     single: np.ndarray    # W of `w_on_manifold`: finite where F lies on a slip manifold
-    phi_best: np.ndarray  # direction of the better of the coarse and refined candidates
+    phi_best: np.ndarray  # direction of the best laminate scanned
 
 
 def _oracle(fs: np.ndarray, s: SlipSystem, n_dirs: int, tol: float) -> _Batch:
-    """Oracle energies of a stack of unit-determinant matrices [N, 2, 2]."""
+    """Oracle energies of a stack of unit-determinant matrices [N, 2, 2].
+
+    Every cell is scanned at min(n_dirs, _SHORT_DIRS) directions with the
+    golden refinement.  A cell whose value the dual bound meets within
+    _CERTIFY_RTOL is done; the others are scanned again at n_dirs, and keep
+    the smaller value.
+    """
     if n_dirs < 8:
         raise PreconditionError("the direction grid needs at least 8 points")
     with np.errstate(invalid="ignore", over="ignore"):
@@ -308,13 +528,18 @@ def _oracle(fs: np.ndarray, s: SlipSystem, n_dirs: int, tol: float) -> _Batch:
         raise OffManifold("oracle targets must have unit determinant and a finite |F|^2")
 
     cells = _prepare(fs, s)
-    coarse, phi_coarse = _coarse_scan(cells, s, n_dirs)
-    column = _Workspace.of((len(fs), 1))
-    phi_star = _golden(cells, s, phi_coarse, math.pi / n_dirs, column)
-    refined = _at(cells, s, phi_star, column)
     single = w_on_manifold(st, tol)
-    return _Batch(value=np.minimum(np.minimum(coarse, refined), single), single=single,
-                  phi_best=np.where(refined <= coarse, phi_star, phi_coarse))
+    scanned, phi = _scan(cells, s, min(n_dirs, _SHORT_DIRS))
+    value = np.minimum(scanned, single)
+    if n_dirs > _SHORT_DIRS:
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            dual = _scan_dual(fs, cells, s, phi, single <= scanned)
+            rows = np.flatnonzero(~(value - dual <= _CERTIFY_RTOL * np.maximum(1.0, value)))
+        if rows.size:
+            full, phi_full = _scan(cells.rows(rows), s, n_dirs)
+            phi[rows] = np.where(full < value[rows], phi_full, phi[rows])
+            value[rows] = np.minimum(value[rows], full)
+    return _Batch(value=value, single=single, phi_best=phi)
 
 
 @dataclass(frozen=True)
@@ -327,10 +552,14 @@ def wlc_numeric(f: Mat, s: SlipSystem, n_dirs: int = DEFAULT_N_DIRS,
                 tol: float = DEFAULT_TOL) -> OracleResult:
     """Numeric lamination envelope at a unit-determinant matrix.
 
-    Scans n_dirs uniformly spaced rank-one directions on [0, pi), refines the
-    best one by golden-section search, and includes the single-point
-    candidate when F lies on a slip manifold, where the laminate is
-    `decompose`'s; elsewhere it is the best direction's UpperBoundOnly pair.
+    Scans 24 uniformly spaced rank-one directions on [0, pi) (n_dirs if
+    fewer), refines the best one by golden-section search, and includes the
+    single-point candidate when F lies on a slip manifold.  If the value
+    exceeds `dual_lower` at its laminate by more than 1e-9 max(1, value), the
+    scan and refinement are repeated at n_dirs directions and the smaller
+    value is kept; n_dirs is the direction count of that full scan.  Where F
+    lies on a slip manifold the laminate is `decompose`'s; elsewhere it is the
+    best direction's UpperBoundOnly pair.
     """
     fs = np.asarray(f, dtype=float)[None]
     batch = _oracle(fs, s, n_dirs, tol)

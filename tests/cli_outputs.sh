@@ -31,9 +31,14 @@ done
 # theta = 0.45 pi: oracle values on Bounds cells
 run verify-envelope-1.413716694115407 --theta 1.413716694115407 --n 21 verify-envelope \
     --out "$out/verify-envelope-1.413716694115407.csv"
-# coarse-scan chunk edges: 1001 directions put 11 cells in a chunk, 12000 one
+# theta = 0.45 pi at |b|, |c| up to 1e3: the dual bound's fit at large |F|
+run verify-envelope-1.413716694115407-range1e3 --theta 1.413716694115407 --range 1e3 --n 21 \
+    verify-envelope --out "$out/verify-envelope-1.413716694115407-range1e3.csv"
+# direction counts: 24 is the first scan alone and 25 adds the rescan of the
+# cells the dual bound leaves open; coarse-scan chunk edges: 1001 directions
+# put 11 cells in a chunk, 12000 one, 11521 one cell and two direction spans
 for theta in 0.7853981633974483 1.413716694115407; do
-    for dirs in 1001 12000; do
+    for dirs in 24 25 1001 11521 12000; do
         run "verify-envelope-$theta-dirs$dirs" --theta "$theta" --n 9 --n-dirs "$dirs" verify-envelope \
             --out "$out/verify-envelope-$theta-dirs$dirs.csv"
     done

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -7,13 +8,16 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from lamlab import envelope_oracle
 from lamlab.algebra import bc_to_matrix, perp, random_det1, rotation
 from lamlab.energy import (DEFAULT_TOL, SlipSystem, f_majorant, h, h_perp, matrix_state,
-                           w_condensed, w_hom)
-from lamlab.envelope_oracle import (_CHUNK_ELEMENTS, _coarse_scan, _direction_energy, _prepare,
+                           slip_state, w_condensed, w_hom, w_on_manifold)
+from lamlab.envelope_oracle import (_CHUNK_ELEMENTS, _coarse_scan, _direction_energy,
+                                    _inner_min, _oracle, _prepare, _scan, _scan_dual, dual_lower,
                                     envelope_scan, wlc_numeric)
-from lamlab.errors import OffManifold, PreconditionError
+from lamlab.errors import LamlabError, OffManifold, PreconditionError
 from lamlab.laminate import decompose, verify_decomposition
+from lamlab.regions import CODE, region_map
 
 ORTHO = SlipSystem.orthogonal(v1=(1.0, 0.0))
 ANGLES = (math.pi / 4, 0.3 * math.pi, 0.35 * math.pi, 0.45 * math.pi)
@@ -271,6 +275,8 @@ def stretch(v, k):
     (37, 8),        # the fewest directions; every cell in one chunk
     (37, 1001),     # odd n_dirs: 11 cells per chunk, 3 full chunks and a part
     (3, _CHUNK_ELEMENTS + 480),  # more directions than a chunk holds: one cell each
+    (2, 2 * _CHUNK_ELEMENTS - 1),  # two direction spans, the second one short
+    (2, 2 * _CHUNK_ELEMENTS + 1),  # three spans, the last of one direction
 ])
 def test_coarse_scan_chunks_match_one_kernel_call(theta, n, n_dirs):
     # the chunked scan in its reused workspace gives, bit for bit, the row
@@ -363,3 +369,232 @@ def test_upper_bound_laminates_meet_criterion_03(theta):
             assert rep.convex_combination <= 1e-10 and rep.rank_one <= 1e-10
             assert rep.manifold <= 1e-9
             assert rep.energy_equality <= 1e-8 * max(1.0, res.value.as_float())
+
+
+@pytest.mark.parametrize("theta", (math.pi / 4, 0.45 * math.pi))
+def test_coarse_scan_ties_across_direction_spans_keep_the_first(theta):
+    # diag(0.6, 1/0.6) has its least energy at directions 11519 and 11520 of
+    # 2 * _CHUNK_ELEMENTS - 1, one in each span; the identity has no laminate
+    # at any direction (inf everywhere, argmin 0)
+    s = SlipSystem.from_theta(theta, 0.5)
+    fs = np.array([np.diag([0.6, 1.0 / 0.6]), np.eye(2)])
+    n_dirs = 2 * _CHUNK_ELEMENTS - 1
+    phis = np.arange(n_dirs) * (math.pi / n_dirs)
+    energy = _direction_energy(fs, np.cos(phis), np.sin(phis), s)
+    ties = np.flatnonzero(energy[0] == energy[0].min())
+    assert ties[0] < _CHUNK_ELEMENTS <= ties[-1]
+    coarse, phi = _coarse_scan(_prepare(fs, s), s, n_dirs)
+    i_best = np.argmin(energy, axis=1)
+    assert np.array_equal(coarse.view(np.int64), energy[[0, 1], i_best].view(np.int64))
+    assert np.array_equal(phi.view(np.int64), phis[i_best].view(np.int64))
+
+
+def test_coarse_scan_memory_is_bounded_in_n_dirs():
+    # beyond _CHUNK_ELEMENTS directions the scan works span by span: ten times
+    # as many directions take no more memory than one chunk's worth
+    s = SlipSystem.from_theta(0.45 * math.pi, 0.5)
+    rng = np.random.default_rng(48)
+    cells = _prepare(np.array([random_det1(rng, spread=2.0) for _ in range(4)]), s)
+    peaks = []
+    for n_dirs in (_CHUNK_ELEMENTS, 10 * _CHUNK_ELEMENTS):
+        tracemalloc.start()
+        try:
+            _coarse_scan(cells, s, n_dirs)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.25 * peaks[0]
+
+
+# ---------------------------------------------------------------------------
+# the convex dual lower bound
+
+
+def circle_grid_min(p, q, k=1 << 16):
+    """min over a k-point grid of the unit circle of -(p . z) - (q . z)^2 / 4
+    for each row of p, q [N, 2], and the curvature bound M2 = |p| + |q|^2 / 2
+    of that function of the angle, so the grid is off by at most M2 h^2 / 8."""
+    alpha = np.arange(k) * (2.0 * math.pi / k)
+    cos, sin = np.cos(alpha), np.sin(alpha)
+    best = np.array([(-(p0 * cos + p1 * sin) - (q0 * cos + q1 * sin) ** 2 / 4.0).min()
+                     for (p0, p1), (q0, q1) in zip(p, q)])
+    return best, np.hypot(p[:, 0], p[:, 1]) + (q * q).sum(axis=1) / 2.0
+
+
+def slip_pq(bs, v):
+    """p = (tr B, B10 - B01) and q = (v . B v_perp, v_perp . B v_perp): on the
+    manifold of v, W - <B, G> minimized over the shear is -(p . z) - (q . z)^2 / 4
+    at z = (cos a, sin a)."""
+    u = bs @ perp(v)
+    p = np.stack([bs[:, 0, 0] + bs[:, 1, 1], bs[:, 1, 0] - bs[:, 0, 1]], axis=1)
+    return p, np.stack([u @ v, u @ perp(v)], axis=1)
+
+
+def from_pq(p, q, v):
+    """The B of a given p and q for the slip vector v (the inverse of slip_pq):
+    in the frame (v, v_perp) B has entries (p0 - q1, q0; p1 + q0, q1)."""
+    frame = np.column_stack([v, perp(v)])
+    inner = np.array([[p[0] - q[1], q[0]], [p[1] + q[0], q[1]]])
+    return frame @ inner @ frame.T
+
+
+def oracle_dual(fs, s, n_dirs=24):
+    """The scanned value of every target and `dual_lower` at its laminate, as
+    the oracle forms them before it decides which targets to scan again."""
+    cells = _prepare(fs, s)
+    st = slip_state(fs[:, 0, 0], fs[:, 0, 1], fs[:, 1, 0], fs[:, 1, 1], s)
+    single = w_on_manifold(st, DEFAULT_TOL)
+    scanned, phi = _scan(cells, s, n_dirs)
+    return np.minimum(scanned, single), _scan_dual(fs, cells, s, phi, single <= scanned)
+
+
+def live_cells(s, bc_range, n):
+    grid = region_map(s, bc_range, n, DEFAULT_TOL)
+    live = (grid.boundary == 0) & (grid.code != CODE["OffManifold"])
+    return grid, live
+
+
+@pytest.mark.parametrize("theta", (math.pi / 4, 0.45 * math.pi))
+def test_inner_min_is_exact_on_the_circle(theta):
+    # never above the minimum of a 2^16-point angle grid by more than
+    # rounding, never below it by more than the grid's own error M2 h^2 / 8
+    s = SlipSystem.from_theta(theta, 0.5)
+    rng = np.random.default_rng(49)
+    v, vp = s.v1, perp(s.v1)
+    bs = [rng.normal(size=(60, 2, 2)) * 10.0 ** rng.uniform(-2.0, 3.0, size=(60, 1, 1))]
+    # B of the oracle's own laminates, the B the fit starts from: both
+    # endpoints are stationary points of W - <B, .>
+    fs = np.array([random_det1(rng, spread=3.0) for _ in range(20)])
+    cells = _prepare(fs, s)
+    _, phi = _scan(cells, s, 24)
+    f_minus, f_plus = envelope_oracle._endpoints(fs, cells, s, phi, np.zeros(len(fs), dtype=bool))
+    bs.append(f_minus + f_plus)
+    # symmetric B diagonal in the frame of v1: g' vanishes at a = 0 and a = pi
+    # (for both slips at pi/4), so in t = tan(a / 2) the quartic of g' = 0
+    # loses its t^4 and t^0 coefficients; also perturbed by 1e-14
+    diag = np.array([l1 * np.outer(v, v) + l2 * np.outer(vp, vp)
+                     for l1, l2 in rng.uniform(-30.0, 30.0, size=(20, 2))])
+    bs += [diag, diag + 1e-14 * rng.normal(size=diag.shape)]
+    # the hard case on the manifold of v1: p orthogonal to q with
+    # |p| <= |q|^2 / 2, exactly and up to 1e-13; p = 0; q = 0; B = 0
+    hard = []
+    for k in range(40):
+        q = rng.normal(size=2) * 3.0
+        p = rng.uniform(-0.5, 0.5) * (q @ q) / 2.0 * perp(q) / np.hypot(*q)
+        p = p + (1e-13 * rng.normal(size=2) if k % 2 else 0.0)
+        hard += [from_pq(p, q, v), from_pq(np.zeros(2), q, v), from_pq(p, np.zeros(2), v)]
+    bs += [np.array(hard), np.zeros((1, 2, 2))]
+    bs = np.concatenate(bs)
+
+    got = _inner_min(bs.reshape(len(bs), 4).T, s)
+    (ref1, m1), (ref2, m2) = (circle_grid_min(*slip_pq(bs, w)) for w in (s.v1, s.v2))
+    ref, curv = np.minimum(ref1, ref2), np.maximum(m1, m2)
+    h = 2.0 * math.pi / (1 << 16)
+    rounding = 1e-14 * np.maximum(1.0, curv)
+    assert np.all(got <= ref + rounding)
+    assert np.all(got >= ref - curv * h * h / 8.0 - rounding)
+    # the hard cases themselves, on one circle each
+    p, q = slip_pq(np.array(hard), v)
+    got = envelope_oracle._circle_min(p[:, 0], p[:, 1], q[:, 0], q[:, 1])
+    ref, curv = circle_grid_min(p, q)
+    assert np.all(got <= ref + 1e-14 * np.maximum(1.0, curv))
+    assert np.all(got >= ref - curv * h * h / 8.0 - 1e-14 * np.maximum(1.0, curv))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(theta=st.sampled_from(ANGLES), b=st.floats(-10.0, 10.0), c=st.floats(-10.0, 10.0),
+       angle=st.floats(0.0, 2.0 * math.pi))
+def test_dual_never_exceeds_a_laminate_property(theta, b, c, angle):
+    # weak duality: the bound of any B, here those of decompose's laminate,
+    # of the target alone and of the oracle's laminate, lies below the energy
+    # of decompose's laminate
+    s = SlipSystem.from_theta(theta, 0.5)
+    f = rotation(angle) @ bc_to_matrix(b, c)
+    try:
+        dec = decompose(f, s)
+    except LamlabError:
+        assume(False)
+    slack = 1e-13 * max(1.0, float(np.sum(f * f)))
+    fs = f[None]
+    for f_minus, f_plus in ((dec.f_minus, dec.f_plus), (f, f)):
+        assert dual_lower(fs, f_minus[None], f_plus[None], s)[0] <= dec.energy + slack
+    value, dual = oracle_dual(fs, s)
+    assert dual[0] <= dec.energy + slack and dual[0] <= value[0] + slack
+
+
+@pytest.mark.parametrize("theta", ANGLES)
+@pytest.mark.parametrize("spread", (1.5, 3.0, 30.0))
+def test_dual_never_exceeds_the_full_oracle(theta, spread):
+    # the oracle's dual stays below the 720-direction oracle value by rounding
+    s = SlipSystem.from_theta(theta, 0.5)
+    rng = np.random.default_rng(50)
+    fs = np.array([random_det1(rng, spread=spread) for _ in range(150)])
+    value, dual = oracle_dual(fs, s)
+    full, _ = oracle_dual(fs, s, n_dirs=720)
+    assert np.all(dual <= full + 1e-13 * np.maximum(1.0, full))
+    assert np.all(dual <= value + 1e-13 * np.maximum(1.0, value))
+
+
+def test_dual_meets_the_closed_form_at_pi_4():
+    # every cell is Known at pi/4; within the criterion-01 bound
+    s = SlipSystem.from_theta(math.pi / 4, 0.5)
+    grid, live = live_cells(s, 3.0, 31)
+    _, dual = oracle_dual(grid.fs[live], s)
+    assert np.all(np.abs(dual - grid.whom[live]) <= 1e-5)
+
+
+@pytest.mark.parametrize("theta", (0.3 * math.pi, 0.35 * math.pi, 0.45 * math.pi))
+def test_dual_lies_in_the_bounds_band(theta):
+    # on Bounds cells: lower - 1e-9 <= dual <= the 720-direction oracle
+    s = SlipSystem.from_theta(theta, 0.5)
+    grid, live = live_cells(s, 3.0, 31)
+    bounds = live & ~np.isnan(grid.lower)
+    assert bounds.sum() > 50
+    fs = grid.fs[bounds]
+    _, dual = oracle_dual(fs, s)
+    full, _ = oracle_dual(fs, s, n_dirs=720)
+    assert np.all(dual >= grid.lower[bounds] - 1e-9)
+    assert np.all(dual <= full + 1e-13 * np.maximum(1.0, full))
+
+
+@pytest.mark.parametrize("theta", ANGLES)
+def test_scan_meets_the_full_scan(theta):
+    # the short scan, the dual and the rescan give every 61^2 cell the value
+    # of the 720-direction scan to 1e-9 max(1, v)
+    s = SlipSystem.from_theta(theta, 0.5)
+    scan = envelope_scan(s, 3.0, 61, n_dirs=720)
+    live = ~scan.skipped
+    full, _ = oracle_dual(scan.grid.fs[live], s, n_dirs=720)
+    v = scan.oracle[live]
+    assert np.all(np.abs(v - full) <= 1e-9 * np.maximum(1.0, v))
+
+
+def test_n_dirs_up_to_24_is_one_scan(monkeypatch):
+    # no dual and no rescan: the value and direction of the n_dirs scan, bit for bit
+    def no_dual(*args):
+        raise AssertionError("the dual bound ran")
+    monkeypatch.setattr(envelope_oracle, "_scan_dual", no_dual)
+    s = SlipSystem.from_theta(0.3 * math.pi, 0.5)
+    rng = np.random.default_rng(51)
+    fs = np.array([random_det1(rng, spread=2.0) for _ in range(40)])
+    for n_dirs in (8, 24):
+        batch = _oracle(fs, s, n_dirs, DEFAULT_TOL)
+        scanned, phi = _scan(_prepare(fs, s), s, n_dirs)
+        assert np.array_equal(batch.value, np.minimum(scanned, batch.single))
+        assert np.array_equal(batch.phi_best, phi)
+
+
+@pytest.mark.parametrize("dual, rescanned", ((-np.inf, True), (np.inf, False)))
+def test_the_dual_alone_decides_the_rescan(monkeypatch, dual, rescanned):
+    # a dual that certifies nothing sends every cell to the n_dirs scan, one
+    # that certifies everything sends none; the value is the smaller one
+    monkeypatch.setattr(envelope_oracle, "dual_lower", lambda fs, *args: np.full(len(fs), dual))
+    s = SlipSystem.from_theta(0.45 * math.pi, 0.5)
+    rng = np.random.default_rng(52)
+    fs = np.array([random_det1(rng, spread=2.0) for _ in range(40)])
+    cells = _prepare(fs, s)
+    batch = _oracle(fs, s, 180, DEFAULT_TOL)
+    short, _ = _scan(cells, s, 24)
+    full, _ = _scan(cells, s, 180)
+    expect = np.minimum(short, full) if rescanned else short
+    assert np.array_equal(batch.value, np.minimum(expect, batch.single))
