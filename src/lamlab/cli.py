@@ -196,7 +196,6 @@ def cmd_laminate(args, cfg: Settings) -> int:
         "f_minus": d.f_minus.tolist(),
         "direction": {"a": list(map(float, d.direction[0])),
                       "n": list(map(float, d.direction[1]))},
-        "degenerate_tie": d.degenerate_tie,
         "residuals": asdict(verify_decomposition(d, f, cfg.slip)),
     }
     print(json.dumps(out, sort_keys=True))

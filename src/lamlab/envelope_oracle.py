@@ -6,21 +6,17 @@ target: for each direction the line meets the slip manifolds in at most four
 points, and the best direction is refined by golden-section search.  Used to
 certify the closed-form envelopes and bounds.
 
-Every target is first scanned at _SHORT_DIRS directions.  Its laminate then
-gives a convex dual lower bound (`dual_lower`); where the scanned value meets
-that bound within _CERTIFY_RTOL it is the envelope to that tolerance, and only
-the other targets are scanned again at the full direction count.
-
-The determinant stays 1 along each line, so the chord identity of
-`_direction_energy` makes the nearest root on each side of t = 0 the best
-two-point laminate on it; no other pair of roots is formed.
+Every target is first evaluated at the paper's four laminate directions.  The
+best of them gives a convex dual lower bound (`dual_lower`); where the value
+meets that bound within _CERTIFY_RTOL it is the envelope to that tolerance,
+and only the other targets are scanned at the full direction count.
 
 One NumPy kernel evaluates a stack of matrices against their directions, in
 three parts: the per-matrix factors (`_prepare`), the per-direction factors
 (`_directions`) and the per-pair core (`_core`), which writes into buffers
 its caller owns (`_Workspace`).  The grid scan prepares every certified cell
-once and each span of coarse directions once, runs the coarse scan in chunks
-of fixed size through one reused workspace and the refinement in lock-step on
+once and each span of directions once, runs the direction scan in chunks of
+fixed size through one reused workspace and the refinement in lock-step on
 the same prepared cells; `_direction_energy` composes the three parts for a
 single call, and `wlc_numeric` is the single-matrix caller.
 """
@@ -48,24 +44,18 @@ _ROOT_EPS = 1e-13
 _REFINE_WIDTH = 1e-8
 
 # Cell x direction elements per coarse-scan chunk (16 cells at 720 directions,
-# 480 at the first scan's 24, one cell and a span of as many directions beyond
-# them), so that --n-dirs cannot grow the working set.  Oracle time for the
-# 3721 cells of a 61^2 grid at 720 directions (fastest of six interleaved sets
-# of 8 runs, whose medians lie up to 41 % above it; 2-vCPU Xeon VM, NumPy
-# 2.4.6), and peak RSS of the process:
-#   cells per chunk  8      16     32     64     128    256
-#   pi/4 oracle s    0.139  0.131  0.122  0.129  0.136  0.180
-#   0.3 pi oracle s  0.177  0.149  0.157  0.144  0.157  0.185
-#   peak RSS MB      31.4   32.1   33.1   34.9   39.5   48.0
-# 16 to 128 cells lie within 12 % of each other, less than the spread between
-# sets, and no size wins at both angles; 16 keeps the smaller working set.
-# (Measured when every cell was scanned at 720 directions.)
+# 2880 at the four laminate directions, one cell and a span of as many
+# directions beyond them), so that --n-dirs cannot grow the working set.  With
+# every cell of a 61^2 grid scanned at 720 directions (2-vCPU Xeon VM, NumPy
+# 2.4.6), 16 to 128 cells per chunk lay within 12 % of each other in oracle
+# time, less than the spread between sets of runs, 256 cells 24-37 % above
+# 16, and peak RSS grew from 32.1 MB at 16 cells to 48.0 MB at 256.
 _CHUNK_ELEMENTS = 16 * 720
 
-# The first scan of every cell: its direction count, and the relative gap to
-# the dual bound within which its value stands without the n_dirs rescan.
-_SHORT_DIRS = 24
+# The relative gap to the dual bound within which a value stands without the
+# n_dirs scan, and the cells per block of the dual bound.
 _CERTIFY_RTOL = 1e-9
+_DUAL_CELLS = 480
 
 # Newton steps of `_circle_min` at most; 7 reach its tolerance on seeded B
 # whose entries span twelve decades.
@@ -304,9 +294,9 @@ def _golden(cells: _Cells, s: SlipSystem, center: np.ndarray, half: float,
     return 0.5 * (a + b)
 
 
-def _coarse_scan(cells: _Cells, s: SlipSystem, n_dirs: int):
-    """The best of n_dirs uniformly spaced directions on [0, pi) per matrix,
-    as (energy, phi).
+def _coarse_scan(cells: _Cells, s: SlipSystem, directions):
+    """The best of `directions` per matrix, as (energy, phi): an array of
+    angles, or a count n of the uniformly spaced angles k pi / n on [0, pi).
 
     The scan runs in blocks of at most _CHUNK_ELEMENTS cell x direction
     elements, all in one workspace: as many cells as fit against every
@@ -315,13 +305,16 @@ def _coarse_scan(cells: _Cells, s: SlipSystem, n_dirs: int):
     scanned.  A later span replaces the best only where it is strictly lower,
     so ties keep the first direction, as argmin does.
     """
+    uniform = np.ndim(directions) == 0
+    n_dirs = int(directions) if uniform else len(directions)
     n = len(cells.w0)
     width = min(n_dirs, _CHUNK_ELEMENTS)
     chunk = max(1, _CHUNK_ELEMENTS // n_dirs)
     coarse, phi_coarse = np.full(n, np.inf), np.zeros(n)
     work = _Workspace.of((min(chunk, n), width))
     for first in range(0, n_dirs, width):
-        phis = np.arange(first, min(first + width, n_dirs)) * (math.pi / n_dirs)
+        stop = min(first + width, n_dirs)
+        phis = np.arange(first, stop) * (math.pi / n_dirs) if uniform else directions[first:stop]
         dirs = _directions(np.cos(phis), np.sin(phis), s)
         for start in range(0, n, chunk):
             part = slice(start, min(start + chunk, n))
@@ -333,6 +326,15 @@ def _coarse_scan(cells: _Cells, s: SlipSystem, n_dirs: int):
             coarse[part] = np.where(lower, best, coarse[part])
             phi_coarse[part] = np.where(lower, phis[i_best], phi_coarse[part])
     return coarse, phi_coarse
+
+
+def _laminate_angles(s: SlipSystem) -> np.ndarray:
+    """The angles on [0, pi), ascending, of the directions m of `decompose`'s
+    lines: v1_perp, v2_perp (single slip), v3 and v3_perp (the v3 lines and
+    the CaseA / CaseAPerp bisectors); m and -m give the same line."""
+    ms = np.array([perp(s.v1), perp(s.v2), s.v3, perp(s.v3)])
+    phis = np.arctan2(ms[:, 1], ms[:, 0]) % math.pi
+    return np.sort(np.where(phis < math.pi, phis, 0.0))  # -tiny % pi rounds to pi
 
 
 def _scan(cells: _Cells, s: SlipSystem, n_dirs: int):
@@ -411,10 +413,12 @@ def _circle_min(p0, p1, q0, q1):
         y1, y2 = a / (2.0 * u), b / (2.0 * (u + k))
         n2 = y1 * y1 + y2 * y2
         step = n2 * (np.sqrt(n2) - 1.0) / (y1 * y1 / u + y2 * y2 / (u + k) + tiny)
+        # u at its floor with a step down stays there (the hard case)
+        pinned = (u == tiny) & (step <= 0.0)
         u = np.where(active, np.maximum(u + step, tiny), u)
         # an entry stops on its own tolerance, so its value does not depend on
         # the other entries of the call
-        active &= ~(np.abs(step) <= 1e-12 * (u + k))
+        active &= ~((np.abs(step) <= 1e-12 * (u + k)) | pinned)
         if not active.any():
             break
     return -a * a / (4.0 * u) - b * b / (4.0 * (u + k)) - (u + k)
@@ -484,10 +488,9 @@ def _endpoints(fs: np.ndarray, cells: _Cells, s: SlipSystem, phi: np.ndarray,
     """The laminate endpoints F (I + t m (x) m_perp) at the nearest roots of
     direction phi, or F itself where `point` is set or no pair exists."""
     ws = _Workspace.of((len(fs), 1))
-    cos, sin = np.cos(phi)[:, None], np.sin(phi)[:, None]
-    _core(cells, _directions(cos, sin, s), ws)
-    fm = np.stack([ws.fm0, ws.fm1], axis=1)            # [N, 2, 1]
-    mp = np.stack([-sin, cos], axis=2)                 # [N, 1, 2]
+    _at(cells, s, phi, ws)
+    fm = np.stack([ws.fm0, ws.fm1], axis=1)                        # [N, 2, 1]
+    mp = np.stack([-np.sin(phi), np.cos(phi)], axis=1)[:, None]    # [N, 1, 2]
     keep = (ws.ok & ~point[:, None])[:, :, None]
     return tuple(fs + np.where(keep, t[:, :, None], 0.0) * fm * mp for t in (ws.neg, ws.pos))
 
@@ -495,11 +498,10 @@ def _endpoints(fs: np.ndarray, cells: _Cells, s: SlipSystem, phi: np.ndarray,
 def _scan_dual(fs: np.ndarray, cells: _Cells, s: SlipSystem, phi: np.ndarray,
                point: np.ndarray) -> np.ndarray:
     """`dual_lower` at the laminates of the directions phi (at F itself where
-    `point` is set), in chunks of the short scan's size."""
+    `point` is set), in blocks of _DUAL_CELLS cells."""
     dual = np.empty(len(fs))
-    chunk = _CHUNK_ELEMENTS // _SHORT_DIRS
-    for start in range(0, len(fs), chunk):
-        part = slice(start, start + chunk)
+    for start in range(0, len(fs), _DUAL_CELLS):
+        part = slice(start, start + _DUAL_CELLS)
         ends = _endpoints(fs[part], cells.rows(part), s, phi[part], point[part])
         dual[part] = dual_lower(fs[part], *ends, s)
     return dual
@@ -515,10 +517,10 @@ class _Batch:
 def _oracle(fs: np.ndarray, s: SlipSystem, n_dirs: int, tol: float) -> _Batch:
     """Oracle energies of a stack of unit-determinant matrices [N, 2, 2].
 
-    Every cell is scanned at min(n_dirs, _SHORT_DIRS) directions with the
-    golden refinement.  A cell whose value the dual bound meets within
-    _CERTIFY_RTOL is done; the others are scanned again at n_dirs, and keep
-    the smaller value.
+    Every cell is evaluated at the four laminate directions, without
+    refinement.  A cell whose value the dual bound at the best of them meets
+    within _CERTIFY_RTOL is done; the others get the n_dirs scan with its
+    refinement (`_scan`) and keep the smaller value.
     """
     if n_dirs < 8:
         raise PreconditionError("the direction grid needs at least 8 points")
@@ -529,16 +531,15 @@ def _oracle(fs: np.ndarray, s: SlipSystem, n_dirs: int, tol: float) -> _Batch:
 
     cells = _prepare(fs, s)
     single = w_on_manifold(st, tol)
-    scanned, phi = _scan(cells, s, min(n_dirs, _SHORT_DIRS))
+    scanned, phi = _coarse_scan(cells, s, _laminate_angles(s))
     value = np.minimum(scanned, single)
-    if n_dirs > _SHORT_DIRS:
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            dual = _scan_dual(fs, cells, s, phi, single <= scanned)
-            rows = np.flatnonzero(~(value - dual <= _CERTIFY_RTOL * np.maximum(1.0, value)))
-        if rows.size:
-            full, phi_full = _scan(cells.rows(rows), s, n_dirs)
-            phi[rows] = np.where(full < value[rows], phi_full, phi[rows])
-            value[rows] = np.minimum(value[rows], full)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        dual = _scan_dual(fs, cells, s, phi, single <= scanned)
+        rows = np.flatnonzero(~(value - dual <= _CERTIFY_RTOL * np.maximum(1.0, value)))
+    if rows.size:
+        full, phi_full = _scan(cells.rows(rows), s, n_dirs)
+        phi[rows] = np.where(full < value[rows], phi_full, phi[rows])
+        value[rows] = np.minimum(value[rows], full)
     return _Batch(value=value, single=single, phi_best=phi)
 
 
@@ -552,14 +553,14 @@ def wlc_numeric(f: Mat, s: SlipSystem, n_dirs: int = DEFAULT_N_DIRS,
                 tol: float = DEFAULT_TOL) -> OracleResult:
     """Numeric lamination envelope at a unit-determinant matrix.
 
-    Scans 24 uniformly spaced rank-one directions on [0, pi) (n_dirs if
-    fewer), refines the best one by golden-section search, and includes the
-    single-point candidate when F lies on a slip manifold.  If the value
-    exceeds `dual_lower` at its laminate by more than 1e-9 max(1, value), the
-    scan and refinement are repeated at n_dirs directions and the smaller
-    value is kept; n_dirs is the direction count of that full scan.  Where F
-    lies on a slip manifold the laminate is `decompose`'s; elsewhere it is the
-    best direction's UpperBoundOnly pair.
+    Evaluates the four rank-one directions of the paper's laminates
+    (`_laminate_angles`) and includes the single-point candidate when F lies
+    on a slip manifold.  If the value exceeds `dual_lower` at its laminate by
+    more than 1e-9 max(1, value), n_dirs uniformly spaced directions on
+    [0, pi) are scanned, the best one is refined by golden-section search,
+    and the smaller value is kept; n_dirs is the direction count of that full
+    scan.  Where F lies on a slip manifold the laminate is `decompose`'s;
+    elsewhere it is the best direction's UpperBoundOnly pair.
     """
     fs = np.asarray(f, dtype=float)[None]
     batch = _oracle(fs, s, n_dirs, tol)

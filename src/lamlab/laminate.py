@@ -28,8 +28,6 @@ class LaminateDecomposition:
     direction is the (a, n) pair of the rank-one line N(I + t a (x) n);
     energy is the common endpoint energy, except kind = UpperBoundOnly where
     it is the mu-weighted combination (no optimality claim).
-    degenerate_tie marks a CaseA / CaseAPerp line on which the two roots of
-    one slip system have equal energies.
     """
 
     f_plus: Mat
@@ -38,7 +36,6 @@ class LaminateDecomposition:
     direction: tuple
     energy: float
     kind: str
-    degenerate_tie: bool = False
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -59,14 +56,13 @@ def _end(line: RankOneLine, t: float):
     return t, f, _w_manifold(f)
 
 
-def laminate_on_line(line: RankOneLine, lo, hi, energy: float, kind: str,
-                     tie: bool = False) -> LaminateDecomposition:
+def laminate_on_line(line: RankOneLine, lo, hi, energy: float,
+                     kind: str) -> LaminateDecomposition:
     """Laminate of the line points lo = (t, F(t), ...) at t <= 0 and hi at t >= 0."""
     (t_lo, f_lo, *_), (t_hi, f_hi, *_) = lo, hi
     return LaminateDecomposition(
         f_plus=f_hi, f_minus=f_lo, mu=-t_lo / (t_hi - t_lo),
         direction=(line.left, line.normal), energy=energy, kind=kind,
-        degenerate_tie=tie,
     )
 
 
@@ -82,12 +78,9 @@ def _nearest_pair(line: RankOneLine, s: SlipSystem, kind: str):
 
     UpperBoundOnly reports mu W+ + (1-mu) W-, as `verify_decomposition` forms
     it.  The known kinds report max(W-, W+) and raise DegenerateTangency when
-    the endpoint energies differ by more than 1e-6 max(1, |N|^2); for CaseA
-    and CaseAPerp, degenerate_tie flags two roots of one slip system with
-    equal energies.
+    the endpoint energies differ by more than 1e-6 max(1, |N|^2).
     """
-    roots = [solve_unit_image_times(line, v) for v in (s.v1, s.v2)]
-    ts = roots[0] + roots[1]
+    ts = solve_unit_image_times(line, s.v1) + solve_unit_image_times(line, s.v2)
     t_lo = max((t for t in ts if t <= 0.0), default=None)
     t_hi = min((t for t in ts if t >= 0.0), default=None)
     if t_lo is None or t_hi is None or t_hi - t_lo <= 1e-15:
@@ -96,17 +89,9 @@ def _nearest_pair(line: RankOneLine, s: SlipSystem, kind: str):
     if kind == "UpperBoundOnly":
         mu = -t_lo / (t_hi - t_lo)  # as laminate_on_line forms it
         return laminate_on_line(line, lo, hi, mu * hi[2] + (1.0 - mu) * lo[2], kind)
-    scale = max(1.0, frobenius_sq(line.base))
-    if abs(lo[2] - hi[2]) > 1e-6 * scale:
+    if abs(lo[2] - hi[2]) > 1e-6 * max(1.0, frobenius_sq(line.base)):
         raise DegenerateTangency("the laminate endpoint energies differ on a known region")
-    tie = False
-    if kind in ("CaseA", "CaseAPerp"):
-        w = {t_lo: lo[2], t_hi: hi[2]}
-        for t in ts:
-            if t not in w:
-                w[t] = _end(line, t)[2]
-        tie = any(len(r) == 2 and abs(w[r[0]] - w[r[1]]) <= 1e-9 * scale for r in roots)
-    return laminate_on_line(line, lo, hi, max(lo[2], hi[2]), kind, tie)
+    return laminate_on_line(line, lo, hi, max(lo[2], hi[2]), kind)
 
 
 def decompose(n: Mat, s: SlipSystem, tol: float = DEFAULT_TOL) -> LaminateDecomposition:

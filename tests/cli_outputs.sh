@@ -34,9 +34,14 @@ run verify-envelope-1.413716694115407 --theta 1.413716694115407 --n 21 verify-en
 # theta = 0.45 pi at |b|, |c| up to 1e3: the dual bound's fit at large |F|
 run verify-envelope-1.413716694115407-range1e3 --theta 1.413716694115407 --range 1e3 --n 21 \
     verify-envelope --out "$out/verify-envelope-1.413716694115407-range1e3.csv"
-# direction counts: 24 is the first scan alone and 25 adds the rescan of the
-# cells the dual bound leaves open; coarse-scan chunk edges: 1001 directions
-# put 11 cells in a chunk, 12000 one, 11521 one cell and two direction spans
+# the smallest direction grid, which takes the same path as any other: the
+# four laminate directions, the dual bound and the rescan of the cells it
+# leaves open
+run verify-envelope-0.9424777960769379-dirs8 --theta 0.9424777960769379 --range 3 --n 21 \
+    --n-dirs 8 verify-envelope --out "$out/verify-envelope-0.9424777960769379-dirs8.csv"
+# direction counts of the rescan: 24 and 25; coarse-scan chunk edges: 1001
+# directions put 11 cells in a chunk, 12000 one, 11521 one cell and two
+# direction spans
 for theta in 0.7853981633974483 1.413716694115407; do
     for dirs in 24 25 1001 11521 12000; do
         run "verify-envelope-$theta-dirs$dirs" --theta "$theta" --n 9 --n-dirs "$dirs" verify-envelope \

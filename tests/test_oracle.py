@@ -1,5 +1,8 @@
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from decimal import Decimal, localcontext
 
@@ -8,13 +11,15 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import lamlab
 from lamlab import envelope_oracle
 from lamlab.algebra import bc_to_matrix, perp, random_det1, rotation
 from lamlab.energy import (DEFAULT_TOL, SlipSystem, f_majorant, h, h_perp, matrix_state,
                            slip_state, w_condensed, w_hom, w_on_manifold)
-from lamlab.envelope_oracle import (_CHUNK_ELEMENTS, _coarse_scan, _direction_energy,
-                                    _inner_min, _oracle, _prepare, _scan, _scan_dual, dual_lower,
-                                    envelope_scan, wlc_numeric)
+from lamlab.envelope_oracle import (_CERTIFY_RTOL, _CHUNK_ELEMENTS, _coarse_scan,
+                                    _direction_energy, _inner_min, _laminate_angles, _oracle,
+                                    _prepare, _scan, _scan_dual, dual_lower, envelope_scan,
+                                    wlc_numeric)
 from lamlab.errors import LamlabError, OffManifold, PreconditionError
 from lamlab.laminate import decompose, verify_decomposition
 from lamlab.regions import CODE, region_map
@@ -439,12 +444,17 @@ def from_pq(p, q, v):
 
 
 def oracle_dual(fs, s, n_dirs=24):
-    """The scanned value of every target and `dual_lower` at its laminate, as
-    the oracle forms them before it decides which targets to scan again."""
+    """The value of every target after the scan of n_dirs directions and its
+    refinement, or with n_dirs None at the four laminate directions alone, as
+    the oracle forms it before it decides which targets to scan again; and
+    `dual_lower` at its laminate."""
     cells = _prepare(fs, s)
     st = slip_state(fs[:, 0, 0], fs[:, 0, 1], fs[:, 1, 0], fs[:, 1, 1], s)
     single = w_on_manifold(st, DEFAULT_TOL)
-    scanned, phi = _scan(cells, s, n_dirs)
+    if n_dirs is None:
+        scanned, phi = _coarse_scan(cells, s, _laminate_angles(s))
+    else:
+        scanned, phi = _scan(cells, s, n_dirs)
     return np.minimum(scanned, single), _scan_dual(fs, cells, s, phi, single <= scanned)
 
 
@@ -466,7 +476,7 @@ def test_inner_min_is_exact_on_the_circle(theta):
     # endpoints are stationary points of W - <B, .>
     fs = np.array([random_det1(rng, spread=3.0) for _ in range(20)])
     cells = _prepare(fs, s)
-    _, phi = _scan(cells, s, 24)
+    _, phi = _coarse_scan(cells, s, _laminate_angles(s))
     f_minus, f_plus = envelope_oracle._endpoints(fs, cells, s, phi, np.zeros(len(fs), dtype=bool))
     bs.append(f_minus + f_plus)
     # symmetric B diagonal in the frame of v1: g' vanishes at a = 0 and a = pi
@@ -559,8 +569,8 @@ def test_dual_lies_in_the_bounds_band(theta):
 
 @pytest.mark.parametrize("theta", ANGLES)
 def test_scan_meets_the_full_scan(theta):
-    # the short scan, the dual and the rescan give every 61^2 cell the value
-    # of the 720-direction scan to 1e-9 max(1, v)
+    # the four laminate directions, the dual and the rescan give every 61^2
+    # cell the value of the 720-direction scan to 1e-9 max(1, v)
     s = SlipSystem.from_theta(theta, 0.5)
     scan = envelope_scan(s, 3.0, 61, n_dirs=720)
     live = ~scan.skipped
@@ -569,19 +579,25 @@ def test_scan_meets_the_full_scan(theta):
     assert np.all(np.abs(v - full) <= 1e-9 * np.maximum(1.0, v))
 
 
-def test_n_dirs_up_to_24_is_one_scan(monkeypatch):
-    # no dual and no rescan: the value and direction of the n_dirs scan, bit for bit
-    def no_dual(*args):
-        raise AssertionError("the dual bound ran")
-    monkeypatch.setattr(envelope_oracle, "_scan_dual", no_dual)
+@pytest.mark.parametrize("n_dirs", (8, 24, 180))
+def test_every_n_dirs_rescans_only_the_uncertified_cells(n_dirs):
+    # the smallest direction grid takes the same path as any other: a cell
+    # the dual certifies keeps the value and direction of the four laminate
+    # directions, bit for bit, and only the others get the n_dirs scan
     s = SlipSystem.from_theta(0.3 * math.pi, 0.5)
     rng = np.random.default_rng(51)
     fs = np.array([random_det1(rng, spread=2.0) for _ in range(40)])
-    for n_dirs in (8, 24):
-        batch = _oracle(fs, s, n_dirs, DEFAULT_TOL)
-        scanned, phi = _scan(_prepare(fs, s), s, n_dirs)
-        assert np.array_equal(batch.value, np.minimum(scanned, batch.single))
-        assert np.array_equal(batch.phi_best, phi)
+    batch = _oracle(fs, s, n_dirs, DEFAULT_TOL)
+    cells = _prepare(fs, s)
+    _, phi = _coarse_scan(cells, s, _laminate_angles(s))
+    value, dual = oracle_dual(fs, s, n_dirs=None)
+    with np.errstate(invalid="ignore"):
+        done = value - dual <= _CERTIFY_RTOL * np.maximum(1.0, value)
+    assert 0 < np.count_nonzero(done) < len(fs)
+    full, phi_full = _scan(cells, s, n_dirs)
+    lower = ~done & (full < value)
+    assert np.array_equal(batch.value, np.where(lower, full, value))
+    assert np.array_equal(batch.phi_best, np.where(lower, phi_full, phi))
 
 
 @pytest.mark.parametrize("dual, rescanned", ((-np.inf, True), (np.inf, False)))
@@ -594,7 +610,68 @@ def test_the_dual_alone_decides_the_rescan(monkeypatch, dual, rescanned):
     fs = np.array([random_det1(rng, spread=2.0) for _ in range(40)])
     cells = _prepare(fs, s)
     batch = _oracle(fs, s, 180, DEFAULT_TOL)
-    short, _ = _scan(cells, s, 24)
+    four, _ = _coarse_scan(cells, s, _laminate_angles(s))
     full, _ = _scan(cells, s, 180)
-    expect = np.minimum(short, full) if rescanned else short
+    expect = np.minimum(four, full) if rescanned else four
     assert np.array_equal(batch.value, np.minimum(expect, batch.single))
+
+
+def test_laminate_angles_are_the_lines_of_decompose():
+    # {0, theta, pi/2, pi - theta} in the canonical frame
+    for theta in ANGLES:
+        got = _laminate_angles(SlipSystem.from_theta(theta, 0.5))
+        assert np.allclose(got, [0.0, theta, math.pi / 2, math.pi - theta], rtol=0.0, atol=4e-16)
+    # in a rotated frame, the directions a of every line decompose lays
+    # through random targets (a and -a give the same line)
+    rng = np.random.default_rng(53)
+    for theta in (math.pi / 4, 0.3 * math.pi):
+        v1, v2 = (rotation(0.7) @ v for v in (np.array([math.sin(theta), math.cos(theta)]),
+                                             np.array([-math.sin(theta), math.cos(theta)])))
+        s = SlipSystem.from_vectors(v1, v2, 0.5)
+        angles = _laminate_angles(s)
+        assert np.all(np.diff(angles) > 0.0) and 0.0 <= angles[0] and angles[-1] < math.pi
+        hit = set()
+        for _ in range(400):
+            f = random_det1(rng, spread=2.0)
+            try:
+                dec = decompose(f, s)
+            except LamlabError:
+                continue
+            if dec.kind == "CaseOnManifold":
+                continue
+            a = math.atan2(dec.direction[0][1], dec.direction[0][0]) % math.pi
+            gap = np.abs(angles - a)
+            k = int(np.argmin(np.minimum(gap, math.pi - gap)))
+            assert min(gap[k], math.pi - gap[k]) <= 1e-15
+            hit.add(k)
+        assert hit == {0, 1, 2, 3}
+
+
+@pytest.mark.parametrize("theta", (math.pi / 4, 0.3 * math.pi))
+def test_few_cells_reach_the_full_scan(monkeypatch, theta):
+    # on a 61^2 range-3 grid the dual certifies the four laminate directions
+    # on all but at most 1 % of the cells
+    rows = []
+    scan = envelope_oracle._scan
+
+    def counted(cells, s, n_dirs):
+        rows.append(len(cells.w0))
+        return scan(cells, s, n_dirs)
+    monkeypatch.setattr(envelope_oracle, "_scan", counted)
+    res = envelope_scan(SlipSystem.from_theta(theta, 0.5), 3.0, 61, n_dirs=720)
+    assert sum(rows) <= 0.01 * np.count_nonzero(~res.skipped)
+
+
+def test_the_oracle_does_not_import_numpy_ma():
+    # numpy.ma (imported by np.unique, among others) costs about 1 MB of peak
+    # memory; the oracle does without it
+    code = ("import math, sys\n"
+            "from lamlab.energy import SlipSystem\n"
+            "from lamlab.envelope_oracle import envelope_scan\n"
+            "envelope_scan(SlipSystem.from_theta(0.3 * math.pi, 0.5), 3.0, 15, 90)\n"
+            "assert 'numpy.ma' not in sys.modules, 'numpy.ma was imported'\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(lamlab.__file__)))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    res = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+                         capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
