@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .algebra import bc_to_matrix, det2
+from .algebra import bc_to_matrix
 from .energy import (DEFAULT_TOL, Bounds, Known, SlipSystem, h, h_perp, h_perp_star, h_star,
                      w_hom, w_hom_scalar)
 from .envelope_oracle import DEFAULT_N_DIRS, envelope_scan
@@ -177,8 +177,11 @@ def _write_csv(path: str, columns: dict) -> None:
 def cmd_classify(args, cfg: Settings) -> int:
     f = _matrix_from_args(args)
     label = classify(f, cfg.slip, cfg.tol)
+    # on Python floats: past the float range the residual is inf or nan, with no warning
+    (a, b), (c, d) = f.tolist()
+    residual = abs(a * d - b * c - 1.0)
     out = {"region": label.tag, "boundary": sorted(label.boundary),
-           "det_residual": abs(det2(f) - 1.0)}
+           "det_residual": residual if math.isfinite(residual) else "inf"}
     if label.tag != "OffManifold":
         out.update(_energy_json(w_hom(f, cfg.slip, cfg.tol)))
     print(json.dumps(out, sort_keys=True))

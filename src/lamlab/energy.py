@@ -180,16 +180,6 @@ class ExtendedEnergy:
         if not self.value >= 0.0:  # nan fails too
             raise ValueError(f"energies must be nonnegative, not {self.value}")
 
-    @classmethod
-    def finite(cls, value: float) -> "ExtendedEnergy":
-        if not 0.0 <= value < math.inf:
-            raise ValueError(f"finite energies must be finite and nonnegative, not {value}")
-        return cls(float(value))
-
-    @property
-    def infinite(self) -> bool:
-        return self.value == math.inf
-
     @property
     def is_finite(self) -> bool:
         return self.value < math.inf

@@ -3,8 +3,8 @@
 Independently estimates the lamination envelope of the condensed density by
 exhaustive search over determinant-preserving rank-one lines through the
 target: for each direction the line meets the slip manifolds in at most four
-points, and the best direction is refined by golden-section search.  Used to
-certify the closed-form envelopes and bounds.
+points, and the scan zooms in on the best direction.  Used to certify the
+closed-form envelopes and bounds.
 
 Every target is first evaluated at the paper's four laminate directions.  The
 best of them gives a convex dual lower bound (`dual_lower`); where the value
@@ -15,9 +15,9 @@ One NumPy kernel evaluates a stack of matrices against their directions, in
 three parts: the per-matrix factors (`_prepare`), the per-direction factors
 (`_directions`) and the per-pair core (`_core`), which writes into buffers
 its caller owns (`_Workspace`).  The grid scan prepares every certified cell
-once and each span of directions once, runs the direction scan in chunks of
-fixed size through one reused workspace and the refinement in lock-step on
-the same prepared cells; `_direction_energy` composes the three parts for a
+once; one direction scan (`_coarse_scan`), in chunks of fixed size through
+one reused workspace, serves the four laminate directions, the rescan and
+each level of its zoom.  `_direction_energy` composes the three parts for a
 single call, and `wlc_numeric` is the single-matrix caller.
 """
 
@@ -36,11 +36,17 @@ from .errors import OffManifold, PreconditionError
 from .laminate import LaminateDecomposition, decompose, laminate_on_line
 from .regions import CODE, RegionMap, region_map
 
-GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
-
 DEFAULT_N_DIRS = 720
 
 _ROOT_EPS = 1e-13
+
+# The rescan's zoom: intervals per level, and the half-width at which it stops.
+# Refining the 36 cells a 61^2 range-3 grid at 0.3 pi rescans took 1.6-1.8 ms
+# at 16 intervals, 1.4-2.3 at 32 and 2.0-3.1 at 8 (golden-section search:
+# 3.0-4.1 ms), the 624 at 0.45 pi 7.3-10.6, 13.7-16.4 and 6.9-7.9 ms (golden:
+# 4.8-8.7): 32 loses where many cells are rescanned, 8 where few are.  Fastest
+# of 15, 5 interleaved sets, 2-vCPU VM, NumPy 2.4.6.
+_ZOOM = 16
 _REFINE_WIDTH = 1e-8
 
 # Cell x direction elements per coarse-scan chunk (16 cells at 720 directions,
@@ -115,7 +121,7 @@ def _prepare(fs: np.ndarray, s: SlipSystem) -> _Cells:
 
 class _Directions(NamedTuple):
     """The directions m = (cos, sin): a [1, K] row shared by every matrix or
-    an [N, 1] column, one per matrix."""
+    an [N, K] table, one row per matrix."""
 
     cos: np.ndarray
     sin: np.ndarray
@@ -158,19 +164,9 @@ class _Workspace(NamedTuple):
 
 
 def _nearest(neg, pos, t, mask):
-    """Fold the roots t into the nearest root on each side of t = 0.
-
-    On a row block of directions a masked ufunc is the faster form; on an
-    [N, 1] column, whose mask changes from cell to cell, NumPy runs masked
-    ufuncs several times slower than a select.  Both forms only choose
-    between operands, so they give the same bits.
-    """
-    if t.shape[1] == 1:
-        np.fmax(neg, np.where(t <= 0.0, t, np.nan), out=neg)
-        np.fmin(pos, np.where(t >= 0.0, t, np.nan), out=pos)
-    else:
-        np.fmax(neg, t, out=neg, where=np.less_equal(t, 0.0, out=mask))
-        np.fmin(pos, t, out=pos, where=np.greater_equal(t, 0.0, out=mask))
+    """Fold the roots t into the nearest root on each side of t = 0."""
+    np.fmax(neg, t, out=neg, where=np.less_equal(t, 0.0, out=mask))
+    np.fmin(pos, t, out=pos, where=np.greater_equal(t, 0.0, out=mask))
 
 
 def _core(c: _Cells, d: _Directions, ws: _Workspace) -> None:
@@ -181,14 +177,14 @@ def _core(c: _Cells, d: _Directions, ws: _Workspace) -> None:
     its bits.  `ok` serves as a scratch mask until it takes the result.
     """
     fm0, fm1, am2, p, w, near, neg, pos, tmp, energy, ok = ws
-    column = energy.shape[1] == 1
     np.add(np.multiply(c.f00, d.cos, out=fm0), np.multiply(c.f01, d.sin, out=tmp), out=fm0)
     np.add(np.multiply(c.f10, d.cos, out=fm1), np.multiply(c.f11, d.sin, out=tmp), out=fm1)
     np.add(np.multiply(fm0, fm0, out=am2), np.multiply(fm1, fm1, out=tmp), out=am2)
     neg.fill(np.nan)
     pos.fill(np.nan)
 
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # a chord beyond the float range is inf, as it should be
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for (fv0, fv1, c0, low), vm, vm2 in zip(c.slips, d.vm, d.vm2):
             np.add(np.multiply(fm0, fv0, out=p), np.multiply(fm1, fv1, out=tmp), out=p)
             np.sqrt(np.subtract(am2, np.multiply(c.det2, vm2, out=w), out=w), out=w)
@@ -197,14 +193,8 @@ def _core(c: _Cells, d: _Directions, ws: _Workspace) -> None:
             if np.equal(w, 0.0, out=ok).any():  # p = disc = 0: a double root at t = 0
                 np.copyto(near, w, where=ok)
             _nearest(neg, pos, near, ok)
-            # the far root, on the rows with |F v| <= 1: selected on a column,
-            # gathered on a row block, where the row of directions shared by
-            # every matrix serves the gathered rows as it is
-            if column:
-                den = vm * am2
-                far = np.where(low[:, None] & (vm * den > c.eps), w / den, np.nan)
-                _nearest(neg, pos, far, ok)
-                continue
+            # the far root, on the rows with |F v| <= 1, gathered; a row of
+            # directions shared by every matrix serves them as it is
             rows = np.flatnonzero(low)
             if rows.size:
                 vmr, am2r = (vm if len(vm) == 1 else vm[rows]), am2[rows]
@@ -216,18 +206,15 @@ def _core(c: _Cells, d: _Directions, ws: _Workspace) -> None:
 
         np.greater(np.subtract(pos, neg, out=tmp), 1e-15, out=ok)
         np.subtract(c.w0, np.multiply(np.multiply(am2, neg, out=tmp), pos, out=tmp), out=tmp)
-        if column:  # select, as in _nearest
-            np.copyto(energy, np.where(ok, np.maximum(tmp, 0.0), np.inf))
-        else:
-            energy.fill(np.inf)
-            np.maximum(tmp, 0.0, out=energy, where=ok)
+        energy.fill(np.inf)
+        np.maximum(tmp, 0.0, out=energy, where=ok)
 
 
 def _direction_energy(fs: np.ndarray, cos, sin, s: SlipSystem, pair: bool = False):
     """Best two-point laminate on the lines F(I + t m (x) m_perp), m = (cos, sin).
 
     `fs` is a stack [N, 2, 2]; `cos` and `sin` broadcast against [N, 1]: one
-    row of directions shared by every matrix, or one column of directions per
+    row of directions shared by every matrix, or one row of directions per
     matrix.
 
     Along the line F(t) v = F v + t (m_perp . v) F m, so u = (m_perp . v) t
@@ -261,52 +248,21 @@ def _direction_energy(fs: np.ndarray, cos, sin, s: SlipSystem, pair: bool = Fals
     return ws.energy
 
 
-def _at(cells: _Cells, s: SlipSystem, phi: np.ndarray, ws: _Workspace) -> np.ndarray:
-    """The kernel at one direction per matrix, in an [N, 1] workspace."""
-    _core(cells, _directions(np.cos(phi)[:, None], np.sin(phi)[:, None], s), ws)
-    return ws.energy[:, 0].copy()
-
-
-def _golden(cells: _Cells, s: SlipSystem, center: np.ndarray, half: float,
-            ws: _Workspace) -> np.ndarray:
-    """Golden-section minimization of the per-direction energy, all matrices in lock-step.
-
-    Every bracket [center - half, center + half] has the same width, so every
-    matrix takes the same number of steps: as many as shrink the gap between
-    the two interior points to at most _REFINE_WIDTH.  Each step evaluates one
-    new direction per matrix.
-    """
-    a, b = center - half, center + half
-    steps, gap = 0, 2.0 * half * (2.0 / GOLDEN - 1.0)
-    while gap > _REFINE_WIDTH:
-        gap /= GOLDEN
-        steps += 1
-    c = b - (b - a) / GOLDEN
-    d = a + (b - a) / GOLDEN
-    fc, fd = _at(cells, s, c, ws), _at(cells, s, d, ws)
-    for _ in range(steps):
-        left = fc < fd
-        a, b = np.where(left, a, c), np.where(left, d, b)
-        x = np.where(left, b - (b - a) / GOLDEN, a + (b - a) / GOLDEN)
-        fx = _at(cells, s, x, ws)
-        c, d = np.where(left, x, d), np.where(left, c, x)
-        fc, fd = np.where(left, fx, fd), np.where(left, fc, fx)
-    return 0.5 * (a + b)
-
-
 def _coarse_scan(cells: _Cells, s: SlipSystem, directions):
-    """The best of `directions` per matrix, as (energy, phi): an array of
-    angles, or a count n of the uniformly spaced angles k pi / n on [0, pi).
+    """The best of `directions` per matrix, as (energy, phi): a count n of the
+    uniformly spaced angles k pi / n on [0, pi), an array of angles shared by
+    every matrix, or an [N, K] table of them, one row per matrix.
 
     The scan runs in blocks of at most _CHUNK_ELEMENTS cell x direction
     elements, all in one workspace: as many cells as fit against every
     direction, or, beyond _CHUNK_ELEMENTS directions, one cell at a time
-    against one span of directions, whose table is formed when the span is
-    scanned.  A later span replaces the best only where it is strictly lower,
-    so ties keep the first direction, as argmin does.
+    against one span of directions.  A shared span's direction factors are
+    formed once, a table's per block.  The first span sets every best; a
+    later one replaces it only where it is strictly lower, so ties keep the
+    first direction, as argmin does.
     """
     uniform = np.ndim(directions) == 0
-    n_dirs = int(directions) if uniform else len(directions)
+    n_dirs = int(directions) if uniform else np.shape(directions)[-1]
     n = len(cells.w0)
     width = min(n_dirs, _CHUNK_ELEMENTS)
     chunk = max(1, _CHUNK_ELEMENTS // n_dirs)
@@ -314,17 +270,21 @@ def _coarse_scan(cells: _Cells, s: SlipSystem, directions):
     work = _Workspace.of((min(chunk, n), width))
     for first in range(0, n_dirs, width):
         stop = min(first + width, n_dirs)
-        phis = np.arange(first, stop) * (math.pi / n_dirs) if uniform else directions[first:stop]
-        dirs = _directions(np.cos(phis), np.sin(phis), s)
+        span = (np.arange(first, stop)[None] * (math.pi / n_dirs) if uniform
+                else np.atleast_2d(directions)[:, first:stop])
+        shared = _directions(np.cos(span), np.sin(span), s) if len(span) == 1 else None
         for start in range(0, n, chunk):
             part = slice(start, min(start + chunk, n))
-            ws = work.block(part.stop - start, len(phis))
-            _core(cells.rows(part), dirs, ws)
+            phis = span if shared else span[part]
+            ws = work.block(part.stop - start, stop - first)
+            _core(cells.rows(part), shared or _directions(np.cos(phis), np.sin(phis), s), ws)
             i_best = np.argmin(ws.energy, axis=1)
-            best = ws.energy[np.arange(len(i_best)), i_best]
-            lower = best < coarse[part]
+            k = np.arange(len(i_best))
+            best = ws.energy[k, i_best]
+            lower = (best < coarse[part]) | (first == 0)
             coarse[part] = np.where(lower, best, coarse[part])
-            phi_coarse[part] = np.where(lower, phis[i_best], phi_coarse[part])
+            phi_coarse[part] = np.where(lower, np.broadcast_to(phis, ws.energy.shape)[k, i_best],
+                                        phi_coarse[part])
     return coarse, phi_coarse
 
 
@@ -338,13 +298,21 @@ def _laminate_angles(s: SlipSystem) -> np.ndarray:
 
 
 def _scan(cells: _Cells, s: SlipSystem, n_dirs: int):
-    """The coarse scan of n_dirs directions and its golden-section refinement:
-    the better of the two per matrix, as (energy, phi)."""
-    coarse, phi_coarse = _coarse_scan(cells, s, n_dirs)
-    column = _Workspace.of((len(coarse), 1))
-    phi_star = _golden(cells, s, phi_coarse, math.pi / n_dirs, column)
-    refined = _at(cells, s, phi_star, column)
-    return np.minimum(coarse, refined), np.where(refined <= coarse, phi_star, phi_coarse)
+    """The scan of n_dirs directions, zoomed in on its best, as (energy, phi).
+
+    Each zoom level scans _ZOOM + 1 directions per matrix, evenly spaced
+    across +-half around the best so far with that best at the centre, and
+    takes their spacing as the next half, until half <= _REFINE_WIDTH (7
+    levels after 720 directions).  Every level contains its centre, so its
+    best is never above the one before.
+    """
+    energy, phi = _coarse_scan(cells, s, n_dirs)
+    steps = np.arange(-(_ZOOM // 2), _ZOOM // 2 + 1)
+    half = math.pi / n_dirs
+    while half > _REFINE_WIDTH:
+        half *= 2.0 / _ZOOM
+        energy, phi = _coarse_scan(cells, s, phi[:, None] + half * steps)
+    return energy, phi
 
 
 # ---------------------------------------------------------------------------
@@ -488,7 +456,7 @@ def _endpoints(fs: np.ndarray, cells: _Cells, s: SlipSystem, phi: np.ndarray,
     """The laminate endpoints F (I + t m (x) m_perp) at the nearest roots of
     direction phi, or F itself where `point` is set or no pair exists."""
     ws = _Workspace.of((len(fs), 1))
-    _at(cells, s, phi, ws)
+    _core(cells, _directions(np.cos(phi)[:, None], np.sin(phi)[:, None], s), ws)
     fm = np.stack([ws.fm0, ws.fm1], axis=1)                        # [N, 2, 1]
     mp = np.stack([-np.sin(phi), np.cos(phi)], axis=1)[:, None]    # [N, 1, 2]
     keep = (ws.ok & ~point[:, None])[:, :, None]
@@ -557,9 +525,8 @@ def wlc_numeric(f: Mat, s: SlipSystem, n_dirs: int = DEFAULT_N_DIRS,
     (`_laminate_angles`) and includes the single-point candidate when F lies
     on a slip manifold.  If the value exceeds `dual_lower` at its laminate by
     more than 1e-9 max(1, value), n_dirs uniformly spaced directions on
-    [0, pi) are scanned, the best one is refined by golden-section search,
-    and the smaller value is kept; n_dirs is the direction count of that full
-    scan.  Where F lies on a slip manifold the laminate is `decompose`'s;
+    [0, pi) are scanned, the scan zooms in on the best one (`_scan`), and the
+    smaller value is kept; n_dirs is the direction count of that full scan.  Where F lies on a slip manifold the laminate is `decompose`'s;
     elsewhere it is the best direction's UpperBoundOnly pair.
     """
     fs = np.asarray(f, dtype=float)[None]

@@ -263,7 +263,10 @@ def run_sweep(slip: SlipSystem, rotation: Mat, gammas, eps_list, laminate_period
         finest = min(eps * lam, laminate_period * eps * lam)
         if not finest > 0.0:
             raise PreconditionError("layer period and laminate period must be positive")
-        gn = min(int(math.ceil(cells_per_feature / finest)), GRID_CAP)
+        # compared before dividing: the quotient may overflow, or be too
+        # large an int for a float
+        gn = (GRID_CAP if cells_per_feature >= GRID_CAP * finest
+              else int(math.ceil(cells_per_feature / finest)))
         spec = MicrostructureSpec(slip=slip, rotation=rotation, gammas=tuple(gammas),
                                   epsilon=eps, laminate_period=laminate_period, grid_n=gn)
         reports.append(energy_of_field(build_gradient_field(spec), spec))

@@ -31,9 +31,17 @@ done
 # theta = 0.45 pi: oracle values on Bounds cells
 run verify-envelope-1.413716694115407 --theta 1.413716694115407 --n 21 verify-envelope \
     --out "$out/verify-envelope-1.413716694115407.csv"
+# theta = 0.45 pi on the 61^2 grid: the dual leaves 624 cells to the rescan and its zoom
+run verify-envelope-1.413716694115407-n61 --theta 1.413716694115407 --range 3 --n 61 \
+    verify-envelope --out "$out/verify-envelope-1.413716694115407-n61.csv"
 # theta = 0.45 pi at |b|, |c| up to 1e3: the dual bound's fit at large |F|
 run verify-envelope-1.413716694115407-range1e3 --theta 1.413716694115407 --range 1e3 --n 21 \
     verify-envelope --out "$out/verify-envelope-1.413716694115407-range1e3.csv"
+# |b| up to 1e150: chords beyond the float range are inf, without a warning
+for theta in 0.7853981633974483 1.413716694115407; do
+    run "verify-envelope-$theta-range1e150" --theta "$theta" --range 1e150 --n 5 verify-envelope \
+        --out "$out/verify-envelope-$theta-range1e150.csv"
+done
 # the smallest direction grid, which takes the same path as any other: the
 # four laminate directions, the dual bound and the rescan of the cells it
 # leaves open
@@ -56,7 +64,7 @@ for theta in 0.7853981633974483 0.9424777960769379 1.0995574287564276 1.25663706
     for point in "--bc=0,0" "--bc=0.5,0.3" "--bc=-1.2,0.7" "--bc=2,-1.5" "--bc=-0.3,-2.4" \
                  "--bc=1e3,0.1" "--bc=-2.9508196721311477,-2.557377049180328" \
                  "--matrix=2,0,0,0.5" "--matrix=1,0.8,0,1" "--matrix=1,0,0,2" \
-                 "--matrix=1e160,0,0,1e-160" "--bc=1e5,0.3"; do
+                 "--matrix=1e160,0,0,1e-160" "--bc=1e5,0.3" "--bc=1e200,0"; do
         i=$((i + 1))
         run "classify-$theta-$i" --theta "$theta" classify "$point"
         run "laminate-$theta-$i" --theta "$theta" laminate "$point"
@@ -72,6 +80,11 @@ run homogenize-cap homogenize --gamma-bands=0.2:0.3,-0.5:0.6,0.4:1 --eps-list 1/
     --out "$out/homogenize-cap.csv"
 run homogenize-non-dyadic homogenize --gamma-bands=0.2:0.3,-0.5:0.6,0.4:1 --eps-list 1/3,1/5 \
     --out "$out/homogenize-non-dyadic.csv"
+# the quotient cells-per-feature / finest feature overflows: a clean error, exit 3
+run homogenize-eps1e-310 homogenize --gamma-bands=0.4:1 --eps-list 1e-310 \
+    --out "$out/homogenize-eps1e-310.csv"
+run homogenize-hlam1e-310 homogenize --gamma-bands=0.4:1 --eps-list 1/8 --hlam 1e-310 \
+    --out "$out/homogenize-hlam1e-310.csv"
 # slip vectors from a config file: v1 = e1, v2 at 2 theta = 0.6 pi from it
 printf '%s\n' '{"slip": {"v1": [1.0, 0.0], "v2": [-0.30901699437494745, 0.9510565162951535]},' \
     ' "lambda": 0.4, "grid": {"range": 2, "n": 41}}' >"$out/config-vectors.json"

@@ -107,6 +107,25 @@ def test_overflowing_matrix_exit_code(capsys, theta, matrix):
     assert captured.err == "error: target |F|^2 overflows\n"
 
 
+def strict_json(text):
+    """JSON as the standard has it: NaN and Infinity are no numbers."""
+    def reject(name):
+        raise ValueError(f"{name} is not JSON")
+    return json.loads(text, parse_constant=reject)
+
+
+@pytest.mark.parametrize("bc", ("1e200,0", "1e160,0", "0,1e160"))
+def test_classify_past_the_float_range_writes_json(capsys, bc):
+    # the representative's entries overflow: its determinant residual is
+    # inf (or inf - inf), written as "inf" as an infinite whom is
+    code, out = run(capsys, ["classify", f"--bc={bc}"])
+    assert code == 3
+    data = strict_json(out)
+    assert data["region"] == "OffManifold" and data["det_residual"] == "inf"
+    code, out = run(capsys, ["classify", "--bc=0.5,0.3"])
+    assert code == 0 and strict_json(out)["det_residual"] == 0.0
+
+
 def test_branch_disagreement_on_the_grid_the_scalar_api_and_the_cli(tmp_path, capsys):
     # at tol 1e-1 the boundary bands are wide enough for two branches to differ
     s = SlipSystem.from_theta(0.45 * math.pi, 0.5)
@@ -273,6 +292,16 @@ def test_homogenize_band_limit(tmp_path, capsys):
                  "--out", str(out)])
     assert code == 3
     assert capsys.readouterr().err.startswith("error: 16400 bands")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags", (["--eps-list", "1e-310"],
+                                   ["--eps-list", "1/8", "--hlam", "1e-310"]))
+def test_homogenize_below_the_grid_cap_resolution_exit_code(tmp_path, capsys, flags):
+    # cells_per_feature / finest overflows; the capped grid resolves no feature
+    out = tmp_path / "sweep.csv"
+    assert main(["homogenize", "--gamma-bands", "0.4:1", *flags, "--out", str(out)]) == 3
+    assert "fewer than 4 cells" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -96,16 +96,16 @@ class TestSlipSystem:
 
 class TestExtendedEnergy:
     def test_ordering(self):
-        assert ExtendedEnergy.finite(1.0) < INFINITE
-        assert ExtendedEnergy.finite(1.0) < ExtendedEnergy.finite(2.0)
+        assert ExtendedEnergy(1.0) < INFINITE
+        assert ExtendedEnergy(1.0) < ExtendedEnergy(2.0)
         assert INFINITE.as_float() == math.inf
         with pytest.raises(ValueError):
-            ExtendedEnergy.finite(-0.5)
+            ExtendedEnergy(-0.5)
 
     def test_one_value_decides_infinite(self):
         assert ExtendedEnergy(math.inf) == INFINITE
-        assert not ExtendedEnergy(math.inf).is_finite and ExtendedEnergy(math.inf).infinite
-        assert ExtendedEnergy(2.0) == ExtendedEnergy.finite(2.0) and ExtendedEnergy(2.0).is_finite
+        assert not ExtendedEnergy(math.inf).is_finite
+        assert ExtendedEnergy(2.0) == ExtendedEnergy(2) and ExtendedEnergy(2.0).is_finite
         assert sorted([INFINITE, ExtendedEnergy(2.0), ExtendedEnergy(0.0)]) == [
             ExtendedEnergy(0.0), ExtendedEnergy(2.0), INFINITE]
 

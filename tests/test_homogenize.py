@@ -239,6 +239,28 @@ def test_grid_cap_allocates_no_grid():
     assert peak < spec.grid_n ** 2 / 4
 
 
+def test_sweep_grid_is_capped_before_dividing(monkeypatch):
+    # ceil(cells_per_feature / finest) up to GRID_CAP, as before, also where
+    # the quotient overflows a float or cells_per_feature is too large an int
+    # for one; no grid is built here
+    grids = []
+    monkeypatch.setattr(homogenize, "build_gradient_field", lambda spec: grids.append(spec.grid_n))
+    monkeypatch.setattr(homogenize, "energy_of_field", lambda field, spec: None)
+    eps_list = [1 / 4, 1 / 8, 1 / 3, 1 / 5, 1 / 64, 1 / 128, 0.3]
+    for cells, period in ((4, 0.25), (8, 0.25), (8, 1.0), (10, 0.7), (33, 0.25)):
+        grids.clear()
+        run_sweep(SLIP, R, [(0.4, 1.0)], eps_list, laminate_period=period, cells_per_feature=cells)
+        lam = SLIP.lam
+        assert grids == [min(math.ceil(cells / min(e * lam, period * e * lam)), homogenize.GRID_CAP)
+                         for e in eps_list]
+    grids.clear()
+    run_sweep(SLIP, R, [(0.4, 1.0)], [1 / 4], laminate_period=0.25, cells_per_feature=10 ** 400)
+    assert grids == [homogenize.GRID_CAP]
+    for eps, period in ((1e-310, 0.25), (1 / 8, 1e-310)):
+        with pytest.raises(PreconditionError, match="fewer than 4 cells"):
+            run_sweep(SLIP, R, [(0.4, 1.0)], [eps], laminate_period=period)
+
+
 def test_sweep_monotone_and_accurate():
     reports = run_sweep(SLIP, R, [(0.4, 1.0)], [1 / 4, 1 / 8, 1 / 16, 1 / 32],
                         laminate_period=0.25)

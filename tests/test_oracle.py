@@ -272,6 +272,10 @@ def stretch(v, k):
     return k * np.outer(v, v) + np.outer(perp(v), perp(v)) / k
 
 
+class PerCell(int):
+    """A direction count K for an [N, K] table of angles, one row per cell."""
+
+
 @pytest.mark.parametrize("theta", (math.pi / 4, 0.45 * math.pi))
 @pytest.mark.parametrize("n, n_dirs", [
     (1, 720),       # one cell
@@ -282,6 +286,11 @@ def stretch(v, k):
     (3, _CHUNK_ELEMENTS + 480),  # more directions than a chunk holds: one cell each
     (2, 2 * _CHUNK_ELEMENTS - 1),  # two direction spans, the second one short
     (2, 2 * _CHUNK_ELEMENTS + 1),  # three spans, the last of one direction
+    # per-cell tables, as the rescan's zoom scans them: 677 cells per chunk,
+    # one cell, and two spans of one cell each
+    pytest.param(700, PerCell(17), id="700-table17"),
+    pytest.param(1, PerCell(17), id="1-table17"),
+    pytest.param(3, PerCell(_CHUNK_ELEMENTS + 480), id="3-table11520+480"),
 ])
 def test_coarse_scan_chunks_match_one_kernel_call(theta, n, n_dirs):
     # the chunked scan in its reused workspace gives, bit for bit, the row
@@ -294,12 +303,19 @@ def test_coarse_scan_chunks_match_one_kernel_call(theta, n, n_dirs):
     if n > 1:
         low = [slip.low for slip in _prepare(fs, s).slips]
         assert 0 < np.count_nonzero(low[0] | low[1]) < n
-    coarse, phi = _coarse_scan(_prepare(fs, s), s, n_dirs)
-    phis = np.arange(n_dirs) * (math.pi / n_dirs)
+    if isinstance(n_dirs, PerCell):
+        fs[-1] = np.eye(2)  # no laminate at any direction: argmin takes the row's first
+        phis = rng.uniform(-0.1, math.pi + 0.1, size=(n, n_dirs))
+        coarse, phi = _coarse_scan(_prepare(fs, s), s, phis)
+    else:
+        phis = np.arange(n_dirs) * (math.pi / n_dirs)
+        coarse, phi = _coarse_scan(_prepare(fs, s), s, n_dirs)
     energy = _direction_energy(fs, np.cos(phis), np.sin(phis), s)
     i_best = np.argmin(energy, axis=1)
-    assert np.array_equal(coarse.view(np.int64), energy[np.arange(n), i_best].view(np.int64))
-    assert np.array_equal(phi.view(np.int64), phis[i_best].view(np.int64))
+    k = np.arange(n)
+    assert np.array_equal(coarse.view(np.int64), energy[k, i_best].view(np.int64))
+    assert np.array_equal(phi.view(np.int64),
+                          np.broadcast_to(phis, energy.shape)[k, i_best].view(np.int64))
 
 
 @pytest.mark.parametrize("theta", ANGLES)
@@ -392,6 +408,47 @@ def test_coarse_scan_ties_across_direction_spans_keep_the_first(theta):
     i_best = np.argmin(energy, axis=1)
     assert np.array_equal(coarse.view(np.int64), energy[[0, 1], i_best].view(np.int64))
     assert np.array_equal(phi.view(np.int64), phis[i_best].view(np.int64))
+
+
+@pytest.mark.parametrize("theta", ANGLES)
+def test_zoom_is_never_above_the_scan(theta):
+    # each zoom level contains its centre, so the refined value is at most
+    # the n_dirs scan's, bit for bit, on every cell
+    s = SlipSystem.from_theta(theta, 0.5)
+    grid, live = live_cells(s, 3.0, 61)
+    cells = _prepare(grid.fs[live], s)
+    coarse, _ = _coarse_scan(cells, s, 720)
+    refined, _ = _scan(cells, s, 720)
+    assert np.all(refined.view(np.int64) <= coarse.view(np.int64))
+
+
+@pytest.mark.parametrize("theta", ANGLES)
+def test_zoom_meets_a_dense_scan_of_the_bracket(theta):
+    # no worse than 4,097 directions evenly across each cell's bracket of the
+    # 720-direction scan, +-pi / 720 around its best
+    s = SlipSystem.from_theta(theta, 0.5)
+    grid, live = live_cells(s, 3.0, 31)
+    fs = grid.fs[live]
+    cells = _prepare(fs, s)
+    _, phi = _coarse_scan(cells, s, 720)
+    refined, _ = _scan(cells, s, 720)
+    offsets = np.linspace(-1.0, 1.0, 4097) * (math.pi / 720)
+    for start in range(0, len(fs), 64):
+        part = slice(start, start + 64)
+        table = phi[part, None] + offsets
+        dense = _direction_energy(fs[part], np.cos(table), np.sin(table), s).min(axis=1)
+        v = refined[part]
+        assert np.all(v <= dense + 1e-15 * np.maximum(1.0, v))
+
+
+@pytest.mark.parametrize("theta", (math.pi / 4, 0.45 * math.pi))
+def test_scan_past_the_float_range_is_quiet(theta):
+    # at |b| ~ 1e150 the chords of some directions overflow to inf, as they
+    # should, without a RuntimeWarning (an error under the suite's filter)
+    scan = envelope_scan(SlipSystem.from_theta(theta, 0.5), 1e150, 5)
+    live = ~scan.skipped
+    assert np.count_nonzero(live) == 5
+    assert np.all(scan.discrepancy[live] <= 1e-13 * scan.closed[live])
 
 
 def test_coarse_scan_memory_is_bounded_in_n_dirs():
