@@ -59,9 +59,15 @@ _REFINE_WIDTH = 1e-8
 _CHUNK_ELEMENTS = 16 * 720
 
 # The relative gap to the dual bound within which a value stands without the
-# n_dirs scan, and the cells per block of the dual bound.
+# n_dirs scan, and the cells per block of the dual bound.  A block pays ~100
+# NumPy calls of `_lstsq` and up to _NEWTON_STEPS of `_circle_min` whatever
+# its size, and its values do not depend on the size.  The dual of the 3,721
+# cells of a 61^2 range-3 grid at pi/4, 0.3 pi and 0.45 pi took 7.1-7.3 ms in
+# blocks of 480 cells, 5.3-5.4 at 1,024, 4.2-4.4 at 2,048 and 4.3-4.8 at 4,096
+# (fastest of 50, 10 interleaved sets, 2-vCPU VM, NumPy 2.4.6); its
+# tracemalloc peak at 0.3 pi is 0.57, 1.03, 1.83 and 3.23 MB.
 _CERTIFY_RTOL = 1e-9
-_DUAL_CELLS = 480
+_DUAL_CELLS = 2048
 
 # Newton steps of `_circle_min` at most; 7 reach its tolerance on seeded B
 # whose entries span twelve decades.
@@ -526,8 +532,9 @@ def wlc_numeric(f: Mat, s: SlipSystem, n_dirs: int = DEFAULT_N_DIRS,
     on a slip manifold.  If the value exceeds `dual_lower` at its laminate by
     more than 1e-9 max(1, value), n_dirs uniformly spaced directions on
     [0, pi) are scanned, the scan zooms in on the best one (`_scan`), and the
-    smaller value is kept; n_dirs is the direction count of that full scan.  Where F lies on a slip manifold the laminate is `decompose`'s;
-    elsewhere it is the best direction's UpperBoundOnly pair.
+    smaller value is kept; n_dirs is the direction count of that full scan.
+    Where F lies on a slip manifold the laminate is `decompose`'s; elsewhere
+    it is the best direction's UpperBoundOnly pair.
     """
     fs = np.asarray(f, dtype=float)[None]
     batch = _oracle(fs, s, n_dirs, tol)

@@ -34,6 +34,10 @@ run verify-envelope-1.413716694115407 --theta 1.413716694115407 --n 21 verify-en
 # theta = 0.45 pi on the 61^2 grid: the dual leaves 624 cells to the rescan and its zoom
 run verify-envelope-1.413716694115407-n61 --theta 1.413716694115407 --range 3 --n 61 \
     verify-envelope --out "$out/verify-envelope-1.413716694115407-n61.csv"
+# theta = 0.45 pi on the 101^2 grid: 10,201 cells span several blocks of the
+# dual bound, and many of them are rescanned
+run verify-envelope-1.413716694115407-n101 --theta 1.413716694115407 --range 3 --n 101 \
+    --n-dirs 720 verify-envelope --out "$out/verify-envelope-1.413716694115407-n101.csv"
 # theta = 0.45 pi at |b|, |c| up to 1e3: the dual bound's fit at large |F|
 run verify-envelope-1.413716694115407-range1e3 --theta 1.413716694115407 --range 1e3 --n 21 \
     verify-envelope --out "$out/verify-envelope-1.413716694115407-range1e3.csv"

@@ -3,9 +3,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lamlab.algebra import bc_to_matrix
-from lamlab.cli import _write_csv, build_parser, main
+from lamlab.cli import _GROUP_MIN, _format_column, _write_csv, build_parser, main
 from lamlab.energy import SlipSystem, slip_state, w_hom, w_hom_arrays
 from lamlab.errors import BranchDisagreement, DomainError
 from lamlab.regions import region_map
@@ -48,6 +50,43 @@ def test_fmt(tmp_path):
         b"1,10,\n")
     _write_csv(str(path), {"x": np.array([]), "y": np.array([])})
     assert path.read_text() == "x,y\n"
+    # values that repeat between distinct ones, -0.0 and 0.0 side by side, a
+    # nan with its sign bit set, and strided columns: the rows of a
+    # transposed table, as `homogenize` passes them; once as they are, once
+    # repeated past _GROUP_MIN rows, where the writer groups equal values
+    repeated = [1 / 3, 7.0, 1 / 3, -0.0, 0.0, -0.0, 0.0, np.copysign(math.nan, -1.0),
+                math.nan, 2.5, 7.0, -math.inf, math.inf, 1 / 3]
+    fields = ["0.33333333333333331", "7", "0.33333333333333331", "-0", "0", "-0", "0", "", "",
+              "2.5", "7", "inf", "inf", "0.33333333333333331"]
+    for copies in (1, _GROUP_MIN // len(repeated) + 1):
+        table = np.column_stack([repeated * copies, np.repeat(np.arange(copies), len(repeated))])
+        x, k = table.T
+        assert not x.flags.c_contiguous
+        _write_csv(str(path), {"x": x, "k": k})
+        assert path.read_text() == "x,k\n" + "".join(
+            f"{field},{copy}\n" for copy in range(copies) for field in fields)
+
+
+# float64 bit patterns every drawn column may use: both zeros, both
+# infinities, nan with either sign and with a payload, the least subnormal
+SPECIAL_BITS = np.array([0.0, -0.0, math.inf, -math.inf, math.nan, np.copysign(math.nan, -1.0),
+                         5e-324, 1 / 3]).view(np.int64).tolist() + [0x7FF8000000000001]
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(pool=st.lists(st.integers(-(1 << 63), (1 << 63) - 1), max_size=4),
+       picks=st.lists(st.integers(0, 12), min_size=1, max_size=30),
+       copies=st.integers(1, 8), step=st.integers(1, 3))
+def test_format_column_matches_the_per_value_reference(pool, picks, copies, step):
+    # columns over a pool of a few bit patterns, so most entries repeat, on
+    # both sides of _GROUP_MIN entries and in a strided view for step > 1:
+    # each entry reads as "%.17g" of its value
+    pool = SPECIAL_BITS + pool
+    bits = np.array([pool[k % len(pool)] for k in picks] * copies, dtype=np.int64)
+    col = np.repeat(bits, step).view(np.float64)[::step]
+    expect = ["" if math.isnan(x) else "inf" if math.isinf(x) else "%.17g" % x
+              for x in col.tolist()]
+    assert _format_column(col) == expect
 
 
 def test_parser_built_once_survives_usage_errors(capsys, tmp_path):

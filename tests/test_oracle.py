@@ -625,6 +625,24 @@ def test_dual_lies_in_the_bounds_band(theta):
 
 
 @pytest.mark.parametrize("theta", ANGLES)
+def test_dual_does_not_depend_on_its_block_size(monkeypatch, theta):
+    # the blocks bound the dual's memory, not its values: `_lstsq` reduces
+    # each system alone and `_circle_min` stops each entry on its own
+    # tolerance, so blocks of 97 cells, of 480, of the default size and one
+    # block of every cell give the same bits
+    s = SlipSystem.from_theta(theta, 0.5)
+    grid, live = live_cells(s, 3.0, 61)
+    fs = grid.fs[live]
+    default = envelope_oracle._DUAL_CELLS
+    assert len(fs) > default
+    duals = []
+    for cells in (97, 480, default, len(fs)):
+        monkeypatch.setattr(envelope_oracle, "_DUAL_CELLS", cells)
+        duals.append(oracle_dual(fs, s, n_dirs=None)[1].view(np.int64))
+    assert all(np.array_equal(dual, duals[0]) for dual in duals[1:])
+
+
+@pytest.mark.parametrize("theta", ANGLES)
 def test_scan_meets_the_full_scan(theta):
     # the four laminate directions, the dual and the rescan give every 61^2
     # cell the value of the 720-direction scan to 1e-9 max(1, v)
