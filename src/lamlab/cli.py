@@ -11,6 +11,8 @@ import argparse
 import functools
 import json
 import math
+import os
+import stat
 import sys
 from dataclasses import asdict, dataclass
 
@@ -186,11 +188,21 @@ def _format_column(col: np.ndarray) -> list:
 
 def _write_csv(path: str, columns: dict) -> None:
     """A CSV with one column per entry: a float array (`_format_column`) or
-    a list of strings."""
+    a list of strings.
+
+    An existing file is overwritten in place and then cut to the length
+    written, never truncated to zero first: on ext4 (auto_da_alloc) a file
+    truncated to zero and rewritten starts its writeback at close, which
+    made writing a 301-byte file take 0.10-0.15 ms instead of 7 us on a
+    2-vCPU VM.  Only a regular file is cut; /dev/null and pipes cannot be.
+    """
     fields = [_format_column(col) if isinstance(col, np.ndarray) else col
               for col in columns.values()]
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join([",".join(columns), *map(",".join, zip(*fields))]) + "\n")
+    data = ("\n".join([",".join(columns), *map(",".join, zip(*fields))]) + "\n").encode()
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
+        fh.write(data)
+        if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+            fh.truncate(len(data))
 
 
 # ---------------------------------------------------------------------------

@@ -187,8 +187,12 @@ def _whom_value(n_mat: Mat, s: SlipSystem) -> float:
     return result.value.as_float()
 
 
-def energy_of_field(field: GradientField, spec: MicrostructureSpec) -> EnergyReport:
+def energy_of_field(field: GradientField, spec: MicrostructureSpec,
+                    band_whom=None) -> EnergyReport:
     """Grid energy of the pattern against the homogenized band-weighted target.
+
+    band_whom lists W_hom of each band's gradient (`_whom_value`), as
+    run_sweep computes it once for every layer period; None computes it here.
 
     The label counts come with the field.  A cell is an interface cell when a
     4-neighbour has a different label, so a grid row's interface cells depend
@@ -230,11 +234,14 @@ def energy_of_field(field: GradientField, spec: MicrostructureSpec) -> EnergyRep
     lam = spec.slip.lam
     target = 0.0
     n_bar = np.zeros((2, 2))
+    n_mats = spec.band_gradients
+    if band_whom is None:
+        band_whom = [_whom_value(n_mat, spec.slip) for n_mat in n_mats]
     left = 0.0
-    for n_mat, (_, right) in zip(spec.band_gradients, spec.gammas):
+    for n_mat, whom, (_, right) in zip(n_mats, band_whom, spec.gammas):
         frac = (right - left) / DOMAIN_SIDE
         left = right
-        target += lam * area * frac * _whom_value(n_mat, spec.slip)
+        target += lam * area * frac * whom
         n_bar = n_bar + frac * n_mat
     rel_error = abs(e_eps - target) / max(target, 1e-12)
 
@@ -255,8 +262,8 @@ def run_sweep(slip: SlipSystem, rotation: Mat, gammas, eps_list, laminate_period
     across the finest feature, at most GRID_CAP per side.
     """
     # a band whose target is unknown fails here, before any grid is built
-    for gamma, _ in gammas:
-        _whom_value(shear_from_gamma(gamma, slip.lam, rotation), slip)
+    band_whom = [_whom_value(shear_from_gamma(gamma, slip.lam, rotation), slip)
+                 for gamma, _ in gammas]
     reports = []
     for eps in eps_list:
         lam = slip.lam
@@ -269,7 +276,7 @@ def run_sweep(slip: SlipSystem, rotation: Mat, gammas, eps_list, laminate_period
               else int(math.ceil(cells_per_feature / finest)))
         spec = MicrostructureSpec(slip=slip, rotation=rotation, gammas=tuple(gammas),
                                   epsilon=eps, laminate_period=laminate_period, grid_n=gn)
-        reports.append(energy_of_field(build_gradient_field(spec), spec))
+        reports.append(energy_of_field(build_gradient_field(spec), spec, band_whom))
     return reports
 
 

@@ -62,6 +62,9 @@ for theta in 0.7853981633974483 1.413716694115407; do
 done
 # the (b, c) diagonal at large |b|
 run regionmap-range1e6 --range 1e6 --n 21 regionmap --out "$out/regionmap-range1e6.csv"
+# a shorter CSV over a longer one in the same file: the 5^2 map over the 201^2 map
+run regionmap-overwrite-n201 --n 201 regionmap --out "$out/regionmap-overwrite.csv"
+run regionmap-overwrite-n5 --n 5 regionmap --out "$out/regionmap-overwrite.csv"
 for theta in 0.7853981633974483 0.9424777960769379 1.0995574287564276 1.2566370614359172 \
              1.413716694115407; do
     i=0

@@ -1,11 +1,15 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lamlab
 from lamlab.algebra import bc_to_matrix
 from lamlab.cli import _GROUP_MIN, _format_column, _write_csv, build_parser, main
 from lamlab.energy import SlipSystem, slip_state, w_hom, w_hom_arrays
@@ -350,6 +354,55 @@ def test_byte_identical_reruns(tmp_path):
     assert main(args + ["--out", str(a)]) == 0
     assert main(args + ["--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+    # a rerun into the same path
+    assert main(args + ["--out", str(a)]) == 0
+    assert a.read_bytes() == b.read_bytes()
+
+
+def test_write_csv_over_an_existing_file(tmp_path):
+    # the file is overwritten in place and cut to the length written: over a
+    # longer, a shorter and an equally long file it holds the bytes of a
+    # fresh write
+    columns = {"x": np.array([1 / 3, -0.0, math.nan]), "tag": ["a", "b", "c"]}
+    fresh, path = tmp_path / "fresh.csv", tmp_path / "over.csv"
+    _write_csv(str(fresh), columns)
+    expect = fresh.read_bytes()
+    for size in (2 * len(expect), len(expect) // 2, len(expect)):
+        path.write_bytes(b"#" * size)
+        _write_csv(str(path), columns)
+        assert path.read_bytes() == expect, size
+
+
+def test_out_that_is_not_a_regular_file(tmp_path):
+    # /dev/null takes the CSV and is not cut to length
+    assert main(["--n", "5", "regionmap", "--out", os.devnull]) == 0
+    # neither is a pipe, which cannot seek
+    src = os.path.dirname(os.path.dirname(os.path.abspath(lamlab.__file__)))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    res = subprocess.run([sys.executable, "-m", "lamlab.cli", "--n", "5", "regionmap",
+                          "--out", "/dev/stdout"], env={**os.environ, "PYTHONPATH": path},
+                         capture_output=True)
+    assert res.returncode == 0, res.stderr
+    out = tmp_path / "map.csv"
+    assert main(["--n", "5", "regionmap", "--out", str(out)]) == 0
+    assert res.stdout == out.read_bytes()
+
+
+def test_directory_out_is_usage_error(tmp_path, capsys):
+    assert main(["--n", "5", "regionmap", "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_read_only_out_is_usage_error(tmp_path, capsys):
+    # an existing read-only file keeps its bytes
+    out = tmp_path / "map.csv"
+    out.write_bytes(b"old\n")
+    out.chmod(0o444)
+    if os.access(out, os.W_OK):
+        pytest.skip("the mode bits do not bind this user")
+    assert main(["--n", "5", "regionmap", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert out.read_bytes() == b"old\n"
 
 
 def test_bad_config_is_usage_error(tmp_path):

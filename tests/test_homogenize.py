@@ -245,7 +245,7 @@ def test_sweep_grid_is_capped_before_dividing(monkeypatch):
     # for one; no grid is built here
     grids = []
     monkeypatch.setattr(homogenize, "build_gradient_field", lambda spec: grids.append(spec.grid_n))
-    monkeypatch.setattr(homogenize, "energy_of_field", lambda field, spec: None)
+    monkeypatch.setattr(homogenize, "energy_of_field", lambda field, spec, band_whom: None)
     eps_list = [1 / 4, 1 / 8, 1 / 3, 1 / 5, 1 / 64, 1 / 128, 0.3]
     for cells, period in ((4, 0.25), (8, 0.25), (8, 1.0), (10, 0.7), (33, 0.25)):
         grids.clear()
@@ -259,6 +259,24 @@ def test_sweep_grid_is_capped_before_dividing(monkeypatch):
     for eps, period in ((1e-310, 0.25), (1 / 8, 1e-310)):
         with pytest.raises(PreconditionError, match="fewer than 4 cells"):
             run_sweep(SLIP, R, [(0.4, 1.0)], [eps], laminate_period=period)
+
+
+def test_sweep_evaluates_each_band_target_once(monkeypatch):
+    # one W_hom per band for the whole sweep; each report keeps the bits of
+    # the one energy_of_field gives when it evaluates W_hom itself
+    calls, specs = [], []
+    whom_value, build = homogenize._whom_value, homogenize.build_gradient_field
+    monkeypatch.setattr(homogenize, "_whom_value",
+                        lambda n_mat, s: calls.append(n_mat) or whom_value(n_mat, s))
+    monkeypatch.setattr(homogenize, "build_gradient_field",
+                        lambda spec: specs.append(spec) or build(spec))
+    reports = run_sweep(SLIP, R, THREE_BANDS, [1 / 4, 1 / 8, 1 / 16], laminate_period=0.25)
+    assert len(calls) == len(THREE_BANDS)
+    for rep, spec in zip(reports, specs, strict=True):
+        ref = energy_of_field(build(spec), spec)
+        assert (rep.e_eps, rep.target, rep.rel_error, rep.flagged_area) == (
+            ref.e_eps, ref.target, ref.rel_error, ref.flagged_area)
+        assert np.array_equal(rep.avg_gradient_target, ref.avg_gradient_target)
 
 
 def test_sweep_monotone_and_accurate():
