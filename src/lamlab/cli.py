@@ -19,17 +19,22 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .algebra import bc_to_matrix
-from .energy import (DEFAULT_TOL, Bounds, Known, SlipSystem, h, h_perp, h_perp_star, h_star,
-                     w_hom, w_hom_scalar)
+from .energy import (DEFAULT_TOL, Bounds, Known, SlipSystem, energy_record, h, h_perp,
+                     h_perp_star, h_star, matrix_state, w_hom_arrays, w_hom_scalar)
 from .envelope_oracle import DEFAULT_N_DIRS, envelope_scan
 from .errors import LamlabError
 from .homogenize import run_sweep
 from .laminate import decompose, verify_decomposition
-from .regions import adjacent_tags, classify, region_map
+from .regions import adjacent_tags, classify_arrays, region_label, region_map
 
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_DOMAIN = 3
+
+# The most rows one CSV command writes, checked before anything is allocated:
+# --n at most 1000 for regionmap and verify-envelope, hplot --samples and the
+# whomgamma count at most 10^6.  At the cap a call peaks at 0.37-0.69 GB RSS.
+MAX_ROWS = 10 ** 6
 
 DEFAULTS = {
     "slip": {"theta": math.pi / 4},
@@ -108,6 +113,8 @@ def read_settings(args) -> Settings:
         raise ValueError("config: the grid half-range must be positive and finite")
     if not (1.0 <= n < math.inf and n == int(n)):
         raise ValueError("config: the grid resolution must be an integer >= 1")
+    if n * n > MAX_ROWS:
+        raise ValueError(f"config: the grid resolution must be at most {math.isqrt(MAX_ROWS)}")
     if not (8.0 <= n_dirs < math.inf and n_dirs == int(n_dirs)):
         raise ValueError("config: the oracle direction count must be an integer >= 8")
     return Settings(s, tol, bc_range, int(n), int(n_dirs))
@@ -211,14 +218,16 @@ def _write_csv(path: str, columns: dict) -> None:
 
 def cmd_classify(args, cfg: Settings) -> int:
     f = _matrix_from_args(args)
-    label = classify(f, cfg.slip, cfg.tol)
+    # one slip state for the label and the envelope value, as classify and w_hom form it
+    st = matrix_state(f, cfg.slip)
+    label = region_label(*classify_arrays(st, cfg.tol))
     # on Python floats: past the float range the residual is inf or nan, with no warning
     (a, b), (c, d) = f.tolist()
     residual = abs(a * d - b * c - 1.0)
     out = {"region": label.tag, "boundary": sorted(label.boundary),
            "det_residual": residual if math.isfinite(residual) else "inf"}
     if label.tag != "OffManifold":
-        out.update(_energy_json(w_hom(f, cfg.slip, cfg.tol)))
+        out.update(_energy_json(energy_record(*w_hom_arrays(st, cfg.slip, cfg.tol))))
     print(json.dumps(out, sort_keys=True))
     return EXIT_DOMAIN if label.tag == "OffManifold" else EXIT_OK
 
@@ -262,6 +271,8 @@ def cmd_regionmap(args, cfg: Settings) -> int:
 def cmd_hplot(args, cfg: Settings) -> int:
     if not (args.zmax >= 0.0 and args.zmax * args.zmax < math.inf):
         raise ValueError("--zmax must be nonnegative with a finite square")
+    if args.samples > MAX_ROWS:
+        raise ValueError(f"--samples must be at most {MAX_ROWS}")
     theta = cfg.slip.theta
     s, c = math.sin(theta), math.cos(theta)
     z = np.linspace(0.0, args.zmax, args.samples)
@@ -300,7 +311,10 @@ def cmd_homogenize(args, cfg: Settings) -> int:
 
 def cmd_whomgamma(args, cfg: Settings) -> int:
     lo, hi, n = args.gamma_range.split(":")
-    gammas = np.linspace(_parse_number(lo), _parse_number(hi), int(n))
+    lo, hi, count = _parse_number(lo), _parse_number(hi), int(n)
+    if count > MAX_ROWS:
+        raise ValueError(f"--gamma-range count must be at most {MAX_ROWS}")
+    gammas = np.linspace(lo, hi, count)
     _write_csv(args.out, {"gamma": gammas,
                           "whom": np.array([w_hom_scalar(g, cfg.slip) for g in gammas.tolist()])})
     return EXIT_OK

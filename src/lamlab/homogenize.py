@@ -26,23 +26,25 @@ DOMAIN_SIDE = 1.0
 # the most cells per side of a run_sweep grid
 GRID_CAP = 4096
 
-# Distinct rows per step in both passes: the rasterizer's blocks of distinct
-# soft-row heights and the interface count's blocks of distinct (above, row,
-# below) triples.  Fastest and median of 7, one band or three, 2 vCPUs, in ms:
-#   rows                        8        16       32       64       128      256
-#   build, eps = 1/64, 4096^2   1.3-1.6  1.6-2.0  1.9-2.3  2.2-2.8  1.6-2.2  1.9-2.0
-#   build, eps = 1/100, 4096^2  20-21    21       22-24    24-26    27-29    48-53
-#   build, grid_1001            5.0-5.3  3.6-3.9  3.1-3.4  3.4-3.6  3.6-3.8  4.5-4.8
-#   energy, eps = 1/100, 4096^2 13-14    9.6-11   9.2-9.6  11       12       13-15
-#   energy, grid_1001           3.7-3.8  2.4-2.5  1.7-1.8  1.4-1.5  1.3-1.5  1.4-1.6
-# eps = 1/64 has 32 distinct soft heights, so blocks of 32 and up build alike;
-# at eps = 1/100 (1,104 heights) and in grid_1001 (501) no two soft rows share one.
-_ROW_BLOCK = 64
+# Cells per step in both passes: the rasterizer's blocks of distinct soft-row
+# heights on a band's columns and the interface count's blocks of distinct
+# (above, row, below) triples on the grid's, max(1, budget // width) rows a
+# block.  Fastest of 25, one band or three at 4096^2, 2 vCPUs, in ms:
+#   cells                         2^14   2^15   2^16   2^17   2^18
+#   build, eps = 1/64, one band   0.51   0.50   0.49   0.54   0.53
+#   build, eps = 1/100, three     21.1   20.9   20.3   24.3   27.6
+#   build, grid_1001              2.06   1.83   1.90   2.15   2.57
+#   energy, eps = 1/64, one band  0.41   0.31   0.29   0.29   0.26
+#   energy, eps = 1/100, three    9.7    8.5    6.8    6.9    8.5
+#   energy, grid_1001             1.23   1.01   0.82   0.73   0.74
+_BLOCK_ELEMENTS = 2 ** 16
 
 
 def shear_from_gamma(gamma: float, lam: float, rotation: Mat) -> Mat:
     """Soft-layer gradient N solving lam N + (1-lam) R = R(I + gamma e1 (x) e2)."""
-    return rotation @ (np.eye(2) + (gamma / lam) * np.outer([1.0, 0.0], [0.0, 1.0]))
+    # the bits of np.eye(2) + g * np.outer(e1, e2): 0.0 * g is nan at an infinite g
+    g, z = gamma / lam, 0.0 * (gamma / lam)
+    return rotation @ np.array([[1.0 + z, 0.0 + g], [0.0 + z, 1.0 + z]])
 
 
 @dataclass(frozen=True)
@@ -81,10 +83,6 @@ class MicrostructureSpec:
             raise PreconditionError(
                 f"grid_n={self.grid_n} resolves the finest feature with fewer than 4 cells")
 
-    @property
-    def band_gradients(self):
-        return [shear_from_gamma(g, self.slip.lam, self.rotation) for g, _ in self.gammas]
-
 
 @dataclass(frozen=True)
 class GradientField:
@@ -103,21 +101,22 @@ class GradientField:
     counts: np.ndarray        # int64, one cell count per entry of values
 
 
-def build_gradient_field(spec: MicrostructureSpec) -> GradientField:
+def build_gradient_field(spec: MicrostructureSpec, laminates) -> GradientField:
     """Rasterize the layered pattern with grafted laminates, one row per height.
 
-    The soft rows that share an in-strip height carry the same labels, so the
-    laminate is evaluated once per distinct height on each band's column
-    range, a block of heights at a time.  Each height's plus cells count once
-    per grid row at that height; the band's other soft cells are minus cells
-    and label 0 gets the rest.
+    laminates lists the `decompose` of each band's gradient, as run_sweep
+    forms it once for every layer period.  The soft rows that share an
+    in-strip height carry the same labels, so the laminate is evaluated once
+    per distinct height on each band's column range, a block of heights at a
+    time.  Each height's plus cells count once per grid row at that height;
+    the band's other soft cells are minus cells and label 0 gets the rest.
     """
-    gn, eps = spec.grid_n, spec.epsilon
-    lam = spec.slip.lam
+    gn, eps, lam = spec.grid_n, spec.epsilon, spec.slip.lam
     xs = (np.arange(gn) + 0.5) * (DOMAIN_SIDE / gn)
     xe = xs / eps
-    soft = xe - np.floor(xe) < lam
-    x2_in_strip = xs - np.floor(xs / eps) * eps
+    strip = np.floor(xe)
+    soft = xe - strip < lam
+    x2_in_strip = xs - strip * eps
     heights, inverse, mult = np.unique(x2_in_strip[soft], return_inverse=True,
                                        return_counts=True)
     row_of = np.zeros(gn, dtype=np.int64)
@@ -126,12 +125,9 @@ def build_gradient_field(spec: MicrostructureSpec) -> GradientField:
     values = [spec.rotation.copy()]
     counts = np.zeros(1 + 2 * len(spec.gammas), dtype=np.int64)
     h_abs = spec.laminate_period * eps * lam
-    block = min(_ROW_BLOCK, heights.size)
 
     left = 0.0
-    for band_index, (gamma, right) in enumerate(spec.gammas):
-        n_mat = shear_from_gamma(gamma, lam, spec.rotation)
-        dec = decompose(n_mat, spec.slip)
+    for band_index, ((_, right), dec) in enumerate(zip(spec.gammas, laminates)):
         values.append(dec.f_plus)
         values.append(dec.f_minus)
         lab_plus = 1 + 2 * band_index
@@ -146,9 +142,11 @@ def build_gradient_field(spec: MicrostructureSpec) -> GradientField:
         normal = np.asarray(dec.direction[1], dtype=float)
         n_hat = normal / np.linalg.norm(normal)
         u1 = (xs[i0:i1] - x_lo) * n_hat[0]
-        # per-block scratch, reused by every block of the band
-        u_buf = np.empty((block, i1 - i0))
-        frac_buf = np.empty_like(u_buf)
+        block = min(max(1, _BLOCK_ELEMENTS // (i1 - i0)), heights.size)
+        # per-block scratch, reused by every block of the band; u and its floor
+        # share one chunk, which glibc keeps for the next call: as two chunks
+        # they were trimmed and faulted in again, ~240 faults an eps = 1/64 call
+        u_buf, frac_buf = np.empty((2, block, i1 - i0))
         plus_buf = np.empty(u_buf.shape, dtype=bool)
         n_plus = 0
         for k0 in range(0, heights.size, block):
@@ -187,17 +185,17 @@ def _whom_value(n_mat: Mat, s: SlipSystem) -> float:
     return result.value.as_float()
 
 
-def energy_of_field(field: GradientField, spec: MicrostructureSpec,
-                    band_whom=None) -> EnergyReport:
+def energy_of_field(field: GradientField, spec: MicrostructureSpec, gradients,
+                    band_whom) -> EnergyReport:
     """Grid energy of the pattern against the homogenized band-weighted target.
 
-    band_whom lists W_hom of each band's gradient (`_whom_value`), as
-    run_sweep computes it once for every layer period; None computes it here.
+    gradients lists each band's gradient N and band_whom its W_hom
+    (`_whom_value`), as run_sweep forms them once for every layer period.
 
     The label counts come with the field.  A cell is an interface cell when a
     4-neighbour has a different label, so a grid row's interface cells depend
     only on its pattern and the patterns above and below it: each distinct
-    (above, row, below) triple is counted once, _ROW_BLOCK triples at a time,
+    (above, row, below) triple is counted once, a block of triples at a time,
     and weighted by how many grid rows it stands for.
     """
     gn = spec.grid_n
@@ -219,8 +217,9 @@ def energy_of_field(field: GradientField, spec: MicrostructureSpec,
     below = np.concatenate((row_of[1:], row_of[-1:]))
     triples, mult = np.unique((above * base + row_of) * base + below, return_counts=True)
     n_flagged = 0
-    for k0 in range(0, triples.size, _ROW_BLOCK):
-        key, n_rows = triples[k0:k0 + _ROW_BLOCK], mult[k0:k0 + _ROW_BLOCK]
+    block = max(1, _BLOCK_ELEMENTS // gn)
+    for k0 in range(0, triples.size, block):
+        key, n_rows = triples[k0:k0 + block], mult[k0:k0 + block]
         mid = rows[key // base % base]
         flagged = mid != rows[key // (base * base)]
         flagged |= mid != rows[key % base]
@@ -234,11 +233,8 @@ def energy_of_field(field: GradientField, spec: MicrostructureSpec,
     lam = spec.slip.lam
     target = 0.0
     n_bar = np.zeros((2, 2))
-    n_mats = spec.band_gradients
-    if band_whom is None:
-        band_whom = [_whom_value(n_mat, spec.slip) for n_mat in n_mats]
     left = 0.0
-    for n_mat, whom, (_, right) in zip(n_mats, band_whom, spec.gammas):
+    for n_mat, whom, (_, right) in zip(gradients, band_whom, spec.gammas):
         frac = (right - left) / DOMAIN_SIDE
         left = right
         target += lam * area * frac * whom
@@ -261,9 +257,10 @@ def run_sweep(slip: SlipSystem, rotation: Mat, gammas, eps_list, laminate_period
     The domain is the unit square; each grid has cells_per_feature cells
     across the finest feature, at most GRID_CAP per side.
     """
+    gradients = [shear_from_gamma(gamma, slip.lam, rotation) for gamma, _ in gammas]
     # a band whose target is unknown fails here, before any grid is built
-    band_whom = [_whom_value(shear_from_gamma(gamma, slip.lam, rotation), slip)
-                 for gamma, _ in gammas]
+    band_whom = [_whom_value(n_mat, slip) for n_mat in gradients]
+    laminates = None
     reports = []
     for eps in eps_list:
         lam = slip.lam
@@ -276,7 +273,10 @@ def run_sweep(slip: SlipSystem, rotation: Mat, gammas, eps_list, laminate_period
               else int(math.ceil(cells_per_feature / finest)))
         spec = MicrostructureSpec(slip=slip, rotation=rotation, gammas=tuple(gammas),
                                   epsilon=eps, laminate_period=laminate_period, grid_n=gn)
-        reports.append(energy_of_field(build_gradient_field(spec), spec, band_whom))
+        if laminates is None:  # after the first spec: its errors come before a laminate's
+            laminates = [decompose(n_mat, slip) for n_mat in gradients]
+        field = build_gradient_field(spec, laminates)
+        reports.append(energy_of_field(field, spec, gradients, band_whom))
     return reports
 
 

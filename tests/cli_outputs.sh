@@ -87,6 +87,13 @@ run homogenize-cap homogenize --gamma-bands=0.2:0.3,-0.5:0.6,0.4:1 --eps-list 1/
     --out "$out/homogenize-cap.csv"
 run homogenize-non-dyadic homogenize --gamma-bands=0.2:0.3,-0.5:0.6,0.4:1 --eps-list 1/3,1/5 \
     --out "$out/homogenize-non-dyadic.csv"
+# one band at the grid cap: its raster and interface count span several
+# blocks of the element budget
+run homogenize-single-fine homogenize --gamma-bands=0.4:1 --eps-list 1/32,1/64 \
+    --out "$out/homogenize-single-fine.csv"
+# eps = 1/100 at the 4096^2 cap: 2,048 soft rows at 1,104 distinct heights
+run homogenize-non-dyadic-cap homogenize --gamma-bands=0.2:0.3,-0.5:0.6,0.4:1 --eps-list 1/100 \
+    --out "$out/homogenize-non-dyadic-cap.csv"
 # the quotient cells-per-feature / finest feature overflows: a clean error, exit 3
 run homogenize-eps1e-310 homogenize --gamma-bands=0.4:1 --eps-list 1e-310 \
     --out "$out/homogenize-eps1e-310.csv"

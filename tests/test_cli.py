@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,8 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lamlab
+from lamlab import cli
 from lamlab.algebra import bc_to_matrix
-from lamlab.cli import _GROUP_MIN, _format_column, _write_csv, build_parser, main
+from lamlab.cli import (_GROUP_MIN, MAX_ROWS, _format_column, _write_csv, build_parser, main,
+                        read_settings)
 from lamlab.energy import SlipSystem, slip_state, w_hom, w_hom_arrays
 from lamlab.errors import BranchDisagreement, DomainError
 from lamlab.regions import region_map
@@ -424,3 +427,43 @@ def test_bad_config_is_usage_error(tmp_path):
                   ["--eps-list", "1/4", "--cells-per-feature", "0"],
                   ["--eps-list", "1/4", "--cells-per-feature", "3"]):
         assert main([*sweep, *flags]) == 2, flags
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["--n", "1001", "regionmap"], "config: the grid resolution must be at most 1000"),
+    (["--n", "100000", "regionmap"], "config: the grid resolution must be at most 1000"),
+    (["--n", "1001", "verify-envelope"], "config: the grid resolution must be at most 1000"),
+    (["hplot", "--zmax", "2", "--samples", "1000001"], "--samples must be at most 1000000"),
+    (["hplot", "--zmax", "2", "--samples", "2000000000"], "--samples must be at most 1000000"),
+    (["whomgamma", "--gamma-range=-3:3:1000001"], "--gamma-range count must be at most 1000000"),
+    (["whomgamma", "--gamma-range=-3:3:2000000000"],
+     "--gamma-range count must be at most 1000000"),
+], ids=["regionmap-n1001", "regionmap-n100000", "verify-envelope-n1001", "hplot-1000001",
+        "hplot-2000000000", "whomgamma-1000001", "whomgamma-2000000000"])
+def test_work_cap_is_checked_before_allocating(argv, message, tmp_path, capsys):
+    # a usage error before any grid or sample column is made: one float64
+    # column of MAX_ROWS entries alone would be 8 MB
+    out = tmp_path / "out.csv"
+    tracemalloc.start()
+    try:
+        code = main([*argv, "--out", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert peak < 2 ** 20
+    assert not out.exists()
+
+
+def test_work_cap_admits_its_bound(monkeypatch):
+    args = build_parser().parse_args(["--n", "1000", "regionmap", "--out", "map.csv"])
+    assert read_settings(args).n == 1000
+    rows = []
+    # the length of the first column: z or gamma
+    monkeypatch.setattr(cli, "_write_csv",
+                        lambda path, columns: rows.append(len(next(iter(columns.values())))))
+    monkeypatch.setattr(cli, "w_hom_scalar", lambda gamma, s: 0.0)
+    assert main(["hplot", "--samples", str(MAX_ROWS), "--out", "h.csv"]) == 0
+    assert main(["whomgamma", f"--gamma-range=-3:3:{MAX_ROWS}", "--out", "w.csv"]) == 0
+    assert rows == [MAX_ROWS, MAX_ROWS]

@@ -22,6 +22,22 @@ def make_spec(**kw):
     return MicrostructureSpec(**args)
 
 
+def gradients(spec):
+    return [shear_from_gamma(gamma, spec.slip.lam, spec.rotation) for gamma, _ in spec.gammas]
+
+
+def raster(spec):
+    """build_gradient_field with each band's laminate, as run_sweep forms it."""
+    return build_gradient_field(spec, [decompose(n_mat, spec.slip) for n_mat in gradients(spec)])
+
+
+def score(field, spec):
+    """energy_of_field with each band's gradient and W_hom, as run_sweep forms them."""
+    n_mats = gradients(spec)
+    return energy_of_field(field, spec, n_mats,
+                           [homogenize._whom_value(n_mat, spec.slip) for n_mat in n_mats])
+
+
 def test_spec_validation():
     with pytest.raises(PreconditionError):
         make_spec(grid_n=16)
@@ -45,7 +61,7 @@ def test_spec_validation():
 
 def test_unknown_target_fails_before_rasterizing(monkeypatch):
     # at theta = 0.3 pi W_hom of this band is only bounded
-    def no_raster(spec):
+    def no_raster(spec, laminates):
         raise AssertionError("build_gradient_field called")
     monkeypatch.setattr(homogenize, "build_gradient_field", no_raster)
     slip = SlipSystem.from_theta(0.3 * math.pi, 0.5)
@@ -55,16 +71,14 @@ def test_unknown_target_fails_before_rasterizing(monkeypatch):
 
 def test_zero_shear_field_is_rigid():
     spec = make_spec(gammas=((0.0, 1.0),))
-    field = build_gradient_field(spec)
-    rep = energy_of_field(field, spec)
+    rep = score(raster(spec), spec)
     assert rep.e_eps == 0.0
     assert rep.rel_error == 0.0
     assert np.allclose(rep.avg_gradient, R)
 
 
 def test_three_distinct_values_single_band():
-    spec = make_spec()
-    field = build_gradient_field(spec)
+    field = raster(make_spec())
     labels = field.rows[field.row_of]
     assert set(np.unique(labels)) == {0, 1, 2}
     # rigid cells occupy about 1 - lambda of the domain
@@ -74,7 +88,7 @@ def test_three_distinct_values_single_band():
 
 def test_single_band_convergence():
     spec = make_spec(epsilon=1 / 16, grid_n=1024)
-    rep = energy_of_field(build_gradient_field(spec), spec)
+    rep = score(raster(spec), spec)
     assert rep.rel_error <= 0.05
     assert rep.flagged_area < 1.0
 
@@ -89,8 +103,7 @@ def test_on_manifold_band_is_single_valued():
     n = shear_from_gamma(gamma_star, lam, R)
     assert abs(np.linalg.norm(n @ SLIP.v1) - 1.0) < 1e-12 \
         or abs(np.linalg.norm(n @ SLIP.v2) - 1.0) < 1e-12
-    spec = make_spec(gammas=((gamma_star, 1.0),))
-    field = build_gradient_field(spec)
+    field = raster(make_spec(gammas=((gamma_star, 1.0),)))
     soft_labels = set(np.unique(field.rows[field.row_of])) - {0}
     vals = [field.values[i] for i in soft_labels]
     for v in vals:
@@ -177,10 +190,15 @@ SEAM_CASES = ["three_bands", "theta_0.3pi", "grid_1001", "eps_third", "seeded_4"
                          + [f"{case}-rows{rows}" for rows in (1, 5) for case in SEAM_CASES])
 def test_raster_matches_reference(case, row_block, monkeypatch):
     spec = make_spec(**RASTER_CASES[case])
-    if row_block is not None:
-        monkeypatch.setattr(homogenize, "_ROW_BLOCK", row_block)
     ref_labels, ref_counts, ref_flagged = reference_raster(spec)
-    field = build_gradient_field(spec)
+    if row_block is not None:
+        # a budget of row_block rows of the narrowest band: blocks of
+        # row_block rows there and of at most row_block in the wider bands
+        # (band k holds labels 2k + 1 and 2k + 2 in every soft row)
+        soft_row = ref_labels[ref_labels.any(axis=1)][0]
+        widths = np.bincount((soft_row[soft_row > 0] - 1) // 2)
+        monkeypatch.setattr(homogenize, "_BLOCK_ELEMENTS", row_block * widths[widths > 0].min())
+    field = raster(spec)
     if row_block is not None:
         # the distinct soft rows and the distinct row triples each span at
         # least three blocks
@@ -189,6 +207,8 @@ def test_raster_matches_reference(case, row_block, monkeypatch):
         triples = np.stack((np.concatenate((row_of[:1], row_of[:-1])), row_of,
                             np.concatenate((row_of[1:], row_of[-1:]))))
         assert np.unique(triples, axis=1).shape[1] > 2 * row_block
+        # and blocks of row_block grid-wide rows in the interface count
+        monkeypatch.setattr(homogenize, "_BLOCK_ELEMENTS", row_block * spec.grid_n)
     assert field.rows.dtype == np.int16
     assert not field.rows[0].any()
     labels = field.rows[field.row_of]
@@ -198,7 +218,7 @@ def test_raster_matches_reference(case, row_block, monkeypatch):
     assert np.array_equal(field.counts, ref_counts)
     if not spec.slip.is_orthogonal:
         monkeypatch.setattr(homogenize, "_whom_value", lambda n_mat, s: 0.0)
-    rep = energy_of_field(field, spec)
+    rep = score(field, spec)
     cell_area = (homogenize.DOMAIN_SIDE / spec.grid_n) ** 2
     e_eps = 0.0
     avg = np.zeros((2, 2))
@@ -217,13 +237,12 @@ THREE_BANDS = RASTER_CASES["three_bands"]["gammas"]
 
 def test_rows_are_distinct_heights():
     # 64 grid rows per layer period, 32 of them soft: each soft height once
-    spec = make_spec(gammas=THREE_BANDS, epsilon=1 / 64, grid_n=4096)
-    field = build_gradient_field(spec)
+    field = raster(make_spec(gammas=THREE_BANDS, epsilon=1 / 64, grid_n=4096))
     assert field.rows.shape == (1 + 32, 4096)
     assert np.count_nonzero(field.row_of) == 2048
     assert np.array_equal(np.bincount(field.row_of), [2048] + [64] * 32)
     # 170.67 rows per period at eps = 1/3: every soft row is its own height
-    field = build_gradient_field(make_spec(**RASTER_CASES["eps_third"]))
+    field = raster(make_spec(**RASTER_CASES["eps_third"]))
     assert field.rows.shape[0] - 1 == np.count_nonzero(field.row_of) == 256
 
 
@@ -232,11 +251,29 @@ def test_grid_cap_allocates_no_grid():
     spec = make_spec(gammas=THREE_BANDS, epsilon=1 / 128, grid_n=4096)
     tracemalloc.start()
     try:
-        energy_of_field(build_gradient_field(spec), spec)
+        score(raster(spec), spec)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < spec.grid_n ** 2 / 4
+
+
+def test_raster_scratch_is_bounded_by_the_block_budget():
+    # one band at eps = 1/64 on the 4096^2 cap: 32 distinct soft heights of
+    # 4,096 cells.  Beyond the field it returns, the raster holds a float64
+    # u, its float64 floor and a bool mask per block of at most
+    # _BLOCK_ELEMENTS cells, and a few float64 vectors of one per grid line
+    spec = make_spec(epsilon=1 / 64, grid_n=4096)
+    laminates = [decompose(n_mat, spec.slip) for n_mat in gradients(spec)]
+    tracemalloc.start()
+    try:
+        field = build_gradient_field(spec, laminates)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert field.rows.shape == (1 + 32, 4096)
+    scratch = peak - field.rows.nbytes - field.row_of.nbytes
+    assert scratch <= 17 * homogenize._BLOCK_ELEMENTS + 8 * 8 * spec.grid_n
 
 
 def test_sweep_grid_is_capped_before_dividing(monkeypatch):
@@ -244,8 +281,10 @@ def test_sweep_grid_is_capped_before_dividing(monkeypatch):
     # the quotient overflows a float or cells_per_feature is too large an int
     # for one; no grid is built here
     grids = []
-    monkeypatch.setattr(homogenize, "build_gradient_field", lambda spec: grids.append(spec.grid_n))
-    monkeypatch.setattr(homogenize, "energy_of_field", lambda field, spec, band_whom: None)
+    monkeypatch.setattr(homogenize, "build_gradient_field",
+                        lambda spec, laminates: grids.append(spec.grid_n))
+    monkeypatch.setattr(homogenize, "energy_of_field",
+                        lambda field, spec, gradients, band_whom: None)
     eps_list = [1 / 4, 1 / 8, 1 / 3, 1 / 5, 1 / 64, 1 / 128, 0.3]
     for cells, period in ((4, 0.25), (8, 0.25), (8, 1.0), (10, 0.7), (33, 0.25)):
         grids.clear()
@@ -262,20 +301,24 @@ def test_sweep_grid_is_capped_before_dividing(monkeypatch):
 
 
 def test_sweep_evaluates_each_band_target_once(monkeypatch):
-    # one W_hom per band for the whole sweep; each report keeps the bits of
-    # the one energy_of_field gives when it evaluates W_hom itself
-    calls, specs = [], []
-    whom_value, build = homogenize._whom_value, homogenize.build_gradient_field
-    monkeypatch.setattr(homogenize, "_whom_value",
-                        lambda n_mat, s: calls.append(n_mat) or whom_value(n_mat, s))
+    # one gradient, W_hom and laminate per band for the whole sweep; each
+    # report keeps the bits of one whose layer period forms its own
+    calls = {"shear_from_gamma": [], "_whom_value": [], "decompose": []}
+    for name, calls_of in calls.items():
+        monkeypatch.setattr(homogenize, name, lambda *a, f=getattr(homogenize, name),
+                            calls_of=calls_of: calls_of.append(a) or f(*a))
+    specs = []
+    build = homogenize.build_gradient_field
     monkeypatch.setattr(homogenize, "build_gradient_field",
-                        lambda spec: specs.append(spec) or build(spec))
+                        lambda spec, laminates: specs.append(spec) or build(spec, laminates))
     reports = run_sweep(SLIP, R, THREE_BANDS, [1 / 4, 1 / 8, 1 / 16], laminate_period=0.25)
-    assert len(calls) == len(THREE_BANDS)
+    assert [len(c) for c in calls.values()] == [len(THREE_BANDS)] * 3
+    monkeypatch.undo()
     for rep, spec in zip(reports, specs, strict=True):
-        ref = energy_of_field(build(spec), spec)
+        ref = score(raster(spec), spec)
         assert (rep.e_eps, rep.target, rep.rel_error, rep.flagged_area) == (
             ref.e_eps, ref.target, ref.rel_error, ref.flagged_area)
+        assert np.array_equal(rep.avg_gradient, ref.avg_gradient)
         assert np.array_equal(rep.avg_gradient_target, ref.avg_gradient_target)
 
 
