@@ -291,6 +291,9 @@ def cmd_homogenize(args, cfg: Settings) -> int:
     for chunk in args.gamma_bands.split(","):
         gamma, edge = chunk.split(":")
         bands.append((_parse_number(gamma), _parse_number(edge)))
+        # the soft layers carry the shear gamma / lambda
+        if not math.isfinite(bands[-1][0] / cfg.slip.lam):
+            raise ValueError(f"--gamma-bands: band {chunk!r}: gamma / lambda is not finite")
     eps_list = [_parse_number(tok) for tok in args.eps_list.split(",")]
     hlam = _parse_number(args.hlam)
     if not all(eps > 0.0 for eps in eps_list):

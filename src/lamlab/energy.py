@@ -50,18 +50,24 @@ class SlipSystem:
     def from_vectors(cls, v1, v2, lam: float) -> "SlipSystem":
         v1 = np.asarray(v1, dtype=float)
         v2 = np.asarray(v2, dtype=float)
-        if abs(np.linalg.norm(v1) - 1.0) > 1e-12 or abs(np.linalg.norm(v2) - 1.0) > 1e-12:
+        if v1.shape != (2,) or v2.shape != (2,):
+            raise PreconditionError("slip directions must be 2-vectors")
+        # the checks run on Python floats, which overflow to inf without a warning
+        (x1, y1), (x2, y2) = v1.tolist(), v2.tolist()
+        if (abs(math.sqrt(x1 * x1 + y1 * y1) - 1.0) > 1e-12
+                or abs(math.sqrt(x2 * x2 + y2 * y2) - 1.0) > 1e-12):
             raise PreconditionError("slip directions must be unit vectors")
-        if float(perp(v1) @ v2) <= 0.0:
+        if x1 * y2 - y1 * x2 <= 0.0:
             raise PreconditionError("(v1, v2) must be right-handed")
-        cos2t = float(np.clip(v1 @ v2, -1.0, 1.0))
+        # min and max keep a nan, as np.clip does
+        cos2t = min(max(float(v1.dot(v2)), -1.0), 1.0)
         theta = 0.5 * math.acos(cos2t)
         if theta < math.pi / 4 - 1e-12 or theta >= math.pi / 2:
             raise PreconditionError("half-angle must lie in [pi/4, pi/2)")
         if not 0.0 < lam < 1.0:
             raise PreconditionError("soft volume fraction must lie in (0, 1)")
         w = v1 + v2
-        v3 = -w / np.linalg.norm(w)
+        v3 = -w / math.sqrt(float(w.dot(w)))  # np.linalg.norm's bits
         return cls(v1=v1, v2=v2, theta=theta, v3=v3, lam=lam)
 
     @classmethod

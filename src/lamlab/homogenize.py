@@ -39,6 +39,28 @@ GRID_CAP = 4096
 #   energy, grid_1001             1.23   1.01   0.82   0.73   0.74
 _BLOCK_ELEMENTS = 2 ** 16
 
+# band k labels its cells 2k + 1 and 2k + 2 in int16 label rows
+_LABEL_MAX = np.iinfo(np.int16).max
+
+
+def _distinct(a: np.ndarray, inverse: bool = False):
+    """np.unique(a, return_counts=True) of a 1-D array, or with inverse=True
+    np.unique(a, return_inverse=True, return_counts=True): the same arrays,
+    entry for entry and dtype for dtype, from one sort and a first-of-run
+    mask, without np.unique's fixed cost per call."""
+    s = np.sort(a)
+    # True where a run of equal values starts, and once past the last run
+    first = np.empty(s.size + 1, dtype=bool)
+    first[0] = first[-1] = True
+    np.not_equal(s[1:], s[:-1], out=first[1:-1])
+    # with the inverse at hand bincount counts fastest, without it the run lengths
+    if inverse:
+        values = s[first[:-1]]
+        where = np.searchsorted(values, a)
+        return values, where, np.bincount(where, minlength=values.size)
+    start = np.flatnonzero(first)
+    return s[start[:-1]], np.diff(start)
+
 
 def shear_from_gamma(gamma: float, lam: float, rotation: Mat) -> Mat:
     """Soft-layer gradient N solving lam N + (1-lam) R = R(I + gamma e1 (x) e2)."""
@@ -72,11 +94,10 @@ class MicrostructureSpec:
             raise PreconditionError("band edges must end at the domain side")
         if any(b <= a for a, b in zip([0.0] + edges[:-1], edges)):
             raise PreconditionError("band edges must be strictly increasing")
-        # band k labels its cells 2k + 1 and 2k + 2 in int16 label rows
-        if 2 * len(self.gammas) > np.iinfo(np.int16).max:
+        if 2 * len(self.gammas) > _LABEL_MAX:
             raise PreconditionError(
                 f"{len(self.gammas)} bands: the int16 label rows hold at most "
-                f"{np.iinfo(np.int16).max // 2}")
+                f"{_LABEL_MAX // 2}")
         lam = self.slip.lam
         finest = min(self.epsilon * lam, self.laminate_period * self.epsilon * lam)
         if self.grid_n < 4.0 * DOMAIN_SIDE / finest:
@@ -117,8 +138,7 @@ def build_gradient_field(spec: MicrostructureSpec, laminates) -> GradientField:
     strip = np.floor(xe)
     soft = xe - strip < lam
     x2_in_strip = xs - strip * eps
-    heights, inverse, mult = np.unique(x2_in_strip[soft], return_inverse=True,
-                                       return_counts=True)
+    heights, inverse, mult = _distinct(x2_in_strip[soft], inverse=True)
     row_of = np.zeros(gn, dtype=np.int64)
     row_of[soft] = 1 + inverse
     rows = np.zeros((1 + heights.size, gn), dtype=np.int16)
@@ -140,7 +160,7 @@ def build_gradient_field(spec: MicrostructureSpec, laminates) -> GradientField:
         if i1 <= i0:
             continue
         normal = np.asarray(dec.direction[1], dtype=float)
-        n_hat = normal / np.linalg.norm(normal)
+        n_hat = normal / math.sqrt(float(normal.dot(normal)))  # np.linalg.norm's bits
         u1 = (xs[i0:i1] - x_lo) * n_hat[0]
         block = min(max(1, _BLOCK_ELEMENTS // (i1 - i0)), heights.size)
         # per-block scratch, reused by every block of the band; u and its floor
@@ -215,7 +235,7 @@ def energy_of_field(field: GradientField, spec: MicrostructureSpec, gradients,
     base = rows.shape[0]
     above = np.concatenate((row_of[:1], row_of[:-1]))
     below = np.concatenate((row_of[1:], row_of[-1:]))
-    triples, mult = np.unique((above * base + row_of) * base + below, return_counts=True)
+    triples, mult = _distinct((above * base + row_of) * base + below)
     n_flagged = 0
     block = max(1, _BLOCK_ELEMENTS // gn)
     for k0 in range(0, triples.size, block):

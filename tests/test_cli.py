@@ -1,13 +1,18 @@
+import contextlib
+import io
 import json
 import math
 import os
+import pathlib
 import subprocess
 import sys
+import tempfile
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import lamlab
@@ -349,6 +354,99 @@ def test_homogenize_below_the_grid_cap_resolution_exit_code(tmp_path, capsys, fl
     assert main(["homogenize", "--gamma-bands", "0.4:1", *flags, "--out", str(out)]) == 3
     assert "fewer than 4 cells" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("flags,band", [
+    (["homogenize", "--gamma-bands=1e308:1"], "1e308:1"),
+    (["homogenize", "--gamma-bands=0.2:0.5,-1e308:1"], "-1e308:1"),
+    # gamma is finite, gamma / lambda is not
+    (["--lambda", "0.25", "homogenize", "--gamma-bands=5e307:1"], "5e307:1"),
+])
+def test_homogenize_overflowing_shear_is_usage_error(flags, band, tmp_path, capsys):
+    # the soft-layer shear gamma / lambda overflows to inf: a usage error
+    # naming the band, before any gradient is formed
+    out = tmp_path / "sweep.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main([*flags, "--eps-list", "1/4", "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"error: --gamma-bands: band {band!r}: gamma / lambda is not finite\n")
+    assert not out.exists()
+
+
+# argv numbers: the edges of the float range, as a user would type them
+EDGE_NUMBERS = ("0", "-0", "5e-324", "-5e-324", "1e308", "-1e308", "1e-308", "-1e-308",
+                "nan", "inf", "-inf", "1/0", "-1/0", "0/0")
+
+
+@st.composite
+def homogenize_argv(draw):
+    """homogenize argv of 1-4 bands: ordinary shears, edges, layer periods
+    and laminate periods, each sometimes an edge number in its place."""
+    def number(ordinary):
+        if draw(st.integers(0, 7)) == 0:
+            return draw(st.sampled_from(EDGE_NUMBERS))
+        return ordinary
+
+    n = draw(st.integers(1, 4))
+    inner = sorted(draw(st.lists(st.floats(0.05, 0.95), min_size=n - 1, max_size=n - 1,
+                                 unique=True)))
+    bands = ",".join(f"{number(repr(draw(st.floats(-1.0, 1.0))))}:{number(repr(t))}"
+                     for t in [*inner, 1.0])
+    periods = ("1/4", "1/8", "1/16", "1/3", "0.3", "1")
+    eps = [number(draw(st.sampled_from(periods))) for _ in range(draw(st.integers(1, 2)))]
+    hlam = number(draw(st.sampled_from(("0.25", "1/3", "0.5", "1", "2"))))
+    return ["homogenize", f"--gamma-bands={bands}", f"--eps-list={','.join(eps)}",
+            f"--hlam={hlam}", "--cells-per-feature", str(draw(st.integers(3, 6)))]
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(argv=homogenize_argv())
+@example(argv=["homogenize", "--gamma-bands=1e308:1", "--eps-list=1/4", "--hlam=0.25",
+               "--cells-per-feature", "4"])
+def test_homogenize_argv_exits_cleanly(argv):
+    # every argv ends in exit 0, 2 or 3 with no exception and no warning; an
+    # exit-0 CSV holds the header and one row per layer period, and a rerun
+    # into the same --out writes the same bytes and says the same
+    runs = []
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        out = pathlib.Path(tmp) / "sweep.csv"
+        for _ in range(2):
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                code = main([*argv, "--out", str(out)])
+            csv = out.read_bytes() if out.exists() else None
+            runs.append((code, stdout.getvalue(), stderr.getvalue(), csv))
+    assert runs[0] == runs[1]
+    code, stdout, stderr, csv = runs[0]
+    assert code in (0, 2, 3)
+    assert stdout == ""
+    if code == 0:
+        lines = csv.decode().splitlines()
+        assert lines[0] == "epsilon,hlam,e_eps,target,rel_error,flagged_area"
+        eps_list = argv[2].removeprefix("--eps-list=")
+        assert len(lines) == 1 + len(eps_list.split(","))
+    else:
+        assert stderr.startswith("error: ")
+        assert csv is None
+
+
+def test_malformed_slip_vectors_are_usage_errors(tmp_path, capsys):
+    # vectors of the wrong shape or too large to square exit 2, with no
+    # IndexError or overflow warning from the checks
+    config = tmp_path / "config.json"
+    for v1, v2, message in (([[1.0, 0.0]], [[0.0, 1.0]], "must be 2-vectors"),
+                            ([1.0], [1.0], "must be 2-vectors"),
+                            (None, [0.0, 1.0], "must be 2-vectors"),
+                            ([1.0, 0.0, 0.0], [0.0, 1.0, 0.0], "must be 2-vectors"),
+                            ([1e308, 0.0], [0.0, 1.0], "must be unit vectors")):
+        config.write_text(json.dumps({"slip": {"v1": v1, "v2": v2}}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["--config", str(config), "classify", "--bc", "0,0"]) == 2, v1
+        assert capsys.readouterr().err == f"error: config: slip directions {message}\n"
 
 
 def test_byte_identical_reruns(tmp_path):

@@ -92,6 +92,23 @@ class TestSlipSystem:
             SlipSystem.from_theta(math.pi / 8, 0.5)
         with pytest.raises(PreconditionError):
             SlipSystem.from_theta(math.pi / 3, 1.5)
+        for v1, v2 in (((1.0, 0.0, 0.0), (0.0, 1.0, 0.0)), (((1.0, 0.0),), ((0.0, 1.0),)),
+                       (1.0, 1.0), ((1e308, 0.0), (0.0, 1.0))):
+            with pytest.raises(PreconditionError):
+                SlipSystem.from_vectors(v1, v2, 0.5)
+
+    def test_frame_keeps_the_bits_of_the_numpy_forms(self):
+        # theta and v3 as np.clip and np.linalg.norm form them, at the
+        # workloads' angles and in seeded frames turned by any angle
+        turns = np.random.default_rng(7).uniform(0.0, 2.0 * math.pi, size=40)
+        frames = [SlipSystem.from_theta(t, 0.5) for t in
+                  (math.pi / 4, 0.3 * math.pi, 0.35 * math.pi, 0.45 * math.pi)]
+        frames += [SlipSystem.from_vectors(rotation(a) @ f.v1, rotation(a) @ f.v2, 0.5)
+                   for a in turns.tolist() for f in frames[:2]]
+        for s in frames:
+            w = s.v1 + s.v2
+            assert s.theta == 0.5 * math.acos(float(np.clip(s.v1 @ s.v2, -1.0, 1.0)))
+            assert np.array_equal(s.v3, -w / np.linalg.norm(w))
 
 
 class TestExtendedEnergy:

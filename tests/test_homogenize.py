@@ -246,6 +246,57 @@ def test_rows_are_distinct_heights():
     assert field.rows.shape[0] - 1 == np.count_nonzero(field.row_of) == 256
 
 
+def assert_unique_arrays(a, got, inverse):
+    """got holds np.unique(a)'s arrays, entry for entry and dtype for dtype."""
+    ref = np.unique(a, return_inverse=inverse, return_counts=True)
+    assert len(got) == len(ref)
+    for g, r in zip(got, ref):
+        assert g.dtype == r.dtype
+        assert np.array_equal(g, r)
+
+
+@pytest.mark.parametrize("eps,grid_n,heights", [
+    *[(2.0 ** -k, None, None) for k in range(2, 7)],
+    # 96 soft rows, 32 a period, with 72 distinct float heights among them
+    (1 / 3, 192, 72),
+    (1 / 100, 4096, None),
+], ids=[f"eps_1/{2 ** k}" for k in range(2, 7)] + ["eps_1/3-192", "eps_1/100-4096"])
+def test_distinct_is_np_unique(eps, grid_n, heights, monkeypatch):
+    # the soft-row heights (with their inverse) and the row-triple keys, as
+    # both passes pass them, on the sweep's own grid where grid_n is None
+    calls, distinct = [], homogenize._distinct
+
+    def checked(a, inverse=False):
+        got = distinct(a, inverse)
+        assert_unique_arrays(a, got, inverse)
+        calls.append((inverse, got[0].size))
+        return got
+
+    monkeypatch.setattr(homogenize, "_distinct", checked)
+    if grid_n is None:
+        run_sweep(SLIP, R, THREE_BANDS, [eps], laminate_period=0.25)
+    else:
+        spec = make_spec(gammas=THREE_BANDS, epsilon=eps, grid_n=grid_n)
+        score(raster(spec), spec)
+    assert [inverse for inverse, _ in calls] == [True, False]
+    if heights is not None:
+        assert calls[0][1] == heights
+
+
+def test_distinct_of_a_single_soft_row():
+    # the heights and row triples of a grid with one soft row, where no grid
+    # that resolves its features has one, and of none
+    for a in (np.array([0.3]), np.array([], dtype=float)):
+        assert_unique_arrays(a, homogenize._distinct(a, inverse=True), True)
+    row_of = np.zeros(16, dtype=np.int64)
+    row_of[5] = 1
+    for rows in (row_of, row_of[:1], row_of[5:6]):
+        above = np.concatenate((rows[:1], rows[:-1]))
+        below = np.concatenate((rows[1:], rows[-1:]))
+        key = (above * 2 + rows) * 2 + below
+        assert_unique_arrays(key, homogenize._distinct(key), False)
+
+
 def test_grid_cap_allocates_no_grid():
     # eps = 1/128 at the 4096^2 cap; a whole int16 label grid is 2 gn^2 bytes
     spec = make_spec(gammas=THREE_BANDS, epsilon=1 / 128, grid_n=4096)
