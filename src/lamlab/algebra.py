@@ -8,11 +8,11 @@ max(1, Frobenius norm of the inputs) unless stated otherwise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateFrame, DomainError
+from .errors import DomainError
 
 Vec = np.ndarray
 Mat = np.ndarray
@@ -69,56 +69,53 @@ def frobenius_sq(m: Mat) -> float:
     floats, whose products are correctly rounded (`x ** 2` need not be).
     Raises DomainError when the sum overflows."""
     (a, b), (c, d) = m.tolist()
+    return _sum_sq(a, b, c, d, "|M|^2")
+
+
+def _sum_sq(a: float, b: float, c: float, d: float, what: str) -> float:
+    """a*a + b*b + c*c + d*d, the `frobenius_sq` of [[a, b], [c, d]];
+    DomainError naming `what` when it overflows."""
     fro = a * a + b * b + c * c + d * d
     if fro == math.inf:
-        raise DomainError("|M|^2 overflows")
+        raise DomainError(f"{what} overflows")
     return fro
-
-
-def identity_f1(f: Mat, a: Vec, b: Vec) -> tuple[float, float]:
-    """Both sides of |Fa|^2 |Fb|^2 = (Fa.Fb)^2 + det(F) (a_perp.b)^2.
-
-    The right-hand side as written is exact only for det F = 1 (in general
-    the determinant enters squared); both sides are returned so harnesses
-    can compare them.
-    """
-    fa, fb = f @ a, f @ b
-    lhs = float(fa @ fa) * float(fb @ fb)
-    rhs = float(fa @ fb) ** 2 + det2(f) * float(perp(a) @ b) ** 2
-    return lhs, rhs
-
-
-def identity_f2(f: Mat, a: Vec, b: Vec) -> float:
-    """(|Fa|^2 + |Fb|^2 - 2 (a.b)(Fa.Fb)) / (a_perp.b)^2.
-
-    Equals |F|^2 (Frobenius) for unit vectors a, b with a_perp.b != 0.
-    """
-    denom = float(perp(a) @ b)
-    if abs(denom) < EPS:
-        raise DegenerateFrame("frame vectors are parallel")
-    fa, fb = f @ a, f @ b
-    num = float(fa @ fa) + float(fb @ fb) - 2.0 * float(a @ b) * float(fa @ fb)
-    return num / denom**2
 
 
 @dataclass(frozen=True)
 class RankOneLine:
     """The line t -> base (I + t a (x) n) with a.n = 0, along which the
-    determinant is constant."""
+    determinant is constant.
+
+    `floats` is the line as Python floats, read once when it is built:
+    (f00, f01, f10, f11, fro, a0, a1, n0, n1) with the base entries, its
+    |base|^2 summed as `frobenius_sq` sums it (inf when that overflows; see
+    `base_fro_sq`), a and n.
+    """
 
     base: Mat
     left: Vec
     normal: Vec
+    floats: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         (a0, a1), (n0, n1) = self.left.tolist(), self.normal.tolist()
         scale = max(1.0, math.hypot(a0, a1) * math.hypot(n0, n1))
         if abs(a0 * n0 + a1 * n1) > EPS * scale:
             raise ValueError("det-preserving line requires a.n = 0")
+        (f00, f01), (f10, f11) = self.base.tolist()
+        fro = f00 * f00 + f01 * f01 + f10 * f10 + f11 * f11
+        object.__setattr__(self, "floats", (f00, f01, f10, f11, fro, a0, a1, n0, n1))
+
+    def base_fro_sq(self) -> float:
+        """`frobenius_sq(self.base)`, read from the float view."""
+        fro = self.floats[4]
+        if fro == math.inf:
+            raise DomainError("|M|^2 overflows")
+        return fro
 
     def point(self, t: float) -> Mat:
         # the bits of np.eye(2) + t * np.outer(a, n): 0.0 + x turns -0.0 into 0.0
-        (a0, a1), (n0, n1) = self.left.tolist(), self.normal.tolist()
+        *_, a0, a1, n0, n1 = self.floats
         return self.base @ np.array([[1.0 + t * (a0 * n0), 0.0 + t * (a0 * n1)],
                                      [0.0 + t * (a1 * n0), 1.0 + t * (a1 * n1)]])
 
@@ -135,9 +132,7 @@ def solve_unit_image_times(line: RankOneLine, v: Vec):
     DomainError when the coefficients |Fa|^2 or Fa.Fv overflow.  The
     arithmetic is on Python floats, as in `slip_state`.
     """
-    (f00, f01), (f10, f11) = line.base.tolist()
-    a0, a1 = line.left.tolist()
-    n0, n1 = line.normal.tolist()
+    f00, f01, f10, f11, _, a0, a1, n0, n1 = line.floats
     v0, v1 = v.tolist()
     fa0, fa1 = f00 * a0 + f01 * a1, f10 * a0 + f11 * a1
     fv0, fv1 = f00 * v0 + f01 * v1, f10 * v0 + f11 * v1
@@ -153,7 +148,7 @@ def solve_unit_image_times(line: RankOneLine, v: Vec):
     fafv = fa0 * fv0 + fa1 * fv1
     cross = (f00 * f11 - f01 * f10) * (a0 * v1 - a1 * v0)
     disc = faa - cross * cross
-    tol = EPS * max(1.0, frobenius_sq(line.base))
+    tol = EPS * max(1.0, line.base_fro_sq())
     if disc < -tol:
         return []
     if disc <= tol:
@@ -190,9 +185,3 @@ def bc_to_matrix(b: float, c: float) -> Mat:
     [[a+b, c], [c, a-b]] with a = sqrt(1 + b^2 + c^2), see `bc_diagonal`."""
     f00, f11 = bc_diagonal(b, c)
     return np.array([[f00, c], [c, f11]])
-
-
-def random_det1(rng: np.random.Generator, spread: float = 1.5) -> Mat:
-    """Random unit-determinant matrix: rotation times a random (b, c) orbit."""
-    b, c = rng.uniform(-spread, spread, size=2)
-    return rotation(rng.uniform(0.0, 2.0 * math.pi)) @ bc_to_matrix(b, c)

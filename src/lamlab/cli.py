@@ -317,9 +317,16 @@ def cmd_whomgamma(args, cfg: Settings) -> int:
     lo, hi, count = _parse_number(lo), _parse_number(hi), int(n)
     if count > MAX_ROWS:
         raise ValueError(f"--gamma-range count must be at most {MAX_ROWS}")
+    if not math.isfinite(hi - lo):
+        raise ValueError("--gamma-range: hi - lo is not finite")
     gammas = np.linspace(lo, hi, count)
+    values = gammas.tolist()
+    # the soft layers carry the shear gamma / lambda
+    for g in values:
+        if not math.isfinite(g / cfg.slip.lam):
+            raise ValueError(f"--gamma-range: gamma {g!r}: gamma / lambda is not finite")
     _write_csv(args.out, {"gamma": gammas,
-                          "whom": np.array([w_hom_scalar(g, cfg.slip) for g in gammas.tolist()])})
+                          "whom": np.array([w_hom_scalar(g, cfg.slip) for g in values])})
     return EXIT_OK
 
 

@@ -1,11 +1,10 @@
 """Energy densities and envelope functions of the two-slip model.
 
 Covers the slip state (the phase-diagram quantities of F), the condensed
-density W, the plateau function chi, the h-family of envelope profiles, the
-convex majorant f, the homogenized density and its scalar shear form.  The
-slip state and the homogenized density are one formula set each, evaluated
-on Python floats for one matrix or on arrays for a stack (`algebra.where`,
-`select` and `sqrt` pick math or NumPy).
+density W, the h-family of envelope profiles, the homogenized density and
+its scalar shear form.  The slip state and the homogenized density are one
+formula set each, evaluated on Python floats for one matrix or on arrays for
+a stack (`algebra.where`, `select` and `sqrt` pick math or NumPy).
 """
 
 from __future__ import annotations
@@ -18,8 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .algebra import (Mat, Vec, any_true, det2, frobenius_sq, perp, rotation, select, sqrt,
-                      where)
+from .algebra import Mat, Vec, any_true, perp, select, sqrt, where
 from .errors import BranchDisagreement, DomainError, PreconditionError
 
 DEFAULT_TOL = 1e-9
@@ -85,14 +83,38 @@ class SlipSystem:
     def is_orthogonal(self) -> bool:
         return abs(self.theta - math.pi / 4) <= ORTHO_THETA_TOL
 
-    @property
+    @cached_property
     def v3_perp(self) -> Vec:
-        return perp(self.v3)
+        return _frozen(perp(self.v3))
+
+    @cached_property
+    def bisectors(self) -> tuple:
+        """(v1 + v2, v1 - v2), the directions of the A and A_perp laminates."""
+        return _frozen(self.v1 + self.v2), _frozen(self.v1 - self.v2)
+
+    @cached_property
+    def perps(self) -> tuple:
+        """(v1_perp, v2_perp), the directions of the single-slip laminates."""
+        return _frozen(perp(self.v1)), _frozen(perp(self.v2))
+
+    @cached_property
+    def unit_directions(self) -> dict:
+        """a / |a| (`np.linalg.norm`'s bits) of each laminate direction a kept
+        above, by id(a): the arrays live as long as the slip system, so no
+        other live array has their id."""
+        dirs = (*self.bisectors, *self.perps, self.v3, self.v3_perp)
+        return {id(a): _frozen(a / math.sqrt(float(a.dot(a)))) for a in dirs}
 
     @cached_property
     def frame(self) -> tuple:
         """v1, v2, v3 as pairs of Python floats, for `slip_state`."""
         return tuple(tuple(v.tolist()) for v in (self.v1, self.v2, self.v3))
+
+
+def _frozen(v: Vec) -> Vec:
+    """v made read-only: a cached vector is shared by every caller."""
+    v.flags.writeable = False
+    return v
 
 
 # ---------------------------------------------------------------------------
@@ -146,9 +168,22 @@ def slip_state(f00, f01, f10, f11, s: SlipSystem) -> SlipState:
 
 
 def matrix_state(f: Mat, s: SlipSystem) -> SlipState:
-    """The SlipState of one 2x2 matrix, on Python floats."""
+    """The SlipState of one 2x2 matrix, on Python floats.
+
+    The last state is kept on the slip system, keyed on the dtype, shape and
+    bytes of f, so `classify`, `w_hom` and `decompose` of one matrix derive
+    it once; a matrix changed in place, or -0.0 for 0.0, misses.  Object
+    arrays, whose bytes are pointers, are never kept.
+    """
+    key = (f.dtype, f.shape, f.tobytes())
+    last = s.__dict__.get("_last_state")
+    if last is not None and last[0] == key:
+        return last[1]
     (f00, f01), (f10, f11) = f.tolist()
-    return slip_state(f00, f01, f10, f11, s)
+    st = slip_state(f00, f01, f10, f11, s)
+    if not f.dtype.hasobject:
+        s.__dict__["_last_state"] = (key, st)  # one store: a reader sees a whole pair
+    return st
 
 
 def off_manifold(st: SlipState, tol: float):
@@ -206,11 +241,6 @@ def _pos(x):
     return where(x > 0.0, x, 0.0)
 
 
-def chi(z: float) -> float:
-    """((2 z^2 - 1)_+^{1/2} - 1)_+^2."""
-    return _pos(math.sqrt(_pos(2.0 * z * z - 1.0)) - 1.0) ** 2
-
-
 # the h profiles take floats or arrays (see slip_state)
 
 
@@ -260,20 +290,6 @@ def h_perp_plus(z, theta: float):
 def w_condensed(f: Mat, s: SlipSystem, tol: float = DEFAULT_TOL) -> ExtendedEnergy:
     """Condensed two-slip density: |F|^2 - 2 on M = M1 u M2, Infinite off it."""
     return ExtendedEnergy(w_on_manifold(matrix_state(f, s), tol))
-
-
-def f_majorant(f: Mat, s: SlipSystem) -> float:
-    """Convex majorant coinciding with W on M and with W_hom on det-1 matrices.
-
-    max(h(|Fv3|), h_perp(|Fv3_perp|)); for orthogonal slips also the
-    single-slip terms (|Fv2|^2 - 1)_+ and (|Fv1|^2 - 1)_+, since there h and
-    h_perp both equal chi.
-    """
-    st = matrix_state(f, s)
-    value = max(h(st.z3, s.theta), h_perp(st.z3p, s.theta))
-    if s.is_orthogonal:
-        value = max(value, _pos(st.single1), _pos(st.single2))
-    return value
 
 
 @dataclass(frozen=True)
@@ -367,12 +383,16 @@ def w_hom_arrays(st: SlipState, s: SlipSystem, tol: float = DEFAULT_TOL):
 def w_hom_scalar(gamma: float, s: SlipSystem) -> float:
     """Homogenized energy of the shear R(I + (gamma/lam) e1 (x) e2).
 
-    Piecewise closed form in gamma; requires orthogonal slips.
+    Piecewise closed form in gamma; requires orthogonal slips.  Raises
+    DomainError when gamma/lam is not finite; an energy past the float range
+    is inf.
     """
     if not s.is_orthogonal:
         raise PreconditionError("scalar form requires an orthogonal slip system")
     a, b = float(s.v1[0]), float(s.v1[1])
     g = gamma / s.lam
+    if not math.isfinite(g):
+        raise DomainError(f"the shear gamma / lambda = {gamma!r} / {s.lam!r} is not finite")
     ab = a * b
     if ab > 0.0:
         if 0.0 <= gamma <= 2.0 * s.lam * b / a:
@@ -387,55 +407,7 @@ def w_hom_scalar(gamma: float, s: SlipSystem) -> float:
     # both slip norms exceed 1: chi branch, argument max{|Nv3|, |Nv3_perp|}
     q = 2.0 * (a * a - b * b) * g
     r = g * g
+    if r == math.inf:  # arg >= 1 + g^2, the mean of its two terms: the energy overflows
+        return math.inf
     arg = max(1.0 + q + (1.0 + 2.0 * ab) * r, 1.0 - q + (1.0 - 2.0 * ab) * r)
     return _pos(math.sqrt(_pos(arg)) - 1.0) ** 2
-
-
-# ---------------------------------------------------------------------------
-# Lemma-style comparison of f against |F|^2 - 2 for structured splits F = A + D
-
-
-def make_fad_pair(gamma1: float, gamma2: float, angle: float, s: SlipSystem, which: int = 2):
-    """Build (A, D) with A = R(I + gamma2 v_j (x) v_i) and D = R gamma1 e1 (x) e2."""
-    r = rotation(angle)
-    if which == 2:
-        a = r @ (np.eye(2) + gamma2 * np.outer(s.v2, s.v1))
-    else:
-        a = r @ (np.eye(2) + gamma2 * np.outer(s.v1, s.v2))
-    d = gamma1 * np.outer(r @ np.array([1.0, 0.0]), np.array([0.0, 1.0]))
-    return a, d
-
-
-def lemma_fad_check(a: Mat, d: Mat, c: float, s: SlipSystem) -> bool:
-    """True iff f(A+D) <= |A+D|^2 - 2 + c (sqrt|D|+|D|)(sqrt|A|+|A|+sqrt|D|+|D|).
-
-    A must be a rotation times a single-slip shear, D a rotated simple shear
-    along e1 (x) e2 with the same rotation; orthogonal slips only.
-    """
-    if not s.is_orthogonal:
-        raise PreconditionError("structured split requires orthogonal slips")
-    scale = max(1.0, math.sqrt(frobenius_sq(a)), math.sqrt(frobenius_sq(d)))
-    if abs(det2(a) - 1.0) > 1e-10 * scale * scale:
-        raise PreconditionError("A must have unit determinant")
-    n1 = abs(float(np.linalg.norm(a @ s.v1)) - 1.0)
-    n2 = abs(float(np.linalg.norm(a @ s.v2)) - 1.0)
-    if min(n1, n2) > 1e-10 * scale:
-        raise PreconditionError("A must be a rotated single-slip shear")
-    # recover the rotation from the preserved slip direction
-    v = s.v2 if n2 <= n1 else s.v1
-    rv = a @ v
-    ang = math.atan2(rv[1], rv[0]) - math.atan2(v[1], v[0])
-    r = rotation(ang)
-    e1, e2 = np.array([1.0, 0.0]), np.array([0.0, 1.0])
-    if float(np.linalg.norm(d @ e1)) > 1e-10 * scale:
-        raise PreconditionError("D must annihilate e1")
-    if abs(float((d @ e2) @ (r @ e2))) > 1e-10 * scale:
-        raise PreconditionError("D's image must be parallel to R e1")
-    f = a + d
-    na, nd = math.sqrt(frobenius_sq(a)), math.sqrt(frobenius_sq(d))
-    bound = (
-        frobenius_sq(f)
-        - 2.0
-        + c * (math.sqrt(nd) + nd) * (math.sqrt(na) + na + math.sqrt(nd) + nd)
-    )
-    return f_majorant(f, s) <= bound + 1e-12 * scale * scale

@@ -549,7 +549,7 @@ def wlc_numeric(f: Mat, s: SlipSystem, n_dirs: int = DEFAULT_N_DIRS,
             fs, np.cos(batch.phi_best)[:, None], np.sin(batch.phi_best)[:, None], s, pair=True))
         if math.isfinite(energy):
             m = np.array([math.cos(phi), math.sin(phi)])
-            line = RankOneLine(f, m, perp(m))
+            line = RankOneLine(fs[0], m, perp(m))
             best_dec = laminate_on_line(line, (lo, line.point(lo)), (hi, line.point(hi)),
                                         value, "UpperBoundOnly")
     return OracleResult(value=ExtendedEnergy(value), best=best_dec)

@@ -298,18 +298,3 @@ def run_sweep(slip: SlipSystem, rotation: Mat, gammas, eps_list, laminate_period
         field = build_gradient_field(spec, laminates)
         reports.append(energy_of_field(field, spec, gradients, band_whom))
     return reports
-
-
-def averaging_check(g, g_mean: float, eps_list, grid_n: int):
-    """Deviation of grid means of g(x/eps) over (0,1)^2 from the cell mean of g.
-
-    g must be 1-periodic in both arguments and accept numpy arrays.
-    """
-    xs = (np.arange(grid_n) + 0.5) / grid_n
-    x1, x2 = np.meshgrid(xs, xs)
-    rows = []
-    for eps in eps_list:
-        y1, y2 = x1 / eps, x2 / eps
-        vals = g(y1 - np.floor(y1), y2 - np.floor(y2))
-        rows.append((eps, abs(float(np.mean(vals)) - g_mean)))
-    return rows

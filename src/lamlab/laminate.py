@@ -12,10 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import (Mat, RankOneLine, Vec, det2, frobenius_sq, perp,
-                      solve_unit_image_times)
+from .algebra import Mat, RankOneLine, Vec, _sum_sq, solve_unit_image_times
 from .energy import DEFAULT_TOL, SlipSystem, matrix_state, off_manifold, w_on_manifold
-from .errors import DegenerateTangency, DomainError, OffManifold
+from .errors import DegenerateTangency, OffManifold
 
 KINDS = ("CaseA", "CaseAPerp", "CaseN1lemN2", "CaseN2", "CaseN1capN2",
          "CaseOnManifold", "UpperBoundOnly")
@@ -44,10 +43,8 @@ class LaminateDecomposition:
 
 def _w_manifold(f: Mat) -> float:
     """Condensed energy of a laminate endpoint, assumed to lie on M."""
-    try:
-        return max(frobenius_sq(f) - 2.0, 0.0)
-    except DomainError:
-        raise DomainError("laminate endpoint |F|^2 overflows") from None
+    (a, b), (c, d) = f.tolist()
+    return max(_sum_sq(a, b, c, d, "laminate endpoint |F|^2") - 2.0, 0.0)
 
 
 def _end(line: RankOneLine, t: float):
@@ -66,39 +63,62 @@ def laminate_on_line(line: RankOneLine, lo, hi, energy: float,
     )
 
 
-def _nearest_pair(line: RankOneLine, s: SlipSystem, kind: str):
-    """Laminate on `line` between the nearest unit-image roots on each side of
-    t = 0, or None when a side has none or the two are at most 1e-15 apart.
+def _nearest_ends(line: RankOneLine, s: SlipSystem):
+    """The `_end`s at the nearest unit-image roots on each side of t = 0 on
+    `line`, or None when a side has none or the two are at most 1e-15 apart.
 
     The roots are those of |F(t) v1| = 1 and |F(t) v2| = 1.  The determinant
     is constant along the line, so |F(t)|^2 - 2 is a quadratic in t and the
     mu-weighted energy of the roots ta <= 0 <= tb is its chord at t = 0,
     which falls as ta tb shrinks: the largest root <= 0 and the smallest
     root >= 0 are the best pair, as in `envelope_oracle._direction_energy`.
-
-    UpperBoundOnly reports mu W+ + (1-mu) W-, as `verify_decomposition` forms
-    it.  The known kinds report max(W-, W+) and raise DegenerateTangency when
-    the endpoint energies differ by more than 1e-6 max(1, |N|^2).
     """
     ts = solve_unit_image_times(line, s.v1) + solve_unit_image_times(line, s.v2)
     t_lo = max((t for t in ts if t <= 0.0), default=None)
     t_hi = min((t for t in ts if t >= 0.0), default=None)
     if t_lo is None or t_hi is None or t_hi - t_lo <= 1e-15:
         return None
-    lo, hi = _end(line, t_lo), _end(line, t_hi)
-    if kind == "UpperBoundOnly":
-        mu = -t_lo / (t_hi - t_lo)  # as laminate_on_line forms it
-        return laminate_on_line(line, lo, hi, mu * hi[2] + (1.0 - mu) * lo[2], kind)
-    if abs(lo[2] - hi[2]) > 1e-6 * max(1.0, frobenius_sq(line.base)):
+    return _end(line, t_lo), _end(line, t_hi)
+
+
+def _nearest_pair(line: RankOneLine, s: SlipSystem, kind: str):
+    """Laminate of a known kind between the `_nearest_ends` of `line`, or None.
+
+    Its energy is max(W-, W+); DegenerateTangency when the endpoint energies
+    differ by more than 1e-6 max(1, |N|^2).
+    """
+    ends = _nearest_ends(line, s)
+    if ends is None:
+        return None
+    lo, hi = ends
+    if abs(lo[2] - hi[2]) > 1e-6 * max(1.0, line.base_fro_sq()):
         raise DegenerateTangency("the laminate endpoint energies differ on a known region")
     return laminate_on_line(line, lo, hi, max(lo[2], hi[2]), kind)
+
+
+def _upper_bound(lines, s: SlipSystem):
+    """UpperBoundOnly laminate of the least mu W+ + (1-mu) W- over `lines`
+    (as `verify_decomposition` forms it; the first line on a tie), or None."""
+    best = None
+    for line in lines:
+        ends = _nearest_ends(line, s)
+        if ends is not None:
+            (t_lo, _, w_lo), (t_hi, _, w_hi) = ends
+            mu = -t_lo / (t_hi - t_lo)  # as laminate_on_line forms it
+            energy = mu * w_hi + (1.0 - mu) * w_lo
+            if best is None or energy < best[0]:
+                best = (energy, line, ends)
+    if best is None:
+        return None
+    energy, line, (lo, hi) = best
+    return laminate_on_line(line, lo, hi, energy, "UpperBoundOnly")
 
 
 def decompose(n: Mat, s: SlipSystem, tol: float = DEFAULT_TOL) -> LaminateDecomposition:
     """Optimal first-order laminate of the unit-determinant target N.
 
-    Every laminate off the manifolds is the `_nearest_pair` of one rank-one
-    line.  Both slip norms above 1 (A, A_perp): the bisector line
+    Every laminate off the manifolds is the pair of `_nearest_ends` of one
+    rank-one line.  Both slip norms above 1 (A, A_perp): the bisector line
     (v1+v2) (x) (v1-v2), or (v1-v2) (x) (v1+v2) when N v1 . N v2 < 0.  Both
     below 1 (N1 n N2): the v3 (x) v3_perp line.  One below 1: the single-slip
     line v_perp (x) v of that system, exact for orthogonal slips; at other
@@ -117,7 +137,7 @@ def decompose(n: Mat, s: SlipSystem, tol: float = DEFAULT_TOL) -> LaminateDecomp
             energy=w, kind="CaseOnManifold")
     d1, d2 = st.d1, st.d2
     if d1 > 0.0 and d2 > 0.0:
-        bis, bis_perp = s.v1 + s.v2, s.v1 - s.v2
+        bis, bis_perp = s.bisectors
         if st.dot >= 0.0:
             found = _nearest_pair(RankOneLine(n, bis, bis_perp), s, "CaseA")
         else:
@@ -125,14 +145,13 @@ def decompose(n: Mat, s: SlipSystem, tol: float = DEFAULT_TOL) -> LaminateDecomp
     elif d1 < 0.0 and d2 < 0.0:
         found = _nearest_pair(RankOneLine(n, s.v3, s.v3_perp), s, "CaseN1capN2")
     else:
-        inside = s.v1 if d1 < 0.0 else s.v2
-        single = RankOneLine(n, perp(inside), inside)
+        inside, inside_perp = (s.v1, s.perps[0]) if d1 < 0.0 else (s.v2, s.perps[1])
+        single = RankOneLine(n, inside_perp, inside)
         if s.is_orthogonal:
             found = _nearest_pair(single, s, "CaseN1lemN2" if d1 < 0.0 else "CaseN2")
         else:
-            lines = (single, RankOneLine(n, s.v3, s.v3_perp), RankOneLine(n, s.v3_perp, s.v3))
-            found = min((c for c in (_nearest_pair(line, s, "UpperBoundOnly") for line in lines)
-                         if c is not None), key=lambda d: d.energy, default=None)
+            found = _upper_bound((single, RankOneLine(n, s.v3, s.v3_perp),
+                                  RankOneLine(n, s.v3_perp, s.v3)), s)
     if found is None:
         raise DegenerateTangency("no rank-one line through the target has admissible endpoints")
     return found
@@ -165,29 +184,37 @@ def verify_decomposition(d: LaminateDecomposition, n: Mat, s: SlipSystem) -> Dec
 
     Raises DomainError when the jump |F+ - F-|^2 overflows.
     """
-    scale = max(1.0, math.sqrt(frobenius_sq(n)))
-    comb = d.mu * d.f_plus + (1.0 - d.mu) * d.f_minus - n
-    conv = math.sqrt(frobenius_sq(comb)) / scale
-    diff = d.f_plus - d.f_minus
-    try:
-        dn = frobenius_sq(diff)
-    except DomainError:
-        raise DomainError("laminate jump |F+ - F-|^2 overflows") from None
-    rank1 = abs(det2(diff)) / dn if dn > 0.0 else 0.0
+    # the combination, the jump and the endpoint energies entry by entry on
+    # Python floats, which round each +, - and * as NumPy's elementwise
+    # arithmetic does; the products with vectors stay NumPy's
+    (p00, p01), (p10, p11) = d.f_plus.tolist()
+    (m00, m01), (m10, m11) = d.f_minus.tolist()
+    (n00, n01), (n10, n11) = n.tolist()
+    scale = max(1.0, math.sqrt(_sum_sq(n00, n01, n10, n11, "|M|^2")))
+    mu, nu = d.mu, 1.0 - d.mu
+    conv = math.sqrt(_sum_sq(mu * p00 + nu * m00 - n00, mu * p01 + nu * m01 - n01,
+                             mu * p10 + nu * m10 - n10, mu * p11 + nu * m11 - n11,
+                             "|M|^2")) / scale
+    j00, j01, j10, j11 = p00 - m00, p01 - m01, p10 - m10, p11 - m11
+    dn = _sum_sq(j00, j01, j10, j11, "laminate jump |F+ - F-|^2")
+    rank1 = abs(j00 * j11 - j01 * j10) / dn if dn > 0.0 else 0.0
     man = 0.0
     for f in (d.f_plus, d.f_minus):
         dev = min(abs(_norm(f @ s.v1) - 1.0), abs(_norm(f @ s.v2) - 1.0))
         man = max(man, dev)
-    wp, wm = _w_manifold(d.f_plus), _w_manifold(d.f_minus)
+    wp = max(_sum_sq(p00, p01, p10, p11, "laminate endpoint |F|^2") - 2.0, 0.0)
+    wm = max(_sum_sq(m00, m01, m10, m11, "laminate endpoint |F|^2") - 2.0, 0.0)
     if d.kind == "UpperBoundOnly":
         energy_res = abs(d.mu * wp + (1.0 - d.mu) * wm - d.energy)
     else:
         energy_res = max(abs(wp - d.energy), abs(wm - d.energy))
-    a = np.asarray(d.direction[0], dtype=float)
-    norm_a = _norm(a)
+    a_hat = s.unit_directions.get(id(d.direction[0]))
+    if a_hat is None:
+        a = np.asarray(d.direction[0], dtype=float)
+        norm_a = _norm(a)
+        a_hat = a / norm_a if norm_a > 0.0 else None
     pres = 0.0
-    if norm_a > 0.0:
-        a_hat = a / norm_a
+    if a_hat is not None:
         for f in (d.f_plus, d.f_minus):
             pres = max(pres, _norm((f - n) @ a_hat) / scale)
     return DecompositionReport(convex_combination=conv, rank_one=rank1, manifold=man,

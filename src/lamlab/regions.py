@@ -54,7 +54,13 @@ def classify(f: Mat, s: SlipSystem, tol: float = DEFAULT_TOL) -> RegionLabel:
 
 def region_label(code, bits) -> RegionLabel:
     """The `classify` label of one (code, boundary) entry of `classify_arrays`."""
-    return RegionLabel(TAGS[code], adjacent_tags(int(bits)))
+    return _label(code, int(bits))
+
+
+@lru_cache(maxsize=None)
+def _label(code, bits: int) -> RegionLabel:
+    """One frozen label per (code, bits): at most 9 x 2^9 of them."""
+    return RegionLabel(TAGS[code], adjacent_tags(bits))
 
 
 def classify_arrays(st: SlipState, tol: float = DEFAULT_TOL):

@@ -4,12 +4,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from lamlab.algebra import (EPS, RankOneLine, bc_to_matrix, det2, frobenius_sq,
-                            identity_f1, identity_f2, perp, random_det1,
+from lamlab.algebra import (EPS, RankOneLine, bc_to_matrix, det2, frobenius_sq, perp,
                             rotation, solve_unit_image_times)
 from lamlab.energy import SlipSystem
 from lamlab.errors import DegenerateFrame, DomainError
 from lamlab.laminate import decompose, verify_decomposition
+
+from references import identity_f1, identity_f2, random_det1
 
 
 def vec(x, y):
@@ -76,6 +77,24 @@ def test_rank_one_line_preserves_determinant():
     line = RankOneLine(base, perp(v), v)
     for t in rng.uniform(-5, 5, size=100):
         assert abs(det2(line.point(t)) - det2(base)) <= 1e-12 * max(1.0, abs(t) ** 2)
+
+
+def test_rank_one_line_float_view():
+    # the floats a line reads once: the base entries, |base|^2 as frobenius_sq
+    # sums it (its DomainError deferred to base_fro_sq), a and n
+    rng = np.random.default_rng(29)
+    for _ in range(200):
+        base, a = random_det1(rng, 3.0), random_unit(rng)
+        line = RankOneLine(base, a, perp(a))
+        assert line.floats == (*base.ravel().tolist(), frobenius_sq(base),
+                               *a.tolist(), *perp(a).tolist())
+        assert line.base_fro_sq() == frobenius_sq(base)
+    line = RankOneLine(np.array([[1e154, 0.0], [1e154, 1e-154]]), vec(1, 0), vec(0, 1))
+    with pytest.raises(DomainError, match="overflows"):
+        line.base_fro_sq()
+    with pytest.raises(DomainError):
+        solve_unit_image_times(RankOneLine(np.array([[1e154, 1e154], [1e154, 1e154]]),
+                                           vec(0, 1), vec(1, 0)), vec(1, 0))
 
 
 def test_rank_one_line_rejects_non_orthogonal_pair():

@@ -375,6 +375,26 @@ def test_homogenize_overflowing_shear_is_usage_error(flags, band, tmp_path, caps
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flags,message", [
+    (["whomgamma", "--gamma-range=1e308:1e308:2"],
+     "--gamma-range: gamma 1e+308: gamma / lambda is not finite"),
+    (["--lambda", "1e-300", "whomgamma", "--gamma-range=0:1e10:3"],
+     "--gamma-range: gamma 5000000000.0: gamma / lambda is not finite"),
+    # linspace forms hi - lo first
+    (["whomgamma", "--gamma-range=-1e308:1e308:3"], "--gamma-range: hi - lo is not finite"),
+])
+def test_whomgamma_overflowing_shear_is_usage_error(flags, message, tmp_path, capsys):
+    # an overflowing gamma / lambda wrote energy 0: now a usage error naming
+    # the gamma, before any energy is evaluated
+    out = tmp_path / "wg.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main([*flags, "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 # argv numbers: the edges of the float range, as a user would type them
 EDGE_NUMBERS = ("0", "-0", "5e-324", "-5e-324", "1e308", "-1e308", "1e-308", "-1e-308",
                 "nan", "inf", "-inf", "1/0", "-1/0", "0/0")
@@ -565,3 +585,64 @@ def test_work_cap_admits_its_bound(monkeypatch):
     assert main(["hplot", "--samples", str(MAX_ROWS), "--out", "h.csv"]) == 0
     assert main(["whomgamma", f"--gamma-range=-3:3:{MAX_ROWS}", "--out", "w.csv"]) == 0
     assert rows == [MAX_ROWS, MAX_ROWS]
+
+
+# classify / laminate argv numbers: the EDGE_NUMBERS and the square root of
+# the float range, where |F|^2 starts to overflow
+SCALAR_EDGES = (*EDGE_NUMBERS, "1e154", "-1e154", "1e-154")
+# --theta at and inside the edges of [pi/4, pi/2), and just outside them
+THETA_EDGES = ("0.7853981633974483", repr(math.pi / 4 - 1e-13), repr(math.pi / 4 - 1e-11),
+               "1.5707963267948963", "1.5707963267948966", "nan")
+TOL_VALUES = ("1e-9", "1e-12", "1e-3", "0.5", "5e-324", "1e308", "0", "-1e-9", "nan", "inf")
+
+
+@st.composite
+def scalar_argv(draw):
+    """classify or laminate argv: a --matrix or --bc of ordinary and edge
+    numbers, a --theta in [pi/4, pi/2) or at its edges, and sometimes a --tol."""
+    def number():
+        if draw(st.integers(0, 3)) == 0:
+            return draw(st.sampled_from(SCALAR_EDGES))
+        return repr(draw(st.floats(-3.0, 3.0)))
+
+    if draw(st.booleans()):
+        theta = repr(draw(st.floats(math.pi / 4, math.pi / 2, exclude_max=True)))
+    else:
+        theta = draw(st.sampled_from(THETA_EDGES))
+    argv = [f"--theta={theta}"]
+    if draw(st.booleans()):
+        argv.append(f"--tol={draw(st.sampled_from(TOL_VALUES))}")
+    argv.append(draw(st.sampled_from(("classify", "laminate"))))
+    if draw(st.booleans()):
+        argv.append(f"--matrix={','.join(number() for _ in range(4))}")
+    else:
+        argv.append(f"--bc={number()},{number()}")
+    return argv
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(argv=scalar_argv())
+@example(argv=["--theta=0.7853981633974483", "laminate", "--matrix=1e154,0,0,1e-154"])
+@example(argv=["--theta=0.9424777960769379", "classify", "--bc=1e154,1e154"])
+def test_scalar_argv_exits_cleanly(argv):
+    # every argv ends in exit 0, 2 or 3 with no exception and no warning;
+    # stdout is empty or one strict JSON line (one on exit 0), and a rerun
+    # says the same
+    runs = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for _ in range(2):
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                code = main(argv)
+            runs.append((code, stdout.getvalue(), stderr.getvalue()))
+    assert runs[0] == runs[1]
+    code, stdout, stderr = runs[0]
+    assert code in (0, 2, 3)
+    if stdout:
+        assert stdout.endswith("\n") and stdout.count("\n") == 1
+        assert isinstance(strict_json(stdout), dict)
+    if code == 0:
+        assert stdout and not stderr
+    elif not stdout:
+        assert stderr.startswith("error: ")

@@ -3,16 +3,17 @@ import math
 import numpy as np
 import pytest
 
-from lamlab.algebra import bc_to_matrix, det2, perp, random_det1, rotation
+from lamlab.algebra import bc_to_matrix, det2, perp, rotation
 from lamlab.energy import (DEFAULT_TOL, Bounds, ExtendedEnergy, INFINITE, Known,
-                           SlipSystem, chi, f_majorant, h, h_perp, h_perp_plus,
-                           h_perp_star, h_plus, h_star, lemma_fad_check,
-                           make_fad_pair, slip_state, w_condensed, w_hom, w_hom_arrays,
-                           w_hom_scalar)
+                           SlipSystem, energy_record, h, h_perp, h_perp_plus, h_perp_star,
+                           h_plus, h_star, matrix_state, slip_state, w_condensed, w_hom,
+                           w_hom_arrays, w_hom_scalar)
 from lamlab.envelope_oracle import envelope_scan, wlc_numeric
 from lamlab.errors import DomainError, PreconditionError
 from lamlab.laminate import decompose
 from lamlab.regions import classify, classify_arrays, region_map
+
+from references import chi, f_majorant, lemma_fad_check, make_fad_pair, random_det1
 
 ORTHO = SlipSystem.orthogonal(v1=(1.0, 0.0))
 
@@ -338,6 +339,110 @@ class TestScalarForm:
                 np.eye(2) + (gamma / lam) * np.outer([1, 0], [0, 1]))
             ref = w_hom(n, s).value.as_float()
             assert abs(w_hom_scalar(gamma, s) - ref) <= 1e-12 * max(1.0, ref)
+
+    @pytest.mark.parametrize("gamma,lam", [(1e308, 0.5), (-1e308, 0.5), (1e10, 1e-300),
+                                           (math.inf, 0.5), (math.nan, 0.5)])
+    def test_non_finite_shear_is_a_domain_error(self, gamma, lam):
+        # gamma / lam = inf made q = 0 * inf = nan, which max and _pos turned into 0
+        s = SlipSystem.orthogonal(v1=(1 / math.sqrt(2), 1 / math.sqrt(2)), lam=lam)
+        with pytest.raises(DomainError, match="is not finite"):
+            w_hom_scalar(gamma, s)
+
+    @pytest.mark.parametrize("v1", [(1.0, 0.0), (0.0, 1.0), (0.6, 0.8), (0.6, -0.8),
+                                    (1 / math.sqrt(2), 1 / math.sqrt(2))])
+    @pytest.mark.parametrize("gamma", [8e307, -8e307, 1e160, -1e160])
+    def test_overflowing_energy_is_inf(self, v1, gamma):
+        # gamma / lam is finite but its square is not: the energy is at least
+        # (|gamma / lam| - 1)^2, past the float range, never 0 (inf - inf = nan)
+        s = SlipSystem.orthogonal(v1=v1, lam=0.5)
+        assert w_hom_scalar(gamma, s) == math.inf
+
+
+def state_bits(st):
+    """Each field of a SlipState as (type, float64 bits): -0.0 and 0.0 and
+    int and float results stay apart."""
+    return [(type(x), np.float64(x).tobytes()) for x in st]
+
+
+def memo_free_state(f, s):
+    return slip_state(*f.ravel().tolist(), s)
+
+
+class TestStateMemo:
+    """matrix_state keeps the last state per slip system, keyed on the
+    matrix's dtype, shape and bytes; it never returns a stale state."""
+
+    THETAS = (math.pi / 4, 0.3 * math.pi)
+
+    def test_classify_w_hom_decompose_derive_one_state(self, monkeypatch):
+        from lamlab import energy
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return slip_state(*args)
+
+        monkeypatch.setattr(energy, "slip_state", counted)
+        s = SlipSystem.from_theta(0.3 * math.pi, 0.5)
+        f = bc_to_matrix(0.4, -1.1)
+        classify(f, s)
+        w_hom(f, s)
+        decompose(f, s)
+        assert len(calls) == 1
+        decompose(f.copy(), s)  # equal bytes: the same matrix
+        assert len(calls) == 1
+
+    def test_in_place_change_between_classify_and_w_hom(self):
+        s = SlipSystem.from_theta(0.3 * math.pi, 0.5)
+        f = bc_to_matrix(0.4, -1.1)
+        classify(f, s)
+        f[:] = bc_to_matrix(-1.3, 0.2)
+        assert state_bits(matrix_state(f, s)) == state_bits(memo_free_state(f, s))
+        assert w_hom(f, s) == energy_record(*w_hom_arrays(memo_free_state(f, s), s))
+        assert decompose(f, s).energy == decompose(f.copy(), SlipSystem.from_theta(0.3 * math.pi,
+                                                                                  0.5)).energy
+
+    def test_slip_systems_used_in_turn(self):
+        f, g = bc_to_matrix(0.4, -1.1), bc_to_matrix(-1.3, 0.2)
+        # two equal-angle systems per angle, each with its own memo
+        systems = [SlipSystem.from_theta(t, 0.5) for t in self.THETAS for _ in range(2)]
+        for _ in range(2):
+            for s in systems:
+                for m in (f, g, f):
+                    assert state_bits(matrix_state(m, s)) == state_bits(memo_free_state(m, s))
+
+    @pytest.mark.parametrize("theta", THETAS)
+    def test_negative_zero_entries(self, theta):
+        s = SlipSystem.from_theta(theta, 0.5)
+        zero, negative = np.zeros((2, 2)), np.full((2, 2), -0.0)
+        for first, second in ((zero, negative), (negative, zero)):
+            matrix_state(first, s)
+            assert state_bits(matrix_state(second, s)) == state_bits(memo_free_state(second, s))
+        # the two states differ in the sign of F v1 . F v2, so a key by value would be stale
+        assert state_bits(memo_free_state(zero, s)) != state_bits(memo_free_state(negative, s))
+
+    @pytest.mark.parametrize("theta", THETAS)
+    def test_dtype_and_layout(self, theta):
+        s = SlipSystem.from_theta(theta, 0.5)
+        f = bc_to_matrix(0.4, -1.1)
+        big = np.arange(16.0).reshape(4, 4) / 7.0
+        inputs = [f, f.astype(np.float32), np.array([[1, 1], [0, 1]]),
+                  np.array([[1.0, 1.0], [0.0, 1.0]]), np.zeros((2, 2), dtype=int),
+                  np.zeros((2, 2)), f.T, np.asfortranarray(f), big[::2, 1::2], big[1::2, ::2],
+                  f.astype(">f8")]
+        for first in inputs:
+            for second in inputs:
+                matrix_state(first, s)
+                got = matrix_state(second, s)
+                assert state_bits(got) == state_bits(memo_free_state(second, s))
+
+    def test_object_arrays_are_not_kept(self):
+        s = SlipSystem.from_theta(0.3 * math.pi, 0.5)
+        f = np.array([[1.0, 0.5], [0.0, 1.0]], dtype=object)
+        first = matrix_state(f, s)
+        f[0, 1] = 0.25  # a new float object; the old one's address may be reused
+        assert state_bits(matrix_state(f, s)) == state_bits(memo_free_state(f, s))
+        assert state_bits(first) != state_bits(matrix_state(f, s))
 
 
 class TestFadInequality:

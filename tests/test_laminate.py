@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,15 +7,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lamlab import laminate
-from lamlab.algebra import bc_to_matrix, det2, perp, random_det1, rotation
+from lamlab.algebra import bc_to_matrix, det2, frobenius_sq, perp, rotation
 from lamlab.cli import main
 from lamlab.energy import Known, SlipSystem, matrix_state, w_hom
 from lamlab.envelope_oracle import _direction_energy
-from lamlab.errors import DegenerateTangency, OffManifold
-from lamlab.laminate import LaminateDecomposition, decompose, verify_decomposition
+from lamlab.errors import DegenerateTangency, DomainError, OffManifold
+from lamlab.laminate import (DecompositionReport, LaminateDecomposition, decompose,
+                             verify_decomposition)
 from lamlab.regions import classify
 
+from references import random_det1
+
 ORTHO = SlipSystem.orthogonal(v1=(1.0, 0.0))
+ANGLES = (math.pi / 4, 0.3 * math.pi, 0.35 * math.pi, 0.45 * math.pi)
 
 
 def test_identity_decomposition():
@@ -241,3 +246,77 @@ def test_unequal_known_endpoints_raise_degenerate_tangency(monkeypatch, capsys):
         decompose(CASE_A, CLI_SLIP)
     assert main(["laminate", "--matrix", CASE_A_ARG]) == 3
     assert "endpoint energies differ" in capsys.readouterr().err
+
+
+def reference_verify_decomposition(d, n, s):
+    """verify_decomposition with its combination, jump and determinant on
+    NumPy arrays, as it was before they moved to Python floats."""
+    scale = max(1.0, math.sqrt(frobenius_sq(n)))
+    comb = d.mu * d.f_plus + (1.0 - d.mu) * d.f_minus - n
+    conv = math.sqrt(frobenius_sq(comb)) / scale
+    diff = d.f_plus - d.f_minus
+    try:
+        dn = frobenius_sq(diff)
+    except DomainError:
+        raise DomainError("laminate jump |F+ - F-|^2 overflows") from None
+    rank1 = abs(det2(diff)) / dn if dn > 0.0 else 0.0
+    man = 0.0
+    for f in (d.f_plus, d.f_minus):
+        dev = min(abs(laminate._norm(f @ s.v1) - 1.0), abs(laminate._norm(f @ s.v2) - 1.0))
+        man = max(man, dev)
+    wp, wm = laminate._w_manifold(d.f_plus), laminate._w_manifold(d.f_minus)
+    if d.kind == "UpperBoundOnly":
+        energy_res = abs(d.mu * wp + (1.0 - d.mu) * wm - d.energy)
+    else:
+        energy_res = max(abs(wp - d.energy), abs(wm - d.energy))
+    a = np.asarray(d.direction[0], dtype=float)
+    norm_a = laminate._norm(a)
+    pres = 0.0
+    if norm_a > 0.0:
+        a_hat = a / norm_a
+        for f in (d.f_plus, d.f_minus):
+            pres = max(pres, laminate._norm((f - n) @ a_hat) / scale)
+    return DecompositionReport(convex_combination=conv, rank_one=rank1, manifold=man,
+                               energy_equality=energy_res, preserved_vector=pres)
+
+
+def seeded_query_pool(seed, count):
+    """(theta, N) pairs: random det-1 targets at each angle of the queries
+    benchmark, every sixth a rotated single-slip shear on M1 or M2."""
+    rng = np.random.default_rng(seed)
+    for k in range(count):
+        theta = ANGLES[k % len(ANGLES)]
+        if k % 6 == 5:
+            s = SlipSystem.from_theta(theta, 0.5)
+            v = s.v1 if k % 12 == 5 else s.v2
+            n = rotation(rng.uniform(0.0, 2.0 * math.pi)) @ (
+                np.eye(2) + rng.uniform(-2.0, 2.0) * np.outer(v, perp(v)))
+        else:
+            n = random_det1(rng, spread=3.0 if k % 2 else 1.5)
+        yield theta, n
+
+
+def decomposition_bits(d):
+    return (d.f_plus.tobytes(), d.f_minus.tobytes(), d.mu, d.energy, d.kind,
+            tuple(np.asarray(v, dtype=float).tobytes() for v in d.direction))
+
+
+def test_query_chain_keeps_the_reference_bits():
+    # classify -> w_hom -> decompose -> verify on one slip system per angle
+    # (the slip-state memo hits), against decompose on a fresh system per
+    # target (it misses) and the NumPy reference of verify_decomposition:
+    # every field equal with ==, every array equal byte for byte
+    shared = {theta: SlipSystem.from_theta(theta, 0.5) for theta in ANGLES}
+    kinds = set()
+    for theta, n in seeded_query_pool(2029, 1200):
+        s = shared[theta]
+        if classify(n, s).tag == "OffManifold":
+            continue
+        w_hom(n, s)
+        d = decompose(n, s)
+        fresh = decompose(n.copy(), SlipSystem.from_theta(theta, 0.5))
+        assert decomposition_bits(d) == decomposition_bits(fresh)
+        kinds.add(d.kind)
+        got, ref = verify_decomposition(d, n, s), reference_verify_decomposition(d, n, s)
+        assert dataclasses.astuple(got) == dataclasses.astuple(ref), (theta, n.tolist())
+    assert kinds == set(laminate.KINDS)

@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 
 import lamlab
 from lamlab import envelope_oracle
-from lamlab.algebra import bc_to_matrix, perp, random_det1, rotation
-from lamlab.energy import (DEFAULT_TOL, SlipSystem, f_majorant, h, h_perp, matrix_state,
+from lamlab.algebra import bc_to_matrix, perp, rotation
+from lamlab.energy import (DEFAULT_TOL, SlipSystem, h, h_perp, matrix_state,
                            slip_state, w_condensed, w_hom, w_on_manifold)
 from lamlab.envelope_oracle import (_CERTIFY_RTOL, _CHUNK_ELEMENTS, _coarse_scan,
                                     _direction_energy, _inner_min, _laminate_angles, _oracle,
@@ -23,6 +23,8 @@ from lamlab.envelope_oracle import (_CERTIFY_RTOL, _CHUNK_ELEMENTS, _coarse_scan
 from lamlab.errors import LamlabError, OffManifold, PreconditionError
 from lamlab.laminate import decompose, verify_decomposition
 from lamlab.regions import CODE, region_map
+
+from references import f_majorant, random_det1
 
 ORTHO = SlipSystem.orthogonal(v1=(1.0, 0.0))
 ANGLES = (math.pi / 4, 0.3 * math.pi, 0.35 * math.pi, 0.45 * math.pi)

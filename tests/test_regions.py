@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from lamlab.algebra import bc_to_matrix, perp, random_det1, rotation
+from lamlab.algebra import bc_to_matrix, perp, rotation
 from lamlab.energy import (DEFAULT_TOL, INFINITE, Bounds, ExtendedEnergy, Known, SlipSystem,
                            off_manifold, slip_state, w_condensed, w_hom, w_hom_arrays)
 from lamlab.envelope_oracle import envelope_scan, wlc_numeric
@@ -11,6 +11,8 @@ from lamlab.errors import OffManifold, PreconditionError
 from lamlab.laminate import decompose
 from lamlab.regions import (TAGS, RegionLabel, adjacent_tags, classify, classify_arrays,
                             region_map)
+
+from references import random_det1
 
 ORTHO = SlipSystem.orthogonal(v1=(1.0, 0.0))
 GENERAL = SlipSystem.from_theta(math.pi / 3, 0.5)
