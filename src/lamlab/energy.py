@@ -52,6 +52,9 @@ class SlipSystem:
             raise PreconditionError("slip directions must be 2-vectors")
         # the checks run on Python floats, which overflow to inf without a warning
         (x1, y1), (x2, y2) = v1.tolist(), v2.tolist()
+        # nan fails every check below, each written as a comparison
+        if not all(map(math.isfinite, (x1, y1, x2, y2))):
+            raise PreconditionError("the slip frame must be finite")
         if (abs(math.sqrt(x1 * x1 + y1 * y1) - 1.0) > 1e-12
                 or abs(math.sqrt(x2 * x2 + y2 * y2) - 1.0) > 1e-12):
             raise PreconditionError("slip directions must be unit vectors")
@@ -71,6 +74,8 @@ class SlipSystem:
     @classmethod
     def from_theta(cls, theta: float, lam: float) -> "SlipSystem":
         """Canonical frame with the bisector v3 = (0, -1)."""
+        if not math.isfinite(theta):  # math.sin(inf) raises a bare ValueError
+            raise PreconditionError("the slip frame must be finite")
         s, c = math.sin(theta), math.cos(theta)
         return cls.from_vectors((s, c), (-s, c), lam)
 

@@ -9,6 +9,7 @@ target lam * sum_i (t_i - t_{i-1}) * W_hom(N_i).
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,6 +61,40 @@ def _distinct(a: np.ndarray, inverse: bool = False):
         return values, where, np.bincount(where, minlength=values.size)
     start = np.flatnonzero(first)
     return s[start[:-1]], np.diff(start)
+
+
+# the bytes per cell of the larger pass's block scratch: the raster's float64
+# u, its float64 floor and its bool plus mask
+_SCRATCH_CELL_BYTES = 17
+
+_kept = threading.local()
+
+
+def _block_scratch(shape: tuple, *dtypes) -> list:
+    """One array of `shape` per dtype, carved from this thread's kept
+    scratch of _SCRATCH_CELL_BYTES * _BLOCK_ELEMENTS bytes (1.1 MB), which
+    both passes reuse from call to call.
+
+    Scratch allocated per call was handed back to the OS and faulted in
+    again on the next call (32-214 minor faults per `homogenize` call at
+    eps = 1/8 to 1/64), unless some earlier large allocation had raised
+    glibc's mmap and trim thresholds.  A block wider than the budget (a
+    grid of more than _BLOCK_ELEMENTS columns) gets scratch of its own.
+    """
+    cells = shape[0] * shape[1]
+    sizes = [cells * np.dtype(dtype).itemsize for dtype in dtypes]
+    capacity = _SCRATCH_CELL_BYTES * _BLOCK_ELEMENTS
+    buf = getattr(_kept, "buf", None)
+    if sum(sizes) > capacity:
+        buf = np.empty(sum(sizes), dtype=np.uint8)
+    elif buf is None or buf.size < capacity:
+        buf = _kept.buf = np.empty(capacity, dtype=np.uint8)
+    # widest dtypes first: every view starts aligned to its item size
+    views, start = [], 0
+    for dtype, size in zip(dtypes, sizes):
+        views.append(buf[start:start + size].view(dtype).reshape(shape))
+        start += size
+    return views
 
 
 def shear_from_gamma(gamma: float, lam: float, rotation: Mat) -> Mat:
@@ -163,11 +198,8 @@ def build_gradient_field(spec: MicrostructureSpec, laminates) -> GradientField:
         n_hat = normal / math.sqrt(float(normal.dot(normal)))  # np.linalg.norm's bits
         u1 = (xs[i0:i1] - x_lo) * n_hat[0]
         block = min(max(1, _BLOCK_ELEMENTS // (i1 - i0)), heights.size)
-        # per-block scratch, reused by every block of the band; u and its floor
-        # share one chunk, which glibc keeps for the next call: as two chunks
-        # they were trimmed and faulted in again, ~240 faults an eps = 1/64 call
-        u_buf, frac_buf = np.empty((2, block, i1 - i0))
-        plus_buf = np.empty(u_buf.shape, dtype=bool)
+        u_buf, frac_buf, plus_buf = _block_scratch((block, i1 - i0), np.float64,
+                                                    np.float64, np.bool_)
         n_plus = 0
         for k0 in range(0, heights.size, block):
             k1 = min(k0 + block, heights.size)
@@ -238,12 +270,19 @@ def energy_of_field(field: GradientField, spec: MicrostructureSpec, gradients,
     triples, mult = _distinct((above * base + row_of) * base + below)
     n_flagged = 0
     block = max(1, _BLOCK_ELEMENTS // gn)
+    mid_buf, nbr_buf, flag_buf, diff_buf = _block_scratch(
+        (min(block, triples.size), gn), np.int16, np.int16, np.bool_, np.bool_)
     for k0 in range(0, triples.size, block):
         key, n_rows = triples[k0:k0 + block], mult[k0:k0 + block]
-        mid = rows[key // base % base]
-        flagged = mid != rows[key // (base * base)]
-        flagged |= mid != rows[key % base]
-        differs = mid[:, 1:] != mid[:, :-1]
+        k = key.size
+        # gathers into the scratch; mode="clip" (every index is in range)
+        # writes straight to out, where "raise" buffers a copy
+        mid = np.take(rows, key // base % base, axis=0, out=mid_buf[:k], mode="clip")
+        nbr = np.take(rows, key // (base * base), axis=0, out=nbr_buf[:k], mode="clip")
+        flagged = np.not_equal(mid, nbr, out=flag_buf[:k])
+        nbr = np.take(rows, key % base, axis=0, out=nbr_buf[:k], mode="clip")
+        flagged |= np.not_equal(mid, nbr, out=diff_buf[:k])
+        differs = np.not_equal(mid[:, 1:], mid[:, :-1], out=diff_buf[:k, 1:])
         flagged[:, 1:] |= differs
         flagged[:, :-1] |= differs
         n_flagged += int(flagged.sum(axis=1, dtype=np.min_scalar_type(gn)) @ n_rows)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from numbers import Integral
 
 import numpy as np
@@ -100,16 +100,14 @@ def classify_arrays(st: SlipState, tol: float = DEFAULT_TOL):
 class RegionMap:
     """Region labels and envelope records of a cell-centered (b, c) grid.
 
-    One entry per cell, row-major with b varying fastest.  `fs` holds the
-    matrices `bc_to_matrix(b, c)`, `code` the TAGS index of each label and
-    `boundary` its adjacent tags as a bit set.  `whom` is the Known envelope
-    value (inf off the manifold) and nan on Bounds cells; `lower` and `upper`
-    are nan on Known cells.
+    One entry per cell, row-major with b varying fastest.  `code` holds the
+    TAGS index of each label and `boundary` its adjacent tags as a bit set.
+    `whom` is the Known envelope value (inf off the manifold) and nan on
+    Bounds cells; `lower` and `upper` are nan on Known cells.
     """
 
     b: np.ndarray
     c: np.ndarray
-    fs: np.ndarray
     code: np.ndarray
     boundary: np.ndarray
     whom: np.ndarray
@@ -118,6 +116,19 @@ class RegionMap:
 
     def __len__(self) -> int:
         return len(self.code)
+
+    @cached_property
+    def fs(self) -> np.ndarray:
+        """The matrices `bc_to_matrix(b, c)` of the cells, (cells, 2, 2),
+        formed when first read, with the bits `region_map` classified.
+
+        `regionmap` never reads them.  Built there, a 201^2 map freed 1.3 MB
+        in one block, which raised glibc's mmap and trim thresholds enough
+        that up to 2.6 MB of freed heap stayed resident after the call.
+        """
+        with np.errstate(invalid="ignore", over="ignore"):
+            f00, f11 = bc_diagonal(self.b, self.c)
+        return np.stack([f00, self.c, self.c, f11], axis=-1).reshape(-1, 2, 2)
 
     @property
     def tags(self) -> list:
@@ -151,6 +162,5 @@ def region_map(s: SlipSystem, bc_range: float, n: int, tol: float = DEFAULT_TOL)
         st = slip_state(f00, c, c, f11, s)
         code, boundary = classify_arrays(st, tol)
     whom, lower, upper = w_hom_arrays(st, s, tol)
-    fs = np.stack([f00, c, c, f11], axis=-1).reshape(-1, 2, 2)
-    return RegionMap(b=b, c=c, fs=fs, code=code.astype(np.int8),
+    return RegionMap(b=b, c=c, code=code.astype(np.int8),
                      boundary=boundary.astype(np.int16), whom=whom, lower=lower, upper=upper)

@@ -78,6 +78,14 @@ for theta in 0.7853981633974483 0.9424777960769379 1.0995574287564276 1.25663706
     done
 done
 run hplot --theta 0.9424777960769379 hplot --zmax 3 --samples 301 --out "$out/hplot.csv"
+# CSVs of many write blocks (90,000 and 100,000 rows): the streamed rows
+# must give the bytes of one whole-table write
+for theta in 0.7853981633974483 1.413716694115407; do
+    run "regionmap-$theta-n300" --theta "$theta" --range 3 --n 300 regionmap \
+        --out "$out/regionmap-$theta-n300.csv"
+done
+run hplot-samples100000 --theta 0.9424777960769379 hplot --zmax 3 --samples 100000 \
+    --out "$out/hplot-samples100000.csv"
 run whomgamma whomgamma --gamma-range=-3:3:61 --out "$out/whomgamma.csv"
 run homogenize homogenize --gamma-bands=0.2:0.3,-0.5:0.6,0.4:1 --eps-list 1/8,1/16,1/32 \
     --out "$out/homogenize.csv"

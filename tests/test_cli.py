@@ -18,7 +18,8 @@ from hypothesis import strategies as st
 import lamlab
 from lamlab import cli
 from lamlab.algebra import bc_to_matrix
-from lamlab.cli import (_GROUP_MIN, MAX_ROWS, _format_column, _write_csv, build_parser, main,
+from lamlab.cli import (_GROUP_MIN, _WRITE_ROWS, MAX_ROWS, _format_column, _write_csv,
+                        build_parser, main,
                         read_settings)
 from lamlab.energy import SlipSystem, slip_state, w_hom, w_hom_arrays
 from lamlab.errors import BranchDisagreement, DomainError
@@ -303,6 +304,15 @@ def test_regionmap_csv(tmp_path, capsys):
     assert len(lines) == 1 + 81
 
 
+def test_regionmap_never_forms_the_cell_matrices(tmp_path, monkeypatch):
+    # RegionMap.fs is formed when first read, and the CSV has no use for it
+    grids = []
+    monkeypatch.setattr(cli, "region_map", lambda *a, **k: grids.append(region_map(*a, **k))
+                        or grids[-1])
+    assert main(["--n", "9", "regionmap", "--out", str(tmp_path / "rm.csv")]) == 0
+    assert len(grids) == 1 and "fs" not in vars(grids[0])
+
+
 def test_hplot_csv(tmp_path):
     out = tmp_path / "hp.csv"
     theta = math.pi / 3
@@ -421,18 +431,15 @@ def homogenize_argv(draw):
             f"--hlam={hlam}", "--cells-per-feature", str(draw(st.integers(3, 6)))]
 
 
-@settings(max_examples=200, derandomize=True, deadline=None)
-@given(argv=homogenize_argv())
-@example(argv=["homogenize", "--gamma-bands=1e308:1", "--eps-list=1/4", "--hlam=0.25",
-               "--cells-per-feature", "4"])
-def test_homogenize_argv_exits_cleanly(argv):
-    # every argv ends in exit 0, 2 or 3 with no exception and no warning; an
-    # exit-0 CSV holds the header and one row per layer period, and a rerun
-    # into the same --out writes the same bytes and says the same
+def run_csv_argv_twice(argv):
+    """Run argv + --out twice into one file under -W error::RuntimeWarning;
+    assert both runs exit alike in 0, 2 or 3, say the same on stderr, write
+    nothing to stdout and leave the same bytes, and no file on an error exit.
+    The exit code and CSV bytes of the run."""
     runs = []
     with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        out = pathlib.Path(tmp) / "sweep.csv"
+        out = pathlib.Path(tmp) / "out.csv"
         for _ in range(2):
             stdout, stderr = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
@@ -443,14 +450,40 @@ def test_homogenize_argv_exits_cleanly(argv):
     code, stdout, stderr, csv = runs[0]
     assert code in (0, 2, 3)
     assert stdout == ""
+    if code != 0:
+        assert stderr.startswith("error: ")
+        assert csv is None
+    return code, csv
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(argv=homogenize_argv())
+@example(argv=["homogenize", "--gamma-bands=1e308:1", "--eps-list=1/4", "--hlam=0.25",
+               "--cells-per-feature", "4"])
+def test_homogenize_argv_exits_cleanly(argv):
+    # every argv ends in exit 0, 2 or 3 with no exception and no warning; an
+    # exit-0 CSV holds the header and one row per layer period, and a rerun
+    # into the same --out writes the same bytes and says the same
+    code, csv = run_csv_argv_twice(argv)
     if code == 0:
         lines = csv.decode().splitlines()
         assert lines[0] == "epsilon,hlam,e_eps,target,rel_error,flagged_area"
         eps_list = argv[2].removeprefix("--eps-list=")
         assert len(lines) == 1 + len(eps_list.split(","))
-    else:
-        assert stderr.startswith("error: ")
-        assert csv is None
+
+
+def test_non_finite_slip_frame_is_usage_error(tmp_path, capsys):
+    # by --theta or in the config, by angle or by vectors: exit 2 naming the frame
+    config = tmp_path / "config.json"
+    for flags, cfg in ((["--theta", "nan"], None), (["--theta", "inf"], None),
+                       (["--theta=-inf"], None), ([], '{"slip": {"theta": Infinity}}'),
+                       ([], '{"slip": {"v1": [NaN, 1.0], "v2": [0.0, 1.0]}}'),
+                       ([], '{"slip": {"v1": [0.0, 1.0], "v2": [-1.0, -Infinity]}}')):
+        if cfg is not None:
+            config.write_text(cfg)
+            flags = ["--config", str(config)]
+        assert main([*flags, "classify", "--bc", "0,0"]) == 2, flags
+        assert capsys.readouterr().err == "error: config: the slip frame must be finite\n"
 
 
 def test_malformed_slip_vectors_are_usage_errors(tmp_path, capsys):
@@ -480,32 +513,87 @@ def test_byte_identical_reruns(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def reference_csv(columns: dict) -> bytes:
+    """The CSV as one header-plus-join write, every float formatted alone."""
+    def field(x):
+        return "" if math.isnan(x) else "inf" if math.isinf(x) else "%.17g" % x
+
+    cols = [[field(x) for x in col.tolist()] if isinstance(col, np.ndarray) else col
+            for col in columns.values()]
+    lines = [",".join(columns), *map(",".join, zip(*cols))]
+    return ("\n".join(lines) + "\n").encode()
+
+
+def block_table(rows: int) -> dict:
+    """Float columns of nan, both infinities, both zeros and values that
+    recur in every write block, a column of distinct values, and string
+    columns, `rows` rows each."""
+    pool = np.array([math.nan, math.inf, -math.inf, -0.0, 0.0, 1 / 3, -2.5, 5e-324, 1e300])
+    k = np.arange(rows)
+    return {"x": pool[k % pool.size], "y": pool[(k * 5 + 3) % pool.size] * 7.0,
+            "tag": [f"t{j % 11}" for j in range(rows)], "z": k / 3.0,
+            "empty": [""] * rows}
+
+
 def test_write_csv_over_an_existing_file(tmp_path):
     # the file is overwritten in place and cut to the length written: over a
     # longer, a shorter and an equally long file it holds the bytes of a
-    # fresh write
-    columns = {"x": np.array([1 / 3, -0.0, math.nan]), "tag": ["a", "b", "c"]}
+    # fresh write, for a table of one write block and of three
     fresh, path = tmp_path / "fresh.csv", tmp_path / "over.csv"
-    _write_csv(str(fresh), columns)
-    expect = fresh.read_bytes()
-    for size in (2 * len(expect), len(expect) // 2, len(expect)):
-        path.write_bytes(b"#" * size)
-        _write_csv(str(path), columns)
-        assert path.read_bytes() == expect, size
+    for columns in ({"x": np.array([1 / 3, -0.0, math.nan]), "tag": ["a", "b", "c"]},
+                    block_table(2 * _WRITE_ROWS + 1)):
+        _write_csv(str(fresh), columns)
+        expect = fresh.read_bytes()
+        for size in (2 * len(expect), len(expect) // 2, len(expect)):
+            path.write_bytes(b"#" * size)
+            _write_csv(str(path), columns)
+            assert path.read_bytes() == expect, size
+
+
+@pytest.mark.parametrize("rows", [0, 1, _WRITE_ROWS - 1, _WRITE_ROWS, _WRITE_ROWS + 1,
+                                  2 * _WRITE_ROWS + 1])
+def test_streamed_csv_matches_one_write(rows, tmp_path):
+    # the rows go out _WRITE_ROWS at a time; the file holds the bytes of one
+    # header-plus-join write, block seams included
+    columns = block_table(rows)
+    path = tmp_path / "table.csv"
+    _write_csv(str(path), columns)
+    assert path.read_bytes() == reference_csv(columns)
+
+
+def test_streamed_csv_memory_does_not_grow_with_rows(tmp_path):
+    # pre-formatted string columns: beyond them the writer holds one block
+    # of rows, its text and its bytes, however many rows the table has
+    def peak(rows):
+        columns = {"a": ["0.33333333333333331"] * rows, "b": [str(k) for k in range(rows)],
+                   "c": ["N1capN2"] * rows}
+        tracemalloc.start()
+        try:
+            _write_csv(str(tmp_path / "table.csv"), columns)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    block_text = len(reference_csv({"a": ["0.33333333333333331"] * _WRITE_ROWS,
+                                    "b": [str(8 * _WRITE_ROWS)] * _WRITE_ROWS,
+                                    "c": ["N1capN2"] * _WRITE_ROWS}))
+    small, large = peak(8 * _WRITE_ROWS), peak(64 * _WRITE_ROWS)
+    assert large - small < block_text
 
 
 def test_out_that_is_not_a_regular_file(tmp_path):
-    # /dev/null takes the CSV and is not cut to length
-    assert main(["--n", "5", "regionmap", "--out", os.devnull]) == 0
+    # /dev/null takes every write block of the CSV (70^2 = 4,900 rows) and
+    # is not cut to length
+    assert main(["--n", "70", "regionmap", "--out", os.devnull]) == 0
     # neither is a pipe, which cannot seek
     src = os.path.dirname(os.path.dirname(os.path.abspath(lamlab.__file__)))
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    res = subprocess.run([sys.executable, "-m", "lamlab.cli", "--n", "5", "regionmap",
+    res = subprocess.run([sys.executable, "-m", "lamlab.cli", "--n", "70", "regionmap",
                           "--out", "/dev/stdout"], env={**os.environ, "PYTHONPATH": path},
                          capture_output=True)
     assert res.returncode == 0, res.stderr
     out = tmp_path / "map.csv"
-    assert main(["--n", "5", "regionmap", "--out", str(out)]) == 0
+    assert main(["--n", "70", "regionmap", "--out", str(out)]) == 0
     assert res.stdout == out.read_bytes()
 
 
@@ -646,3 +734,47 @@ def test_scalar_argv_exits_cleanly(argv):
         assert stdout and not stderr
     elif not stdout:
         assert stderr.startswith("error: ")
+
+
+# hplot --zmax: zero, subnormals, either side of the float range's square
+# root (1e154 squares to a float, 1e155 does not), nan, inf and ordinary values
+ZMAX_VALUES = ("0", "-0", "5e-324", "1e-310", "1e154", "1e155", "nan", "inf", "-inf", "-1",
+               "0.5", "3", "1e3")
+# --samples: none, one, either side of a write block, and past the row cap,
+# where the command exits before allocating.  MAX_ROWS - 1 and MAX_ROWS are
+# left out: a 10^6-row table takes seconds and a few hundred MB per run
+# (`test_work_cap_admits_its_bound` admits MAX_ROWS with the writer stubbed)
+SAMPLE_VALUES = (0, 1, 2, -1, _WRITE_ROWS - 1, _WRITE_ROWS, _WRITE_ROWS + 1,
+                 2 * _WRITE_ROWS + 1, MAX_ROWS + 1, 2 * MAX_ROWS)
+
+
+@st.composite
+def hplot_argv(draw):
+    """hplot argv: a --theta in [pi/4, pi/2), an edge or ordinary --zmax and
+    a --samples count."""
+    theta = repr(draw(st.floats(math.pi / 4, math.pi / 2, exclude_max=True)))
+    if draw(st.booleans()):
+        zmax = draw(st.sampled_from(ZMAX_VALUES))
+    else:
+        zmax = repr(draw(st.floats(0.0, 10.0)))
+    if draw(st.booleans()):
+        samples = draw(st.sampled_from(SAMPLE_VALUES))
+    else:
+        samples = draw(st.integers(0, 50))
+    return [f"--theta={theta}", "hplot", f"--zmax={zmax}", f"--samples={samples}"]
+
+
+@settings(max_examples=120, derandomize=True, deadline=None)
+@given(argv=hplot_argv())
+@example(argv=["--theta=0.7853981633974483", "hplot", "--zmax=1e154",
+               f"--samples={_WRITE_ROWS + 1}"])
+@example(argv=["--theta=0.7853981633974483", "hplot", "--zmax=5e-324", "--samples=3"])
+def test_hplot_argv_exits_cleanly(argv):
+    # every argv ends in exit 0, 2 or 3 with no exception and no warning; an
+    # exit-0 CSV holds the header and one row per sample, and a rerun into
+    # the same --out writes the same bytes and says the same
+    code, csv = run_csv_argv_twice(argv)
+    if code == 0:
+        lines = csv.decode().split("\n")
+        assert lines[0] == "z,h,h_star,h_perp,h_perp_star" and lines[-1] == ""
+        assert len(lines) == 2 + int(argv[-1].removeprefix("--samples="))

@@ -98,6 +98,22 @@ class TestSlipSystem:
             with pytest.raises(PreconditionError):
                 SlipSystem.from_vectors(v1, v2, 0.5)
 
+    @pytest.mark.parametrize("bad", [math.nan, -math.nan, math.inf, -math.inf])
+    def test_rejects_a_non_finite_frame(self, bad):
+        # nan fails every check written as a comparison: a nan frame used to
+        # come back with theta = nan, and classify(I) then read N2only
+        with pytest.raises(PreconditionError, match="slip frame must be finite"):
+            SlipSystem.from_theta(bad, 0.5)
+        for k in range(4):
+            entries = [0.0, 1.0, -1.0, 0.0]
+            entries[k] = bad
+            with pytest.raises(PreconditionError, match="slip frame must be finite"):
+                SlipSystem.from_vectors(entries[:2], entries[2:], 0.5)
+        with pytest.raises(PreconditionError, match="slip frame must be finite"):
+            SlipSystem.from_vectors([bad, 1.0], [0.0, 1.0], 0.5)
+        with pytest.raises(PreconditionError, match="slip frame must be finite"):
+            SlipSystem.orthogonal(v1=(bad, 0.0))
+
     def test_frame_keeps_the_bits_of_the_numpy_forms(self):
         # theta and v3 as np.clip and np.linalg.norm form them, at the
         # workloads' angles and in seeded frames turned by any angle

@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -325,6 +327,46 @@ def test_raster_scratch_is_bounded_by_the_block_budget():
     assert field.rows.shape == (1 + 32, 4096)
     scratch = peak - field.rows.nbytes - field.row_of.nbytes
     assert scratch <= 17 * homogenize._BLOCK_ELEMENTS + 8 * 8 * spec.grid_n
+
+
+def report_bits(rep):
+    return (rep.epsilon, rep.e_eps, rep.target, rep.rel_error, rep.flagged_area,
+            rep.avg_gradient.tobytes(), rep.avg_gradient_target.tobytes())
+
+
+def test_concurrent_sweeps_match_sequential_ones():
+    # each thread keeps its own block scratch: sweeps over different layer
+    # periods and bands, run at the same time round after round with a short
+    # switch interval, give the reports each gives alone, bit for bit
+    sweeps = [([(0.4, 1.0)], [1 / 16, 1 / 64, 1 / 32]),
+              (list(THREE_BANDS), [1 / 100, 1 / 64, 1 / 8]),
+              ([(-0.3, 0.5), (0.2, 1.0)], [1 / 32, 1 / 3, 1 / 64])]
+
+    def sweep(bands, eps_list):
+        return [report_bits(r) for r in run_sweep(SLIP, R, bands, eps_list, laminate_period=0.25)]
+
+    expect = [sweep(*args) for args in sweeps]
+    rounds = 4
+    start = threading.Barrier(len(sweeps), timeout=60)
+    got = [[] for _ in sweeps]
+
+    def worker(k):
+        for _ in range(rounds):
+            start.wait()
+            got[k].append(sweep(*sweeps[k]))
+
+    threads = [threading.Thread(target=worker, args=(k,)) for k in range(len(sweeps))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert got == [[reports] * rounds for reports in expect]
 
 
 def test_sweep_grid_is_capped_before_dividing(monkeypatch):
