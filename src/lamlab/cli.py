@@ -21,9 +21,9 @@ import numpy as np
 
 from .algebra import bc_to_matrix
 from .energy import (DEFAULT_TOL, Bounds, Known, SlipSystem, energy_record, h, h_perp,
-                     h_perp_star, h_star, matrix_state, w_hom_arrays, w_hom_scalar)
+                     h_perp_star, h_star, matrix_state, slip_state, w_hom_arrays)
 from .envelope_oracle import DEFAULT_N_DIRS, envelope_scan
-from .errors import LamlabError
+from .errors import LamlabError, PreconditionError
 from .homogenize import run_sweep
 from .laminate import decompose, verify_decomposition
 from .regions import adjacent_tags, classify_arrays, region_label, region_map
@@ -326,20 +326,41 @@ def cmd_homogenize(args, cfg: Settings) -> int:
 
 
 def cmd_whomgamma(args, cfg: Settings) -> int:
-    lo, hi, n = args.gamma_range.split(":")
-    lo, hi, count = _parse_number(lo), _parse_number(hi), int(n)
+    malformed = (f"--gamma-range expects lo:hi:count, count a nonnegative integer at most "
+                 f"{MAX_ROWS}, not {args.gamma_range!r}")
+    parts = args.gamma_range.split(":")
+    if len(parts) != 3:
+        raise ValueError(malformed)
+    lo, hi = _parse_number(parts[0]), _parse_number(parts[1])
+    try:
+        count = int(parts[2])
+    except ValueError:
+        raise ValueError(malformed) from None
+    if count < 0:
+        raise ValueError(malformed)
     if count > MAX_ROWS:
         raise ValueError(f"--gamma-range count must be at most {MAX_ROWS}")
     if not math.isfinite(hi - lo):
         raise ValueError("--gamma-range: hi - lo is not finite")
     gammas = np.linspace(lo, hi, count)
-    values = gammas.tolist()
     # the soft layers carry the shear gamma / lambda
-    for g in values:
-        if not math.isfinite(g / cfg.slip.lam):
-            raise ValueError(f"--gamma-range: gamma {g!r}: gamma / lambda is not finite")
-    _write_csv(args.out, {"gamma": gammas,
-                          "whom": np.array([w_hom_scalar(g, cfg.slip) for g in values])})
+    with np.errstate(over="ignore"):
+        shears = gammas / cfg.slip.lam
+    overflow = ~np.isfinite(shears)
+    if overflow.any():
+        g = gammas[overflow.argmax()].item()
+        raise ValueError(f"--gamma-range: gamma {g!r}: gamma / lambda is not finite")
+    if count and not cfg.slip.is_orthogonal:  # an empty range writes its header at any angle
+        raise PreconditionError("scalar form requires an orthogonal slip system")
+    # W_hom of each shear (1, gamma / lambda; 0, 1), a block of rows at a time, at
+    # the default tolerance: --tol does not move the curve.  An energy past the
+    # float range is written inf, whether |F|^2 or only W_hom overflows
+    whom = np.empty(count)
+    for k in range(0, count, _WRITE_ROWS):
+        with np.errstate(over="ignore"):
+            st = slip_state(1.0, shears[k:k + _WRITE_ROWS], 0.0, 1.0, cfg.slip)
+        whom[k:k + _WRITE_ROWS] = w_hom_arrays(st, cfg.slip, overflow_inf=True)[0]
+    _write_csv(args.out, {"gamma": gammas, "whom": whom})
     return EXIT_OK
 
 

@@ -1,10 +1,10 @@
 """Energy densities and envelope functions of the two-slip model.
 
 Covers the slip state (the phase-diagram quantities of F), the condensed
-density W, the h-family of envelope profiles, the homogenized density and
-its scalar shear form.  The slip state and the homogenized density are one
-formula set each, evaluated on Python floats for one matrix or on arrays for
-a stack (`algebra.where`, `select` and `sqrt` pick math or NumPy).
+density W, the h-family of envelope profiles and the homogenized density.
+The slip state and the homogenized density are one formula set each,
+evaluated on Python floats for one matrix or on arrays for a stack
+(`algebra.where`, `select` and `sqrt` pick math or NumPy).
 """
 
 from __future__ import annotations
@@ -324,7 +324,8 @@ def w_hom(f: Mat, s: SlipSystem, tol: float = DEFAULT_TOL):
     return energy_record(*w_hom_arrays(matrix_state(f, s), s, tol))
 
 
-def w_hom_arrays(st: SlipState, s: SlipSystem, tol: float = DEFAULT_TOL):
+def w_hom_arrays(st: SlipState, s: SlipSystem, tol: float = DEFAULT_TOL,
+                 overflow_inf: bool = False):
     """The homogenized density, one branch set for every slip angle.
 
     Takes the SlipState of one matrix (floats) or of a stack (arrays) and
@@ -339,7 +340,8 @@ def w_hom_arrays(st: SlipState, s: SlipSystem, tol: float = DEFAULT_TOL):
     are evaluated by every adjacent closed-form branch and the branches are
     required to agree within 10*tol*max(1, |F|^2), else BranchDisagreement
     names the values of the first entry where they do not.  A Known value
-    that overflows raises DomainError.
+    that overflows raises DomainError, or with overflow_inf is `whom` inf,
+    as off the manifold.
     """
     # nan and inf entries of a stack are masked below; floats raise no warnings
     arrays = isinstance(st.d1, np.ndarray)
@@ -365,7 +367,8 @@ def w_hom_arrays(st: SlipState, s: SlipSystem, tol: float = DEFAULT_TOL):
                            if np.ravel(m)[k]]
             raise BranchDisagreement(
                 f"closed-form branches disagree near a region boundary: {branch_vals}")
-        if any_true(known & (ref == math.inf)):  # finite |F|^2, an overflowing value
+        # a Known value that overflows at a finite |F|^2
+        if not overflow_inf and any_true(known & (ref == math.inf)):
             raise DomainError("closed-form envelope value overflows")
 
         # open set N1\N2 or N2\N1: one slip norm below 1 - tol, the other above 1 + tol
@@ -384,35 +387,3 @@ def w_hom_arrays(st: SlipState, s: SlipSystem, tol: float = DEFAULT_TOL):
                 upper = where(use & (value < upper), value, upper)
     return whom, lower, upper
 
-
-def w_hom_scalar(gamma: float, s: SlipSystem) -> float:
-    """Homogenized energy of the shear R(I + (gamma/lam) e1 (x) e2).
-
-    Piecewise closed form in gamma; requires orthogonal slips.  Raises
-    DomainError when gamma/lam is not finite; an energy past the float range
-    is inf.
-    """
-    if not s.is_orthogonal:
-        raise PreconditionError("scalar form requires an orthogonal slip system")
-    a, b = float(s.v1[0]), float(s.v1[1])
-    g = gamma / s.lam
-    if not math.isfinite(g):
-        raise DomainError(f"the shear gamma / lambda = {gamma!r} / {s.lam!r} is not finite")
-    ab = a * b
-    if ab > 0.0:
-        if 0.0 <= gamma <= 2.0 * s.lam * b / a:
-            return 2.0 * ab * g + b * b * g * g
-        if -2.0 * s.lam * a / b <= gamma <= 0.0:
-            return -2.0 * ab * g + a * a * g * g
-    elif ab < 0.0:
-        if 2.0 * s.lam * b / a <= gamma <= 0.0:
-            return 2.0 * ab * g + b * b * g * g
-        if 0.0 <= gamma <= -2.0 * s.lam * a / b:
-            return -2.0 * ab * g + a * a * g * g
-    # both slip norms exceed 1: chi branch, argument max{|Nv3|, |Nv3_perp|}
-    q = 2.0 * (a * a - b * b) * g
-    r = g * g
-    if r == math.inf:  # arg >= 1 + g^2, the mean of its two terms: the energy overflows
-        return math.inf
-    arg = max(1.0 + q + (1.0 + 2.0 * ab) * r, 1.0 - q + (1.0 - 2.0 * ab) * r)
-    return _pos(math.sqrt(_pos(arg)) - 1.0) ** 2

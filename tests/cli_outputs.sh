@@ -87,6 +87,25 @@ done
 run hplot-samples100000 --theta 0.9424777960769379 hplot --zmax 3 --samples 100000 \
     --out "$out/hplot-samples100000.csv"
 run whomgamma whomgamma --gamma-range=-3:3:61 --out "$out/whomgamma.csv"
+# 10,001 rows: the energies are evaluated in three blocks of the write size
+run whomgamma-n10001 whomgamma --gamma-range=-3:3:10001 --out "$out/whomgamma-n10001.csv"
+# energies past the float range are written inf: |F|^2 overflows at the ends,
+# only W_hom at +-5e153
+run whomgamma-overflow whomgamma --gamma-range=-1e154:1e154:5 --out "$out/whomgamma-overflow.csv"
+# the curve is written for orthogonal slips only: exit 3 at 0.3 pi
+run whomgamma-0.9424777960769379 --theta 0.9424777960769379 whomgamma --gamma-range=-3:3:61 \
+    --out "$out/whomgamma-0.9424777960769379.csv"
+# an orthogonal frame turned by 0.4 rad, from a config file
+printf '%s\n' '{"slip": {"v1": [0.9210609940028851, 0.3894183423086505],' \
+    ' "v2": [-0.3894183423086505, 0.9210609940028851]}, "lambda": 0.3}' >"$out/config-rotated.json"
+run whomgamma-rotated --config "$out/config-rotated.json" whomgamma --gamma-range=-3:3:61 \
+    --out "$out/whomgamma-rotated.csv"
+# malformed ranges: message and exit code
+i=0
+for range in 0:1 0:1:2:3 0:1:1e3 0:1:-1; do
+    i=$((i + 1))
+    run "usage-gamma-range-$i" whomgamma "--gamma-range=$range" --out "$out/usage-gamma-range-$i.csv"
+done
 run homogenize homogenize --gamma-bands=0.2:0.3,-0.5:0.6,0.4:1 --eps-list 1/8,1/16,1/32 \
     --out "$out/homogenize.csv"
 # eps = 1/128 runs at the 4096^2 grid cap; 1/3 and 1/5 put no two soft rows

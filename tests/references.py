@@ -1,8 +1,9 @@
 """Reference formulas and samplers shared by the tests.
 
 The library does not use these: they restate the paper's identities, the
-chi profile, the convex majorant f, the structured-split inequality and the
-averaging check, so the tests can hold the library's results against them.
+chi profile, the convex majorant f, the scalar shear form of W_hom, the
+structured-split inequality and the averaging check, so the tests can hold
+the library's results against them.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import numpy as np
 
 from lamlab.algebra import EPS, Mat, Vec, bc_to_matrix, det2, frobenius_sq, perp, rotation
 from lamlab.energy import SlipSystem, _pos, h, h_perp, matrix_state
-from lamlab.errors import DegenerateFrame, PreconditionError
+from lamlab.errors import DegenerateFrame, DomainError, PreconditionError
 
 
 def random_det1(rng: np.random.Generator, spread: float = 1.5) -> Mat:
@@ -66,6 +67,38 @@ def f_majorant(f: Mat, s: SlipSystem) -> float:
         value = max(value, _pos(st.single1), _pos(st.single2))
     return value
 
+
+def w_hom_scalar(gamma: float, s: SlipSystem) -> float:
+    """Homogenized energy of the shear R(I + (gamma/lam) e1 (x) e2).
+
+    The paper's piecewise closed form in gamma; requires orthogonal slips.
+    Raises DomainError when gamma/lam is not finite; an energy past the
+    float range is inf.
+    """
+    if not s.is_orthogonal:
+        raise PreconditionError("scalar form requires an orthogonal slip system")
+    a, b = float(s.v1[0]), float(s.v1[1])
+    g = gamma / s.lam
+    if not math.isfinite(g):
+        raise DomainError(f"the shear gamma / lambda = {gamma!r} / {s.lam!r} is not finite")
+    ab = a * b
+    if ab > 0.0:
+        if 0.0 <= gamma <= 2.0 * s.lam * b / a:
+            return 2.0 * ab * g + b * b * g * g
+        if -2.0 * s.lam * a / b <= gamma <= 0.0:
+            return -2.0 * ab * g + a * a * g * g
+    elif ab < 0.0:
+        if 2.0 * s.lam * b / a <= gamma <= 0.0:
+            return 2.0 * ab * g + b * b * g * g
+        if 0.0 <= gamma <= -2.0 * s.lam * a / b:
+            return -2.0 * ab * g + a * a * g * g
+    # both slip norms exceed 1: chi branch, argument max{|Nv3|, |Nv3_perp|}
+    q = 2.0 * (a * a - b * b) * g
+    r = g * g
+    if r == math.inf:  # arg >= 1 + g^2, the mean of its two terms: the energy overflows
+        return math.inf
+    arg = max(1.0 + q + (1.0 + 2.0 * ab) * r, 1.0 - q + (1.0 - 2.0 * ab) * r)
+    return _pos(math.sqrt(_pos(arg)) - 1.0) ** 2
 
 def make_fad_pair(gamma1: float, gamma2: float, angle: float, s: SlipSystem, which: int = 2):
     """Build (A, D) with A = R(I + gamma2 v_j (x) v_i) and D = R gamma1 e1 (x) e2."""

@@ -9,6 +9,7 @@ import sys
 import tempfile
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -24,6 +25,8 @@ from lamlab.cli import (_GROUP_MIN, _WRITE_ROWS, MAX_ROWS, _format_column, _writ
 from lamlab.energy import SlipSystem, slip_state, w_hom, w_hom_arrays
 from lamlab.errors import BranchDisagreement, DomainError
 from lamlab.regions import region_map
+
+from references import w_hom_scalar
 
 ORTHO_E1E2 = {"slip": {"v1": [1.0, 0.0], "v2": [0.0, 1.0]}, "lambda": 0.5}
 
@@ -332,6 +335,13 @@ def test_whomgamma_csv(tmp_path):
     vals = {float(g): float(w) for g, w in rows}
     assert vals[0.0] == 0.0
     assert vals[1.0] == vals[-1.0]  # even in gamma for this symmetric frame
+    # the paper's piecewise shear form, within criterion 06's bound
+    assert main(["whomgamma", "--gamma-range=-3:3:601", "--out", str(out)]) == 0
+    s = SlipSystem.from_theta(math.pi / 4, 0.5)
+    for line in out.read_text().splitlines()[1:]:
+        gamma, whom = map(float, line.split(","))
+        ref = w_hom_scalar(gamma, s)
+        assert abs(whom - ref) <= 1e-12 * max(1.0, ref), line
 
 
 def test_homogenize_csv(tmp_path):
@@ -403,6 +413,44 @@ def test_whomgamma_overflowing_shear_is_usage_error(flags, message, tmp_path, ca
     assert code == 2
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("gamma_range", ["0:1", "0:1:2:3", "0:1:1e3", "0:1:-1"])
+def test_malformed_gamma_range_is_usage_error(gamma_range, tmp_path, capsys):
+    # a range that is not lo:hi:count with a count from 0 to MAX_ROWS is named
+    # with the form it should have, not with Python's unpacking or int()
+    # message or NumPy's negative sample count
+    out = tmp_path / "wg.csv"
+    assert main(["whomgamma", f"--gamma-range={gamma_range}", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: --gamma-range expects lo:hi:count, count a nonnegative integer at most "
+        f"1000000, not {gamma_range!r}\n")
+    assert not out.exists()
+
+
+def test_whomgamma_past_the_float_range(tmp_path, capsys):
+    # an energy past the float range is written inf: where |F|^2 overflows
+    # (off the manifold) and where |F|^2 is finite but W_hom is not
+    # (gamma / lambda = 1.25e154 at pi/4, where classify exits 3)
+    out = tmp_path / "wg.csv"
+    assert main(["whomgamma", "--gamma-range=-1e154:1e154:3", "--out", str(out)]) == 0
+    assert out.read_text() == "gamma,whom\n-1e+154,inf\n0,0\n1e+154,inf\n"
+    assert main(["--lambda", "0.8", "whomgamma", "--gamma-range=-1e154:1e154:3",
+                 "--out", str(out)]) == 0
+    assert out.read_text() == "gamma,whom\n-1e+154,inf\n0,0\n1e+154,inf\n"
+    assert main(["--lambda", "0.5", "whomgamma", "--gamma-range=-1e154:1e154:5",
+                 "--out", str(out)]) == 0
+    assert out.read_text() == ("gamma,whom\n-1e+154,inf\n-5.0000000000000002e+153,inf\n0,0\n"
+                               "5.0000000000000009e+153,inf\n1e+154,inf\n")
+    assert main(["--lambda", "0.8", "classify", "--matrix=1,1.25e154,0,1"]) == 3
+    assert capsys.readouterr().err == "error: closed-form envelope value overflows\n"
+    # the curve is written for orthogonal slips only; an empty range at any angle
+    assert main(["--theta", "0.9424777960769379", "whomgamma", "--gamma-range=-1:1:3",
+                 "--out", str(out)]) == 3
+    assert capsys.readouterr().err == "error: scalar form requires an orthogonal slip system\n"
+    assert main(["--theta", "0.9424777960769379", "whomgamma", "--gamma-range=-1:1:0",
+                 "--out", str(out)]) == 0
+    assert out.read_text() == "gamma,whom\n"
 
 
 # argv numbers: the edges of the float range, as a user would type them
@@ -669,7 +717,7 @@ def test_work_cap_admits_its_bound(monkeypatch):
     # the length of the first column: z or gamma
     monkeypatch.setattr(cli, "_write_csv",
                         lambda path, columns: rows.append(len(next(iter(columns.values())))))
-    monkeypatch.setattr(cli, "w_hom_scalar", lambda gamma, s: 0.0)
+    monkeypatch.setattr(cli, "w_hom_arrays", lambda st, s, overflow_inf: (0.0, None, None))
     assert main(["hplot", "--samples", str(MAX_ROWS), "--out", "h.csv"]) == 0
     assert main(["whomgamma", f"--gamma-range=-3:3:{MAX_ROWS}", "--out", "w.csv"]) == 0
     assert rows == [MAX_ROWS, MAX_ROWS]
@@ -778,3 +826,212 @@ def test_hplot_argv_exits_cleanly(argv):
         lines = csv.decode().split("\n")
         assert lines[0] == "z,h,h_star,h_perp,h_perp_star" and lines[-1] == ""
         assert len(lines) == 2 + int(argv[-1].removeprefix("--samples="))
+
+
+@contextlib.contextmanager
+def config_argv(argv, config):
+    """argv, after `--config FILE` with FILE holding `config` (a dict) for the
+    span of the block; argv as it is where config is None."""
+    if config is None:
+        yield argv
+        return
+    with tempfile.TemporaryDirectory() as tmp:
+        path = pathlib.Path(tmp) / "config.json"
+        path.write_text(json.dumps(config))
+        yield ["--config", str(path), *argv]
+
+
+def rotated_frame(phi: float) -> dict:
+    """Config slip vectors v1 = (cos phi, sin phi), v2 = v1 turned by pi/2."""
+    return {"v1": [math.cos(phi), math.sin(phi)], "v2": [-math.sin(phi), math.cos(phi)]}
+
+
+def traced_peak(argv):
+    """argv + --out /dev/null through main under tracemalloc: the exit code
+    and the peak bytes traced."""
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stderr(io.StringIO()):
+            code = main([*argv, "--out", os.devnull])
+        return code, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+LAMBDA_VALUES = ("0.5", "0.3", "0.8", "1e-300", "0.9999999999999999", "0", "1", "nan")
+# whomgamma range ends: the EDGE_NUMBERS and either side of the shear whose
+# |F|^2 leaves the float range
+GAMMA_ENDS = (*EDGE_NUMBERS, "1e153", "-1e153", "1e154", "-1e154")
+# counts: none, one, either side of a write block, and past the row cap
+GAMMA_COUNTS = (0, 1, _WRITE_ROWS - 1, _WRITE_ROWS, _WRITE_ROWS + 1, 2 * _WRITE_ROWS + 1,
+                MAX_ROWS + 1)
+
+
+@st.composite
+def whomgamma_argv(draw):
+    """whomgamma argv of edge or ordinary range ends and a count, at pi/4,
+    at 0.3 pi or in a rotated orthogonal frame from a config file, sometimes
+    with a --lambda: (argv, config or None, count)."""
+    def end():
+        if draw(st.booleans()):
+            return draw(st.sampled_from(GAMMA_ENDS))
+        return repr(draw(st.floats(-5.0, 5.0)))
+
+    if draw(st.booleans()):
+        count = draw(st.sampled_from(GAMMA_COUNTS))
+    else:
+        count = draw(st.integers(0, 40))
+    argv = ["whomgamma", f"--gamma-range={end()}:{end()}:{count}"]
+    if draw(st.booleans()):
+        argv.insert(0, f"--lambda={draw(st.sampled_from(LAMBDA_VALUES))}")
+    config = None
+    frame = draw(st.sampled_from(("0.7853981633974483", "0.9424777960769379", "rotated")))
+    if frame == "rotated":
+        config = {"slip": rotated_frame(draw(st.floats(0.0, 2.0 * math.pi)))}
+    else:
+        argv.insert(0, f"--theta={frame}")
+    return argv, config, count
+
+
+@settings(max_examples=120, derandomize=True, deadline=None)
+@given(case=whomgamma_argv())
+@example(case=(["--lambda=0.8", "whomgamma", "--gamma-range=-1e154:1e154:3"], None, 3))
+@example(case=(["whomgamma", f"--gamma-range=-1e154:1e154:{2 * _WRITE_ROWS + 1}"],
+               {"slip": rotated_frame(0.4)}, 2 * _WRITE_ROWS + 1))
+def test_whomgamma_argv_exits_cleanly(case):
+    # every argv ends in exit 0 or 2 with no exception and no warning (3 only
+    # at 0.3 pi or for a --lambda outside (0, 1)), and a rerun into the same
+    # --out writes the same bytes and says the same; a count past the cap
+    # exits 2 before anything is allocated, and on exit 0 each row's whom is
+    # w_hom of its own shear matrix bit for bit (inf where w_hom overflows),
+    # so the seams of the evaluation blocks move no value
+    argv, config, count = case
+    refusable = ("--theta=0.9424777960769379" in argv
+                 or any(f"--lambda={lam}" in argv for lam in ("0", "1", "nan")))
+    with config_argv(argv, config) as argv:
+        if count > MAX_ROWS:
+            code, peak = traced_peak(argv)
+            assert code == 2 and peak < 2 ** 20
+        code, csv = run_csv_argv_twice(argv)
+        if code == 0:
+            slip = read_settings(build_parser().parse_args([*argv, "--out", os.devnull])).slip
+    assert code in ({0, 2, 3} if refusable else {0, 2})
+    if code == 0:
+        lines = csv.decode().split("\n")
+        assert lines[0] == "gamma,whom" and lines[-1] == ""
+        assert len(lines) == 2 + count
+        for line in lines[1:-1]:
+            gamma, whom = line.split(",")
+            f = np.array([[1.0, float(gamma) / slip.lam], [0.0, 1.0]])
+            try:
+                expected = "%.17g" % w_hom(f, slip).value.value
+            except DomainError as exc:
+                assert "overflows" in str(exc)
+                expected = "inf"
+            assert whom == expected, line
+
+
+class GridReached(Exception):
+    """Raised by a stubbed grid builder: the command got as far as its grid."""
+
+
+def grid_builder_calls(argv):
+    """argv + --out /dev/null through main with `region_map` and
+    `envelope_scan` stubbed to record their grid resolution and stop: the
+    exit code (None where a builder was called) and the resolutions."""
+    sizes = []
+
+    def builder(slip, bc_range, n, *args, **kwargs):
+        sizes.append(n)
+        raise GridReached
+
+    with mock.patch.object(cli, "region_map", builder), \
+            mock.patch.object(cli, "envelope_scan", builder), \
+            contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return main([*argv, "--out", os.devnull]), sizes
+        except GridReached:
+            return None, sizes
+
+
+MAX_N = math.isqrt(MAX_ROWS)
+# --range: zero, subnormals, beyond the square root of the float range, its
+# edge, nan, both infinities and a negative
+RANGE_VALUES = (0.0, -0.0, 5e-324, 1e-310, 3.0, 1e150, 1e308, math.nan, math.inf, -math.inf,
+                -1.0)
+# --n: none, one, two, three, the cap and past it; --n-dirs: below the
+# least, the least, and large
+GRID_N = (0, 1, 2, 3, MAX_N, MAX_N + 1, -1)
+N_DIRS = (7, 8, 9, 720, 12000)
+
+
+@st.composite
+def grid_argv(draw):
+    """regionmap or verify-envelope argv: a --range and --n, from flags or a
+    config file that may also hold a rotated orthogonal frame, a --theta in
+    [pi/4, pi/2) or at and beyond its edges, and sometimes --lambda, --tol
+    and --n-dirs, each an edge value about one time in four:
+    (argv, config or None, n)."""
+    def edge_or(edges, ordinary):
+        return draw(st.sampled_from(edges)) if draw(st.integers(0, 3)) == 0 else ordinary
+
+    n = edge_or(GRID_N, draw(st.integers(1, 4)))
+    bc_range = edge_or(RANGE_VALUES, draw(st.floats(0.5, 5.0)))
+    argv, config = [], None
+    if draw(st.booleans()):
+        config = {"grid": {"range": bc_range, "n": n}}
+        if draw(st.booleans()):
+            config["slip"] = rotated_frame(draw(st.floats(0.0, 2.0 * math.pi)))
+    else:
+        argv += [f"--range={bc_range!r}", f"--n={n}"]
+    if config is None or "slip" not in config:
+        theta = repr(draw(st.floats(math.pi / 4, math.pi / 2, exclude_max=True)))
+        argv.append(f"--theta={edge_or((*THETA_EDGES, '0.7', '1.6'), theta)}")
+    if draw(st.integers(0, 3)) == 0:
+        argv.append(f"--lambda={draw(st.sampled_from(LAMBDA_VALUES))}")
+    if draw(st.integers(0, 3)) == 0:
+        argv.append(f"--tol={draw(st.sampled_from(TOL_VALUES))}")
+    if draw(st.booleans()):
+        argv.append(f"--n-dirs={draw(st.sampled_from(N_DIRS))}")
+    argv.append(draw(st.sampled_from(("regionmap", "verify-envelope"))))
+    return argv, config, n
+
+
+GRID_HEADERS = {"regionmap": "b,c,region,boundary,whom,lower,upper",
+                "verify-envelope": "b,c,region,closed,oracle,discrepancy,slack_lo,slack_hi"}
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(case=grid_argv())
+@example(case=(["--range=1e308", "--n=3", "--n-dirs=12000", "verify-envelope"], None, 3))
+@example(case=(["--n-dirs=8", "verify-envelope"], {"grid": {"range": 1e150, "n": 2},
+                                                   "slip": rotated_frame(2.0)}, 2))
+@example(case=(["--theta=1.5707963267948963", "--range=3.0", "--n=3", "regionmap"], None, 3))
+# branch disagreement at tol 1e-1: exit 3
+@example(case=(["--theta=1.413716694115407", "--tol=0.1", "--range=3.0", "--n=61", "regionmap"],
+               None, 61))
+@example(case=([f"--n={MAX_N}", "regionmap"], None, MAX_N))
+@example(case=(["verify-envelope"], {"grid": {"range": 3.0, "n": MAX_N}}, MAX_N))
+@example(case=(["--theta=0.9424777960769379", f"--n={MAX_N + 1}", "verify-envelope"], None,
+               MAX_N + 1))
+def test_grid_argv_exits_cleanly(case):
+    # every argv ends in exit 0, 2 or 3 with no exception and no warning; an
+    # exit-0 CSV holds the header and one row per grid cell, and a rerun into
+    # the same --out writes the same bytes and says the same.  At and past
+    # the cap the grid builders are stubbed: the cap may reach them, a larger
+    # --n exits 2 before they are called, so the test builds no large grid
+    argv, config, n = case
+    with config_argv(argv, config) as argv:
+        if n < MAX_N:
+            code, csv = run_csv_argv_twice(argv)
+        else:
+            code, sizes = grid_builder_calls(argv)
+    if n < MAX_N:
+        if code == 0:
+            lines = csv.decode().split("\n")
+            assert lines[0] == GRID_HEADERS[argv[-1]] and lines[-1] == ""
+            assert len(lines) == 2 + n * n
+    elif n > MAX_N:
+        assert code == 2 and sizes == []
+    else:
+        assert (code, sizes) in ((None, [MAX_N]), (2, []))

@@ -7,13 +7,14 @@ from lamlab.algebra import bc_to_matrix, det2, perp, rotation
 from lamlab.energy import (DEFAULT_TOL, Bounds, ExtendedEnergy, INFINITE, Known,
                            SlipSystem, energy_record, h, h_perp, h_perp_plus, h_perp_star,
                            h_plus, h_star, matrix_state, slip_state, w_condensed, w_hom,
-                           w_hom_arrays, w_hom_scalar)
+                           w_hom_arrays)
 from lamlab.envelope_oracle import envelope_scan, wlc_numeric
 from lamlab.errors import DomainError, PreconditionError
 from lamlab.laminate import decompose
 from lamlab.regions import classify, classify_arrays, region_map
 
-from references import chi, f_majorant, lemma_fad_check, make_fad_pair, random_det1
+from references import (chi, f_majorant, lemma_fad_check, make_fad_pair, random_det1,
+                        w_hom_scalar)
 
 ORTHO = SlipSystem.orthogonal(v1=(1.0, 0.0))
 
