@@ -55,15 +55,6 @@ def perp(v: Vec) -> Vec:
     return np.array([-v[1], v[0]])
 
 
-def rotation(angle: float) -> Mat:
-    c, s = math.cos(angle), math.sin(angle)
-    return np.array([[c, -s], [s, c]])
-
-
-def det2(m: Mat) -> float:
-    return m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-
-
 def frobenius_sq(m: Mat) -> float:
     """|M|^2 in the `slip_state` arithmetic: a*a + b*b + c*c + d*d on Python
     floats, whose products are correctly rounded (`x ** 2` need not be).

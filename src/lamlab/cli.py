@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 import json
 import math
 import os
@@ -20,8 +19,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .algebra import bc_to_matrix
-from .energy import (DEFAULT_TOL, Bounds, Known, SlipSystem, energy_record, h, h_perp,
-                     h_perp_star, h_star, matrix_state, slip_state, w_hom_arrays)
+from .energy import (DEFAULT_TOL, Bounds, Known, SlipSystem, h, h_perp, h_perp_star, h_star,
+                     matrix_state, slip_state, w_hom, w_hom_arrays)
 from .envelope_oracle import DEFAULT_N_DIRS, envelope_scan
 from .errors import LamlabError, PreconditionError
 from .homogenize import run_sweep
@@ -123,20 +122,23 @@ def _parse_floats(text: str, count: int, what: str):
     parts = text.split(",")
     if len(parts) != count:
         raise ValueError(f"{what} expects {count} comma-separated numbers")
-    return [_parse_number(p) for p in parts]
+    return [_parse_number(p, what) for p in parts]
 
 
-def _parse_number(token: str) -> float:
+def _parse_number(token: str, what: str) -> float:
+    """A finite number or fraction num/den of the option `what`; a
+    ValueError that names the option otherwise."""
     token = token.strip()
-    if "/" in token:
-        num, den = token.split("/", 1)
-        if float(den) == 0.0:
-            raise ValueError(f"{token!r} divides by zero")
-        x = float(num) / float(den)
-    else:
-        x = float(token)
+    num, slash, den = token.partition("/")
+    try:
+        x, d = float(num), float(den) if slash else 1.0
+    except ValueError:
+        raise ValueError(f"{what}: {token!r} is not a number") from None
+    if d == 0.0:
+        raise ValueError(f"{what}: {token!r} divides by zero")
+    x /= d
     if not math.isfinite(x):
-        raise ValueError(f"{token!r} is not a finite number")
+        raise ValueError(f"{what}: {token!r} is not a finite number")
     return x
 
 
@@ -162,10 +164,11 @@ def _energy_json(record) -> dict:
 # 40 values, so a one-row `homogenize` table would pay it for nothing.
 _GROUP_MIN = 64
 
-# Rows a CSV block holds while it is joined, encoded and written: ~0.25 MB
-# of regionmap text.  Values are still grouped per column, not per block:
-# mirror cells (c <-> -c) share their values and fall in different blocks,
-# and grouping per block took 17-25 % longer to write the 201^2 regionmap.
+# Rows a CSV block holds while it is formatted, joined, encoded and written:
+# ~0.25 MB of regionmap text.  Float values are grouped per block, so mirror
+# cells (c <-> -c), which share their values, are formatted once per block
+# they fall in; in exchange no whole column's fields and 323 KB sort
+# temporaries (~3 MB for a 201^2 regionmap) are ever held at once.
 _WRITE_ROWS = 4096
 
 
@@ -202,10 +205,10 @@ def _write_csv(path: str, columns: dict) -> None:
     """A CSV with one column per entry: a float array (`_format_column`) or
     a list of strings.
 
-    Each column is formatted whole, so a value that recurs anywhere in it is
-    formatted once, but the rows are joined, encoded and written
-    _WRITE_ROWS at a time: the text of one block is held at a time, not
-    the text of the table and its encoded copy.
+    The rows are formatted, joined, encoded and written _WRITE_ROWS at a
+    time: the fields and text of one block are held at a time, not those of
+    the table and its encoded copy.  A float column is grouped per block, so
+    a value that recurs within a block is formatted once there.
 
     An existing file is overwritten in place and then cut to the length
     written, never truncated to zero first: on ext4 (auto_da_alloc) a file
@@ -213,12 +216,14 @@ def _write_csv(path: str, columns: dict) -> None:
     made writing a 301-byte file take 0.10-0.15 ms instead of 7 us on a
     2-vCPU VM.  Only a regular file is cut; /dev/null and pipes cannot be.
     """
-    fields = [_format_column(col) if isinstance(col, np.ndarray) else col
-              for col in columns.values()]
-    rows = map(",".join, zip(*fields))
+    count = len(next(iter(columns.values())))
     with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
         fh.write((",".join(columns) + "\n").encode())
-        while block := list(itertools.islice(rows, _WRITE_ROWS)):
+        for k in range(0, count, _WRITE_ROWS):
+            part = slice(k, k + _WRITE_ROWS)
+            fields = [_format_column(col[part]) if isinstance(col, np.ndarray) else col[part]
+                      for col in columns.values()]
+            block = list(map(",".join, zip(*fields)))
             block.append("")  # the block's last row ends in a newline too
             fh.write("\n".join(block).encode())
         if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
@@ -231,16 +236,16 @@ def _write_csv(path: str, columns: dict) -> None:
 
 def cmd_classify(args, cfg: Settings) -> int:
     f = _matrix_from_args(args)
-    # one slip state for the label and the envelope value, as classify and w_hom form it
-    st = matrix_state(f, cfg.slip)
-    label = region_label(*classify_arrays(st, cfg.tol))
+    # one slip state for the label and the envelope value: w_hom reads the one
+    # that matrix_state keeps
+    label = region_label(*classify_arrays(matrix_state(f, cfg.slip), cfg.tol))
     # on Python floats: past the float range the residual is inf or nan, with no warning
     (a, b), (c, d) = f.tolist()
     residual = abs(a * d - b * c - 1.0)
     out = {"region": label.tag, "boundary": sorted(label.boundary),
            "det_residual": residual if math.isfinite(residual) else "inf"}
     if label.tag != "OffManifold":
-        out.update(_energy_json(energy_record(*w_hom_arrays(st, cfg.slip, cfg.tol))))
+        out.update(_energy_json(w_hom(f, cfg.slip, cfg.tol)))
     print(json.dumps(out, sort_keys=True))
     return EXIT_DOMAIN if label.tag == "OffManifold" else EXIT_OK
 
@@ -302,13 +307,16 @@ def cmd_hplot(args, cfg: Settings) -> int:
 def cmd_homogenize(args, cfg: Settings) -> int:
     bands = []
     for chunk in args.gamma_bands.split(","):
-        gamma, edge = chunk.split(":")
-        bands.append((_parse_number(gamma), _parse_number(edge)))
+        gamma, colon, edge = chunk.partition(":")
+        if not colon or ":" in edge:
+            raise ValueError(f"--gamma-bands expects comma-separated gamma:right_edge pairs, "
+                             f"not {chunk!r}")
+        bands.append((_parse_number(gamma, "--gamma-bands"), _parse_number(edge, "--gamma-bands")))
         # the soft layers carry the shear gamma / lambda
         if not math.isfinite(bands[-1][0] / cfg.slip.lam):
             raise ValueError(f"--gamma-bands: band {chunk!r}: gamma / lambda is not finite")
-    eps_list = [_parse_number(tok) for tok in args.eps_list.split(",")]
-    hlam = _parse_number(args.hlam)
+    eps_list = [_parse_number(tok, "--eps-list") for tok in args.eps_list.split(",")]
+    hlam = _parse_number(args.hlam, "--hlam")
     if not all(eps > 0.0 for eps in eps_list):
         raise ValueError("--eps-list entries must be positive")
     if not hlam > 0.0:
@@ -331,7 +339,7 @@ def cmd_whomgamma(args, cfg: Settings) -> int:
     parts = args.gamma_range.split(":")
     if len(parts) != 3:
         raise ValueError(malformed)
-    lo, hi = _parse_number(parts[0]), _parse_number(parts[1])
+    lo, hi = (_parse_number(end, "--gamma-range") for end in parts[:2])
     try:
         count = int(parts[2])
     except ValueError:
@@ -359,7 +367,7 @@ def cmd_whomgamma(args, cfg: Settings) -> int:
     for k in range(0, count, _WRITE_ROWS):
         with np.errstate(over="ignore"):
             st = slip_state(1.0, shears[k:k + _WRITE_ROWS], 0.0, 1.0, cfg.slip)
-        whom[k:k + _WRITE_ROWS] = w_hom_arrays(st, cfg.slip, overflow_inf=True)[0]
+        whom[k:k + _WRITE_ROWS] = w_hom_arrays(st, cfg.slip)[0]
     _write_csv(args.out, {"gamma": gammas, "whom": whom})
     return EXIT_OK
 

@@ -234,9 +234,6 @@ class ExtendedEnergy:
         return self.value
 
 
-INFINITE = ExtendedEnergy(math.inf)
-
-
 # ---------------------------------------------------------------------------
 # scalar profiles
 
@@ -319,13 +316,17 @@ def energy_record(whom, lower, upper):
 def w_hom(f: Mat, s: SlipSystem, tol: float = DEFAULT_TOL):
     """Homogenized density of one matrix: Known value or two-sided Bounds.
 
-    The record of `w_hom_arrays` on the float SlipState of f.
+    The record of `w_hom_arrays` on the float SlipState of f.  A Known value
+    that overflows at a finite |F|^2 raises DomainError.
     """
-    return energy_record(*w_hom_arrays(matrix_state(f, s), s, tol))
+    st = matrix_state(f, s)
+    whom, lower, upper = w_hom_arrays(st, s, tol)
+    if whom == math.inf and not off_manifold(st, tol):
+        raise DomainError("closed-form envelope value overflows")
+    return energy_record(whom, lower, upper)
 
 
-def w_hom_arrays(st: SlipState, s: SlipSystem, tol: float = DEFAULT_TOL,
-                 overflow_inf: bool = False):
+def w_hom_arrays(st: SlipState, s: SlipSystem, tol: float = DEFAULT_TOL):
     """The homogenized density, one branch set for every slip angle.
 
     Takes the SlipState of one matrix (floats) or of a stack (arrays) and
@@ -340,8 +341,7 @@ def w_hom_arrays(st: SlipState, s: SlipSystem, tol: float = DEFAULT_TOL,
     are evaluated by every adjacent closed-form branch and the branches are
     required to agree within 10*tol*max(1, |F|^2), else BranchDisagreement
     names the values of the first entry where they do not.  A Known value
-    that overflows raises DomainError, or with overflow_inf is `whom` inf,
-    as off the manifold.
+    that overflows at a finite |F|^2 is `whom` inf, as off the manifold.
     """
     # nan and inf entries of a stack are masked below; floats raise no warnings
     arrays = isinstance(st.d1, np.ndarray)
@@ -367,9 +367,6 @@ def w_hom_arrays(st: SlipState, s: SlipSystem, tol: float = DEFAULT_TOL,
                            if np.ravel(m)[k]]
             raise BranchDisagreement(
                 f"closed-form branches disagree near a region boundary: {branch_vals}")
-        # a Known value that overflows at a finite |F|^2
-        if not overflow_inf and any_true(known & (ref == math.inf)):
-            raise DomainError("closed-form envelope value overflows")
 
         # open set N1\N2 or N2\N1: one slip norm below 1 - tol, the other above 1 + tol
         single = where(d1 < 0.0, st.single1, st.single2)

@@ -18,22 +18,21 @@ its caller owns (`_Workspace`).  The grid scan prepares every certified cell
 once; one direction scan (`_coarse_scan`), in chunks of fixed size through
 one reused workspace, serves the four laminate directions, the rescan and
 each level of its zoom.  `_direction_energy` composes the three parts for a
-single call, and `wlc_numeric` is the single-matrix caller.
+single call.  `oracle` is the one entry point, on a stack of matrices: one
+matrix is `oracle(f[None], s)[0]`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 
-from .algebra import Mat, RankOneLine, perp
-from .energy import (DEFAULT_TOL, ExtendedEnergy, SlipSystem, off_manifold, slip_state,
-                     w_on_manifold)
+from .algebra import perp
+from .energy import DEFAULT_TOL, SlipSystem, off_manifold, slip_state, w_on_manifold
 from .errors import OffManifold, PreconditionError
-from .laminate import LaminateDecomposition, decompose, laminate_on_line
 from .regions import CODE, RegionMap, region_map
 
 DEFAULT_N_DIRS = 720
@@ -481,20 +480,17 @@ def _scan_dual(fs: np.ndarray, cells: _Cells, s: SlipSystem, phi: np.ndarray,
     return dual
 
 
-@dataclass(frozen=True)
-class _Batch:
-    value: np.ndarray     # min(scanned, single), >= 0 as each of them is
-    single: np.ndarray    # W of `w_on_manifold`: finite where F lies on a slip manifold
-    phi_best: np.ndarray  # direction of the best laminate scanned
+def oracle(fs: np.ndarray, s: SlipSystem, n_dirs: int = DEFAULT_N_DIRS,
+           tol: float = DEFAULT_TOL) -> np.ndarray:
+    """Numeric lamination envelope of a stack of unit-determinant matrices
+    [N, 2, 2], one value per matrix: one matrix is `oracle(f[None], s)[0]`.
 
-
-def _oracle(fs: np.ndarray, s: SlipSystem, n_dirs: int, tol: float) -> _Batch:
-    """Oracle energies of a stack of unit-determinant matrices [N, 2, 2].
-
-    Every cell is evaluated at the four laminate directions, without
-    refinement.  A cell whose value the dual bound at the best of them meets
-    within _CERTIFY_RTOL is done; the others get the n_dirs scan with its
-    refinement (`_scan`) and keep the smaller value.
+    Every matrix is evaluated at the four laminate directions
+    (`_laminate_angles`), without refinement, and takes the single-point
+    candidate W(F) where it lies on a slip manifold.  A matrix whose value
+    the dual bound at the best of them meets within _CERTIFY_RTOL is done;
+    the others get the scan of n_dirs uniformly spaced directions on
+    [0, pi) with its refinement (`_scan`) and keep the smaller value.
     """
     if n_dirs < 8:
         raise PreconditionError("the direction grid needs at least 8 points")
@@ -511,48 +507,8 @@ def _oracle(fs: np.ndarray, s: SlipSystem, n_dirs: int, tol: float) -> _Batch:
         dual = _scan_dual(fs, cells, s, phi, single <= scanned)
         rows = np.flatnonzero(~(value - dual <= _CERTIFY_RTOL * np.maximum(1.0, value)))
     if rows.size:
-        full, phi_full = _scan(cells.rows(rows), s, n_dirs)
-        phi[rows] = np.where(full < value[rows], phi_full, phi[rows])
-        value[rows] = np.minimum(value[rows], full)
-    return _Batch(value=value, single=single, phi_best=phi)
-
-
-@dataclass(frozen=True)
-class OracleResult:
-    value: ExtendedEnergy
-    best: Optional[LaminateDecomposition]
-
-
-def wlc_numeric(f: Mat, s: SlipSystem, n_dirs: int = DEFAULT_N_DIRS,
-                tol: float = DEFAULT_TOL) -> OracleResult:
-    """Numeric lamination envelope at a unit-determinant matrix.
-
-    Evaluates the four rank-one directions of the paper's laminates
-    (`_laminate_angles`) and includes the single-point candidate when F lies
-    on a slip manifold.  If the value exceeds `dual_lower` at its laminate by
-    more than 1e-9 max(1, value), n_dirs uniformly spaced directions on
-    [0, pi) are scanned, the scan zooms in on the best one (`_scan`), and the
-    smaller value is kept; n_dirs is the direction count of that full scan.
-    Where F lies on a slip manifold the laminate is `decompose`'s; elsewhere
-    it is the best direction's UpperBoundOnly pair.
-    """
-    fs = np.asarray(f, dtype=float)[None]
-    batch = _oracle(fs, s, n_dirs, tol)
-    value, single = float(batch.value[0]), float(batch.single[0])
-
-    best_dec = None
-    if math.isfinite(single):
-        best_dec = decompose(f, s, tol)
-    else:
-        phi = float(batch.phi_best[0])
-        energy, lo, hi = (float(x[0, 0]) for x in _direction_energy(
-            fs, np.cos(batch.phi_best)[:, None], np.sin(batch.phi_best)[:, None], s, pair=True))
-        if math.isfinite(energy):
-            m = np.array([math.cos(phi), math.sin(phi)])
-            line = RankOneLine(fs[0], m, perp(m))
-            best_dec = laminate_on_line(line, (lo, line.point(lo)), (hi, line.point(hi)),
-                                        value, "UpperBoundOnly")
-    return OracleResult(value=ExtendedEnergy(value), best=best_dec)
+        value[rows] = np.minimum(value[rows], _scan(cells.rows(rows), s, n_dirs)[0])
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -583,15 +539,15 @@ def envelope_scan(s: SlipSystem, bc_range: float, n: int, n_dirs: int = DEFAULT_
     """Certify the closed-form envelope against the oracle on a (b, c) grid.
 
     The cells come in the deterministic row-major grid order of
-    `region_map`.  The oracle runs once over the matrices of all certified
-    cells; each value equals `wlc_numeric` at that cell.
+    `region_map`.  `oracle` runs once over the matrices of all certified
+    cells.
     """
     grid = region_map(s, bc_range, n, tol)
     skipped = (grid.boundary != 0) | (grid.code == CODE["OffManifold"])
-    oracle = np.full(len(grid), np.nan)
-    oracle[~skipped] = _oracle(grid.fs[~skipped], s, n_dirs, tol).value
+    values = np.full(len(grid), np.nan)
+    values[~skipped] = oracle(grid.fs[~skipped], s, n_dirs, tol)
     closed = np.where(skipped, np.nan, grid.whom)
     with np.errstate(invalid="ignore"):
-        return EnvelopeScan(grid=grid, skipped=skipped, closed=closed, oracle=oracle,
-                            discrepancy=np.abs(oracle - closed),
-                            slack_lo=oracle - grid.lower, slack_hi=grid.upper - oracle)
+        return EnvelopeScan(grid=grid, skipped=skipped, closed=closed, oracle=values,
+                            discrepancy=np.abs(values - closed),
+                            slack_lo=values - grid.lower, slack_hi=grid.upper - values)

@@ -5,10 +5,6 @@ class LamlabError(Exception):
     """Base class for all package-specific errors."""
 
 
-class DegenerateFrame(LamlabError):
-    """The two frame vectors are (numerically) parallel."""
-
-
 class DomainError(LamlabError):
     """A function was evaluated below its domain floor, or its value overflows."""
 

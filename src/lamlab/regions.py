@@ -7,7 +7,7 @@ explicit tolerance bands on every defining inequality.
 
 `classify_arrays` is the one decision tree, on the slip state
 (`energy.slip_state`) of one matrix or of a stack: `classify` labels one
-matrix with it, `region_map` a whole (b, c) grid in one array pass.
+matrix with it, `region_map` a whole (b, c) grid, block by block.
 """
 
 from __future__ import annotations
@@ -20,13 +20,20 @@ from numbers import Integral
 import numpy as np
 
 from .algebra import Mat, bc_diagonal, select, where
-from .energy import (DEFAULT_TOL, SlipState, SlipSystem, energy_record, matrix_state,
-                     off_manifold, slip_state, w_hom_arrays)
+from .energy import (DEFAULT_TOL, SlipState, SlipSystem, matrix_state, off_manifold,
+                     slip_state, w_hom_arrays)
 from .errors import PreconditionError
 
 TAGS = ("SO2", "M1", "M2", "A", "APerp", "N1capN2", "N1only", "N2only", "OffManifold")
 CODE = {tag: i for i, tag in enumerate(TAGS)}
 _BIT = {tag: 1 << i for i, tag in enumerate(TAGS)}
+
+# Cells `region_map` evaluates at a time, so that its ~60 temporaries stay
+# 32 KB each at any grid size.  Grid-sized ones (323 KB at 201^2, ~7 MB in
+# all) come from glibc's heap once its dynamic mmap threshold has risen, and
+# how much of them stays resident after the call then depends on what the
+# process freed before.
+_BLOCK_CELLS = 4096
 
 
 @dataclass(frozen=True)
@@ -134,14 +141,6 @@ class RegionMap:
     def tags(self) -> list:
         return [TAGS[k] for k in self.code.tolist()]
 
-    def label(self, k: int) -> RegionLabel:
-        """The `classify` label of cell k."""
-        return region_label(self.code[k], self.boundary[k])
-
-    def energy(self, k: int):
-        """The `w_hom` record of cell k."""
-        return energy_record(self.whom[k], self.lower[k], self.upper[k])
-
 
 def region_map(s: SlipSystem, bc_range: float, n: int, tol: float = DEFAULT_TOL) -> RegionMap:
     """Cell-centered n x n grid of region labels and envelope records.
@@ -157,10 +156,13 @@ def region_map(s: SlipSystem, bc_range: float, n: int, tol: float = DEFAULT_TOL)
     step = 2.0 * bc_range / n
     axis = -bc_range + (np.arange(n) + 0.5) * step
     b, c = np.tile(axis, n), np.repeat(axis, n)
-    with np.errstate(invalid="ignore", over="ignore"):
-        f00, f11 = bc_diagonal(b, c)
-        st = slip_state(f00, c, c, f11, s)
-        code, boundary = classify_arrays(st, tol)
-    whom, lower, upper = w_hom_arrays(st, s, tol)
-    return RegionMap(b=b, c=c, code=code.astype(np.int8),
-                     boundary=boundary.astype(np.int16), whom=whom, lower=lower, upper=upper)
+    code, boundary = np.empty(n * n, np.int8), np.empty(n * n, np.int16)
+    whom, lower, upper = np.empty(n * n), np.empty(n * n), np.empty(n * n)
+    for k in range(0, n * n, _BLOCK_CELLS):
+        part = slice(k, k + _BLOCK_CELLS)
+        with np.errstate(invalid="ignore", over="ignore"):
+            f00, f11 = bc_diagonal(b[part], c[part])
+            st = slip_state(f00, c[part], c[part], f11, s)
+            code[part], boundary[part] = classify_arrays(st, tol)
+        whom[part], lower[part], upper[part] = w_hom_arrays(st, s, tol)
+    return RegionMap(b=b, c=c, code=code, boundary=boundary, whom=whom, lower=lower, upper=upper)

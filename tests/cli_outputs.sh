@@ -60,6 +60,11 @@ for theta in 0.7853981633974483 1.413716694115407; do
             --out "$out/verify-envelope-$theta-dirs$dirs.csv"
     done
 done
+# one cell with a finite |F|^2 whose closed-form value overflows: written inf
+for command in regionmap verify-envelope; do
+    run "$command-overflow" --theta 1.413716694115407 --range 5e153 --n 3 "$command" \
+        --out "$out/$command-overflow.csv"
+done
 # the (b, c) diagonal at large |b|
 run regionmap-range1e6 --range 1e6 --n 21 regionmap --out "$out/regionmap-range1e6.csv"
 # a shorter CSV over a longer one in the same file: the 5^2 map over the 201^2 map
@@ -153,3 +158,15 @@ run usage-tol-inf --tol inf classify --bc=0,0
 run usage-tol-negative --tol -1 classify --bc=0,0
 run usage-n-dirs --n-dirs 7 verify-envelope --out "$out/usage-n-dirs.csv"
 run usage-range-nan --range nan regionmap --out "$out/usage-range-nan.csv"
+# a malformed number names its option; a band without its edge names the form
+run usage-gamma-bands-edge homogenize --gamma-bands=0.4 --eps-list 1/4 \
+    --out "$out/usage-gamma-bands-edge.csv"
+run usage-number-gamma-bands homogenize --gamma-bands=x:1 --eps-list 1/4 \
+    --out "$out/usage-number-gamma-bands.csv"
+run usage-number-eps-list homogenize --gamma-bands=0.4:1 --eps-list x \
+    --out "$out/usage-number-eps-list.csv"
+run usage-number-hlam homogenize --gamma-bands=0.4:1 --eps-list 1/4 --hlam x \
+    --out "$out/usage-number-hlam.csv"
+run usage-number-bc classify --bc=x,0
+run usage-number-matrix classify --matrix=1,0,0,x
+run usage-number-gamma-range whomgamma --gamma-range=0:x:3 --out "$out/usage-number-gamma-range.csv"

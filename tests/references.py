@@ -3,7 +3,9 @@
 The library does not use these: they restate the paper's identities, the
 chi profile, the convex majorant f, the scalar shear form of W_hom, the
 structured-split inequality and the averaging check, so the tests can hold
-the library's results against them.
+the library's results against them.  The small helpers before them (a
+rotation, a 2x2 determinant, the Infinite energy, the per-cell records of a
+region map) serve only the tests.
 """
 
 from __future__ import annotations
@@ -12,9 +14,35 @@ import math
 
 import numpy as np
 
-from lamlab.algebra import EPS, Mat, Vec, bc_to_matrix, det2, frobenius_sq, perp, rotation
-from lamlab.energy import SlipSystem, _pos, h, h_perp, matrix_state
-from lamlab.errors import DegenerateFrame, DomainError, PreconditionError
+from lamlab.algebra import EPS, Mat, Vec, bc_to_matrix, frobenius_sq, perp
+from lamlab.energy import ExtendedEnergy, SlipSystem, _pos, energy_record, h, h_perp, matrix_state
+from lamlab.errors import DomainError, LamlabError, PreconditionError
+from lamlab.regions import RegionLabel, RegionMap, region_label
+
+INFINITE = ExtendedEnergy(math.inf)
+
+
+class DegenerateFrame(LamlabError):
+    """The two frame vectors are (numerically) parallel."""
+
+
+def rotation(angle: float) -> Mat:
+    c, s = math.cos(angle), math.sin(angle)
+    return np.array([[c, -s], [s, c]])
+
+
+def det2(m: Mat) -> float:
+    return m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
+
+
+def cell_label(grid: RegionMap, k: int) -> RegionLabel:
+    """The `classify` label of cell k of a region map."""
+    return region_label(grid.code[k], grid.boundary[k])
+
+
+def cell_energy(grid: RegionMap, k: int):
+    """The `w_hom` record of cell k of a region map."""
+    return energy_record(grid.whom[k], grid.lower[k], grid.upper[k])
 
 
 def random_det1(rng: np.random.Generator, spread: float = 1.5) -> Mat:

@@ -9,7 +9,7 @@ import math
 import numpy as np
 import pytest
 
-from lamlab.algebra import bc_to_matrix, perp, rotation
+from lamlab.algebra import bc_to_matrix, perp
 from lamlab.cli import main
 from lamlab.energy import Known, SlipSystem, h, h_perp, w_condensed, w_hom
 from lamlab.envelope_oracle import envelope_scan
@@ -18,7 +18,7 @@ from lamlab.laminate import decompose, verify_decomposition
 from lamlab.regions import classify
 
 from references import (averaging_check, chi, f_majorant, identity_f1, identity_f2,
-                        lemma_fad_check, make_fad_pair, random_det1, w_hom_scalar)
+                        lemma_fad_check, make_fad_pair, random_det1, rotation, w_hom_scalar)
 
 ORTHO = SlipSystem.from_theta(math.pi / 4, 0.5)
 FAD_CONSTANT = 32.0  # certified by pre-build sampling; observed need is ~0.51

@@ -4,13 +4,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from lamlab.algebra import (EPS, RankOneLine, bc_to_matrix, det2, frobenius_sq, perp,
-                            rotation, solve_unit_image_times)
+from lamlab.algebra import (EPS, RankOneLine, bc_to_matrix, frobenius_sq, perp,
+                            solve_unit_image_times)
 from lamlab.energy import SlipSystem
-from lamlab.errors import DegenerateFrame, DomainError
+from lamlab.errors import DomainError
 from lamlab.laminate import decompose, verify_decomposition
 
-from references import identity_f1, identity_f2, random_det1
+from references import DegenerateFrame, det2, identity_f1, identity_f2, random_det1, rotation
 
 
 def vec(x, y):

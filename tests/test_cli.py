@@ -214,10 +214,32 @@ def test_overflowing_envelope_value_exit_code(capsys):
     s = SlipSystem.from_theta(theta, 0.5)
     with pytest.raises(DomainError, match="overflows"):
         w_hom(np.diag([1e154, 1e-154]), s)
+    # the array form writes the value inf, as off the manifold
     fs = np.stack([np.eye(2), np.diag([1e154, 1e-154])])
     st = slip_state(fs[:, 0, 0], fs[:, 0, 1], fs[:, 1, 0], fs[:, 1, 1], s)
-    with pytest.raises(DomainError, match="overflows"):
-        w_hom_arrays(st, s)
+    assert w_hom_arrays(st, s)[0].tolist() == [0.0, math.inf]
+
+
+@pytest.mark.parametrize("command, header, cell", [
+    ("regionmap", "b,c,region,boundary,whom,lower,upper",
+     "3.3333333333333337e+153,0,APerp,,inf,,"),
+    ("verify-envelope", "b,c,region,closed,oracle,discrepancy,slack_lo,slack_hi",
+     "3.3333333333333337e+153,0,APerp,inf,inf,,,"),
+], ids=["regionmap", "verify-envelope"])
+def test_grid_past_the_float_range_writes_inf(command, header, cell, tmp_path, capsys):
+    # one cell of this grid has a finite |F|^2 and a closed-form value past
+    # the float range: the grid writes it inf, as whomgamma does, where it
+    # exited 3; classify of that matrix still exits 3
+    out = tmp_path / "grid.csv"
+    argv = ["--theta", "1.413716694115407", "--range", "5e153", "--n", "3"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main([*argv, command, "--out", str(out)]) == 0
+    lines = out.read_text().split("\n")
+    assert lines[0] == header and lines[-1] == "" and len(lines) == 11
+    assert lines[6] == cell
+    assert main([*argv, "classify", "--bc=3.3333333333333337e+153,0"]) == 3
+    assert capsys.readouterr().err == "error: closed-form envelope value overflows\n"
 
 
 OVERFLOWING_LAMINATES = {  # theta: (target, message) pairs
@@ -411,6 +433,43 @@ def test_whomgamma_overflowing_shear_is_usage_error(flags, message, tmp_path, ca
         warnings.simplefilter("error", RuntimeWarning)
         code = main([*flags, "--out", str(out)])
     assert code == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+MALFORMED_NUMBERS = [
+    (["homogenize", "--gamma-bands=0.4", "--eps-list", "1/4"],
+     "--gamma-bands expects comma-separated gamma:right_edge pairs, not '0.4'"),
+    (["homogenize", "--gamma-bands=0.4:0.5:1", "--eps-list", "1/4"],
+     "--gamma-bands expects comma-separated gamma:right_edge pairs, not '0.4:0.5:1'"),
+    (["homogenize", "--gamma-bands=x:1", "--eps-list", "1/4"],
+     "--gamma-bands: 'x' is not a number"),
+    (["homogenize", "--gamma-bands=0.4:1", "--eps-list", "1/4,x"],
+     "--eps-list: 'x' is not a number"),
+    (["homogenize", "--gamma-bands=0.4:1", "--eps-list", "1/x"],
+     "--eps-list: '1/x' is not a number"),
+    (["homogenize", "--gamma-bands=0.4:1", "--eps-list", "1/0"],
+     "--eps-list: '1/0' divides by zero"),
+    (["homogenize", "--gamma-bands=0.4:1", "--eps-list", "1/4", "--hlam", "x"],
+     "--hlam: 'x' is not a number"),
+    (["homogenize", "--gamma-bands=0.4:1", "--eps-list", "1/4", "--hlam", "inf"],
+     "--hlam: 'inf' is not a finite number"),
+    (["classify", "--bc=x,0"], "--bc: 'x' is not a number"),
+    (["laminate", "--matrix=1,0,0,x"], "--matrix: 'x' is not a number"),
+    (["whomgamma", "--gamma-range=x:1:3"], "--gamma-range: 'x' is not a number"),
+    (["whomgamma", "--gamma-range=0:x:3"], "--gamma-range: 'x' is not a number"),
+]
+
+
+@pytest.mark.parametrize("argv, message", MALFORMED_NUMBERS,
+                         ids=[" ".join(argv[-3:]) for argv, _ in MALFORMED_NUMBERS])
+def test_malformed_number_names_its_option(argv, message, tmp_path, capsys):
+    # a number an option does not hold, or a band without its edge, is named
+    # with its option, not with Python's float() or unpacking message
+    out = tmp_path / "out.csv"
+    if argv[0] not in ("classify", "laminate"):
+        argv = [*argv, "--out", str(out)]
+    assert main(argv) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
 
@@ -629,6 +688,23 @@ def test_streamed_csv_memory_does_not_grow_with_rows(tmp_path):
     assert large - small < block_text
 
 
+def test_float_columns_are_formatted_block_by_block(tmp_path):
+    # float columns are formatted one write block at a time too: beyond the
+    # arrays the writer holds one block's fields, however many rows there are
+    def peak(rows):
+        k = np.arange(rows)
+        columns = {"x": k / 7.0, "y": np.sqrt(k + 0.5), "z": np.where(k % 3 == 0, math.nan, k)}
+        tracemalloc.start()
+        try:
+            _write_csv(str(tmp_path / "table.csv"), columns)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small, large = peak(8 * _WRITE_ROWS), peak(64 * _WRITE_ROWS)
+    assert large - small < small / 8
+
+
 def test_out_that_is_not_a_regular_file(tmp_path):
     # /dev/null takes every write block of the CSV (70^2 = 4,900 rows) and
     # is not cut to length
@@ -717,7 +793,7 @@ def test_work_cap_admits_its_bound(monkeypatch):
     # the length of the first column: z or gamma
     monkeypatch.setattr(cli, "_write_csv",
                         lambda path, columns: rows.append(len(next(iter(columns.values())))))
-    monkeypatch.setattr(cli, "w_hom_arrays", lambda st, s, overflow_inf: (0.0, None, None))
+    monkeypatch.setattr(cli, "w_hom_arrays", lambda st, s: (0.0, None, None))
     assert main(["hplot", "--samples", str(MAX_ROWS), "--out", "h.csv"]) == 0
     assert main(["whomgamma", f"--gamma-range=-3:3:{MAX_ROWS}", "--out", "w.csv"]) == 0
     assert rows == [MAX_ROWS, MAX_ROWS]

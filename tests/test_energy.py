@@ -3,18 +3,17 @@ import math
 import numpy as np
 import pytest
 
-from lamlab.algebra import bc_to_matrix, det2, perp, rotation
-from lamlab.energy import (DEFAULT_TOL, Bounds, ExtendedEnergy, INFINITE, Known,
-                           SlipSystem, energy_record, h, h_perp, h_perp_plus, h_perp_star,
-                           h_plus, h_star, matrix_state, slip_state, w_condensed, w_hom,
-                           w_hom_arrays)
-from lamlab.envelope_oracle import envelope_scan, wlc_numeric
+from lamlab.algebra import bc_to_matrix, perp
+from lamlab.energy import (DEFAULT_TOL, Bounds, ExtendedEnergy, Known, SlipSystem,
+                           energy_record, h, h_perp, h_perp_plus, h_perp_star, h_plus, h_star,
+                           matrix_state, slip_state, w_condensed, w_hom, w_hom_arrays)
+from lamlab.envelope_oracle import envelope_scan, oracle
 from lamlab.errors import DomainError, PreconditionError
 from lamlab.laminate import decompose
 from lamlab.regions import classify, classify_arrays, region_map
 
-from references import (chi, f_majorant, lemma_fad_check, make_fad_pair, random_det1,
-                        w_hom_scalar)
+from references import (INFINITE, chi, det2, f_majorant, lemma_fad_check, make_fad_pair,
+                        random_det1, rotation, w_hom_scalar)
 
 ORTHO = SlipSystem.orthogonal(v1=(1.0, 0.0))
 
@@ -487,7 +486,8 @@ def stack_state(s):
 
 TOLERANT = [
     w_hom, decompose, classify, w_condensed,
-    pytest.param(lambda f, s, tol: wlc_numeric(f, s, n_dirs=8, tol=tol), id="wlc_numeric"),
+    # the single-matrix oracle; the id is the name it had as a function of its own
+    pytest.param(lambda f, s, tol: oracle(f[None], s, n_dirs=8, tol=tol), id="wlc_numeric"),
     pytest.param(lambda f, s, tol: region_map(s, 3.0, 3, tol), id="region_map"),
     pytest.param(lambda f, s, tol: envelope_scan(s, 3.0, 3, n_dirs=8, tol=tol),
                  id="envelope_scan"),

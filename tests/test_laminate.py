@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lamlab import laminate
-from lamlab.algebra import bc_to_matrix, det2, frobenius_sq, perp, rotation
+from lamlab.algebra import bc_to_matrix, frobenius_sq, perp
 from lamlab.cli import main
 from lamlab.energy import Known, SlipSystem, matrix_state, w_hom
 from lamlab.envelope_oracle import _direction_energy
@@ -16,7 +16,7 @@ from lamlab.laminate import (DecompositionReport, LaminateDecomposition, decompo
                              verify_decomposition)
 from lamlab.regions import classify
 
-from references import random_det1
+from references import det2, random_det1, rotation
 
 ORTHO = SlipSystem.orthogonal(v1=(1.0, 0.0))
 ANGLES = (math.pi / 4, 0.3 * math.pi, 0.35 * math.pi, 0.45 * math.pi)

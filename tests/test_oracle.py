@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import os
 import subprocess
@@ -13,18 +12,18 @@ from hypothesis import strategies as st
 
 import lamlab
 from lamlab import envelope_oracle
-from lamlab.algebra import bc_to_matrix, perp, rotation
+from lamlab.algebra import RankOneLine, bc_to_matrix, perp
 from lamlab.energy import (DEFAULT_TOL, SlipSystem, h, h_perp, matrix_state,
                            slip_state, w_condensed, w_hom, w_on_manifold)
-from lamlab.envelope_oracle import (_CERTIFY_RTOL, _CHUNK_ELEMENTS, _coarse_scan,
-                                    _direction_energy, _inner_min, _laminate_angles, _oracle,
-                                    _prepare, _scan, _scan_dual, dual_lower, envelope_scan,
-                                    wlc_numeric)
+from lamlab.envelope_oracle import (_CERTIFY_RTOL, _CHUNK_ELEMENTS, DEFAULT_N_DIRS,
+                                    _coarse_scan, _direction_energy, _inner_min,
+                                    _laminate_angles, _prepare, _scan, _scan_dual, dual_lower,
+                                    envelope_scan, oracle)
 from lamlab.errors import LamlabError, OffManifold, PreconditionError
-from lamlab.laminate import decompose, verify_decomposition
+from lamlab.laminate import decompose, laminate_on_line, verify_decomposition
 from lamlab.regions import CODE, region_map
 
-from references import f_majorant, random_det1
+from references import f_majorant, random_det1, rotation
 
 ORTHO = SlipSystem.orthogonal(v1=(1.0, 0.0))
 ANGLES = (math.pi / 4, 0.3 * math.pi, 0.35 * math.pi, 0.45 * math.pi)
@@ -172,24 +171,27 @@ def test_kernel_matches_exact_nearest_chord(spread, theta):
     assert checked >= 40
 
 
+def oracle_at(f, s, **kwargs):
+    """The oracle value of one matrix."""
+    return float(oracle(f[None], s, **kwargs)[0])
+
+
 def test_identity_single_point():
-    res = wlc_numeric(np.eye(2), ORTHO)
-    assert res.value.value == 0.0
-    assert res.best is not None and res.best.kind == "CaseOnManifold"
+    assert oracle_at(np.eye(2), ORTHO) == 0.0
 
 
 def test_rejects_bad_inputs():
     with pytest.raises(OffManifold):
-        wlc_numeric(np.diag([2.0, 1.0]), ORTHO)
+        oracle_at(np.diag([2.0, 1.0]), ORTHO)
     with pytest.raises(PreconditionError):
-        wlc_numeric(np.eye(2), ORTHO, n_dirs=4)
+        oracle_at(np.eye(2), ORTHO, n_dirs=4)
 
 
 def test_matches_closed_form_samples():
-    assert wlc_numeric(np.diag([2.0, 0.5]), ORTHO).value.value == pytest.approx(3.0, abs=1e-8)
+    assert oracle_at(np.diag([2.0, 0.5]), ORTHO) == pytest.approx(3.0, abs=1e-8)
     t = math.log(math.sqrt(2.0))
     f = np.array([[math.cosh(t), math.sinh(t)], [math.sinh(t), math.cosh(t)]])
-    assert wlc_numeric(f, ORTHO).value.value == pytest.approx((math.sqrt(3) - 1) ** 2, abs=1e-8)
+    assert oracle_at(f, ORTHO) == pytest.approx((math.sqrt(3) - 1) ** 2, abs=1e-8)
 
 
 def test_general_angle_region_a():
@@ -203,7 +205,7 @@ def test_general_angle_region_a():
             continue
         seen += 1
         z = float(np.linalg.norm(f @ s.v3))
-        assert wlc_numeric(f, s).value.value == pytest.approx(h(z, s.theta), abs=1e-6)
+        assert oracle_at(f, s) == pytest.approx(h(z, s.theta), abs=1e-6)
 
 
 def test_never_undershoots_convex_lower_bound():
@@ -211,7 +213,7 @@ def test_never_undershoots_convex_lower_bound():
     for s in (ORTHO, SlipSystem.from_theta(0.35 * math.pi, 0.5)):
         for _ in range(200):
             f = random_det1(rng, spread=2.0)
-            val = wlc_numeric(f, s).value.as_float()
+            val = oracle_at(f, s)
             if s.is_orthogonal:
                 lower = f_majorant(f, s)
             else:
@@ -265,7 +267,7 @@ def test_scan_matches_per_cell_oracle():
         assert (~np.isnan(scan.slack_lo[live])).any() == (theta != math.pi / 4)
         for k in live:
             f = bc_to_matrix(scan.grid.b[k], scan.grid.c[k])
-            ref = wlc_numeric(f, s, n_dirs=120).value.as_float()
+            ref = oracle_at(f, s, n_dirs=120)
             assert abs(scan.oracle[k] - ref) <= 1e-12
 
 
@@ -351,8 +353,8 @@ def test_kernel_matches_all_pairs_reference_property(theta, b, c, angle, phi):
 @pytest.mark.parametrize("theta", (0.3 * math.pi, 0.45 * math.pi))
 def test_on_manifold_targets_are_their_own_laminate(theta):
     # every laminate candidate is >= max(|F|^2 - 2, 0), so the single-point
-    # candidate wins on the manifold, also where |F|^2 - 2 rounds below 0; the
-    # laminate is decompose's and the value w_condensed's, to the last bit
+    # candidate wins on the manifold, also where |F|^2 - 2 rounds below 0:
+    # the value is w_condensed's, to the last bit
     s = SlipSystem.from_theta(theta, 0.5)
     rng = np.random.default_rng(45)
     phis = np.arange(180) * (math.pi / 180)
@@ -365,33 +367,44 @@ def test_on_manifold_targets_are_their_own_laminate(theta):
             targets += [rotation(rng.uniform(0.0, 2.0 * math.pi)) @ (
                 np.eye(2) + gamma * np.outer(v, perp(v))) for _ in range(5)]
     for f in targets:
-        res = wlc_numeric(f, s, n_dirs=180)
-        assert res.best is not None and res.best.kind == "CaseOnManifold"
-        assert res.value.value >= 0.0 and res.best.energy >= 0.0
+        value = oracle_at(f, s, n_dirs=180)
+        assert value >= 0.0
         assert _direction_energy(f[None], np.cos(phis), np.sin(phis), s).min() >= 0.0
-        dec = decompose(f, s)
-        for field in dataclasses.fields(dec):
-            np.testing.assert_array_equal(getattr(res.best, field.name),
-                                          getattr(dec, field.name), err_msg=field.name)
-        assert res.best.energy == res.value.value == w_condensed(f, s).value
+        assert value == w_condensed(f, s).value
 
 
 @pytest.mark.parametrize("theta", ANGLES)
 def test_upper_bound_laminates_meet_criterion_03(theta):
-    # the oracle's laminate off the manifold, within the criterion-03 bounds
+    # oracle values off the manifold are realised by laminates on M: the pair
+    # of the kernel at the best of 720 directions is one within the
+    # criterion-03 bounds, and its energy lies above the oracle value by at
+    # most the error of that direction grid (1.3e-6 relative on these targets)
     s = SlipSystem.from_theta(theta, 0.5)
     rng = np.random.default_rng(46)
+    phis = np.arange(DEFAULT_N_DIRS) * (math.pi / DEFAULT_N_DIRS)
+    checked = 0
     for spread in (2.0, 30.0):
         for _ in range(20):
             f = random_det1(rng, spread=spread)
-            res = wlc_numeric(f, s)
-            if res.best.kind == "CaseOnManifold":
+            if w_condensed(f, s).is_finite:
                 continue
-            assert res.best.kind == "UpperBoundOnly"
-            rep = verify_decomposition(res.best, f, s)
+            value = oracle_at(f, s)
+            energy, lo, hi = _direction_energy(f[None], np.cos(phis), np.sin(phis), s, pair=True)
+            k = int(np.argmin(energy[0]))
+            best = float(energy[0, k])
+            assert value <= best + 1e-9 * max(1.0, best)
+            assert best - value <= 1e-4 * max(1.0, value)
+            m = np.array([math.cos(phis[k]), math.sin(phis[k])])
+            line = RankOneLine(f, m, perp(m))
+            t_lo, t_hi = float(lo[0, k]), float(hi[0, k])
+            dec = laminate_on_line(line, (t_lo, line.point(t_lo)), (t_hi, line.point(t_hi)),
+                                   best, "UpperBoundOnly")
+            rep = verify_decomposition(dec, f, s)
             assert rep.convex_combination <= 1e-10 and rep.rank_one <= 1e-10
             assert rep.manifold <= 1e-9
-            assert rep.energy_equality <= 1e-8 * max(1.0, res.value.as_float())
+            assert rep.energy_equality <= 1e-8 * max(1.0, best)
+            checked += 1
+    assert checked >= 30
 
 
 @pytest.mark.parametrize("theta", (math.pi / 4, 0.45 * math.pi))
@@ -664,17 +677,15 @@ def test_every_n_dirs_rescans_only_the_uncertified_cells(n_dirs):
     s = SlipSystem.from_theta(0.3 * math.pi, 0.5)
     rng = np.random.default_rng(51)
     fs = np.array([random_det1(rng, spread=2.0) for _ in range(40)])
-    batch = _oracle(fs, s, n_dirs, DEFAULT_TOL)
+    got = oracle(fs, s, n_dirs, DEFAULT_TOL)
     cells = _prepare(fs, s)
-    _, phi = _coarse_scan(cells, s, _laminate_angles(s))
     value, dual = oracle_dual(fs, s, n_dirs=None)
     with np.errstate(invalid="ignore"):
         done = value - dual <= _CERTIFY_RTOL * np.maximum(1.0, value)
     assert 0 < np.count_nonzero(done) < len(fs)
-    full, phi_full = _scan(cells, s, n_dirs)
+    full, _ = _scan(cells, s, n_dirs)
     lower = ~done & (full < value)
-    assert np.array_equal(batch.value, np.where(lower, full, value))
-    assert np.array_equal(batch.phi_best, np.where(lower, phi_full, phi))
+    assert np.array_equal(got, np.where(lower, full, value))
 
 
 @pytest.mark.parametrize("dual, rescanned", ((-np.inf, True), (np.inf, False)))
@@ -686,11 +697,13 @@ def test_the_dual_alone_decides_the_rescan(monkeypatch, dual, rescanned):
     rng = np.random.default_rng(52)
     fs = np.array([random_det1(rng, spread=2.0) for _ in range(40)])
     cells = _prepare(fs, s)
-    batch = _oracle(fs, s, 180, DEFAULT_TOL)
+    got = oracle(fs, s, 180, DEFAULT_TOL)
     four, _ = _coarse_scan(cells, s, _laminate_angles(s))
     full, _ = _scan(cells, s, 180)
+    single = w_on_manifold(slip_state(fs[:, 0, 0], fs[:, 0, 1], fs[:, 1, 0], fs[:, 1, 1], s),
+                           DEFAULT_TOL)
     expect = np.minimum(four, full) if rescanned else four
-    assert np.array_equal(batch.value, np.minimum(expect, batch.single))
+    assert np.array_equal(got, np.minimum(expect, single))
 
 
 def test_laminate_angles_are_the_lines_of_decompose():
@@ -739,16 +752,27 @@ def test_few_cells_reach_the_full_scan(monkeypatch, theta):
     assert sum(rows) <= 0.01 * np.count_nonzero(~res.skipped)
 
 
-def test_the_oracle_does_not_import_numpy_ma():
-    # numpy.ma (imported by np.unique, among others) costs about 1 MB of peak
-    # memory; the oracle does without it
-    code = ("import math, sys\n"
-            "from lamlab.energy import SlipSystem\n"
-            "from lamlab.envelope_oracle import envelope_scan\n"
-            "envelope_scan(SlipSystem.from_theta(0.3 * math.pi, 0.5), 3.0, 15, 90)\n"
-            "assert 'numpy.ma' not in sys.modules, 'numpy.ma was imported'\n")
+def run_fresh(code):
+    """Run `code` in a fresh interpreter that imports this lamlab."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(lamlab.__file__)))
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     res = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
                          capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
+
+
+def test_the_oracle_does_not_import_numpy_ma():
+    # numpy.ma (imported by np.unique, among others) costs about 1 MB of peak
+    # memory; the oracle does without it
+    run_fresh("import math, sys\n"
+              "from lamlab.energy import SlipSystem\n"
+              "from lamlab.envelope_oracle import envelope_scan\n"
+              "envelope_scan(SlipSystem.from_theta(0.3 * math.pi, 0.5), 3.0, 15, 90)\n"
+              "assert 'numpy.ma' not in sys.modules, 'numpy.ma was imported'\n")
+
+
+def test_the_oracle_does_not_import_the_laminates_it_certifies():
+    # the oracle checks decompose's laminates, so it must not be built on them
+    run_fresh("import sys\n"
+              "import lamlab.envelope_oracle\n"
+              "assert 'lamlab.laminate' not in sys.modules, 'lamlab.laminate was imported'\n")

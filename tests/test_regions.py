@@ -1,18 +1,19 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from lamlab.algebra import bc_to_matrix, perp, rotation
-from lamlab.energy import (DEFAULT_TOL, INFINITE, Bounds, ExtendedEnergy, Known, SlipSystem,
-                           off_manifold, slip_state, w_condensed, w_hom, w_hom_arrays)
-from lamlab.envelope_oracle import envelope_scan, wlc_numeric
-from lamlab.errors import OffManifold, PreconditionError
+from lamlab.algebra import bc_to_matrix, perp
+from lamlab.energy import (DEFAULT_TOL, Bounds, ExtendedEnergy, Known, SlipSystem, off_manifold,
+                           slip_state, w_condensed, w_hom, w_hom_arrays)
+from lamlab.envelope_oracle import envelope_scan, oracle
+from lamlab.errors import BranchDisagreement, OffManifold, PreconditionError
 from lamlab.laminate import decompose
-from lamlab.regions import (TAGS, RegionLabel, adjacent_tags, classify, classify_arrays,
-                            region_map)
+from lamlab.regions import (_BLOCK_CELLS, TAGS, RegionLabel, adjacent_tags, classify,
+                            classify_arrays, region_map)
 
-from references import random_det1
+from references import INFINITE, cell_energy, cell_label, random_det1, rotation
 
 ORTHO = SlipSystem.orthogonal(v1=(1.0, 0.0))
 GENERAL = SlipSystem.from_theta(math.pi / 3, 0.5)
@@ -83,9 +84,9 @@ def test_impossible_combination_reports_boundary():
 def test_region_map_single_cell_and_shapes():
     grid = region_map(ORTHO, 3.0, 1)
     assert len(grid) == 1
-    assert grid.label(0).tag == "SO2"
-    assert isinstance(grid.energy(0), Known)
-    assert grid.energy(0).value.value == pytest.approx(0.0)
+    assert cell_label(grid, 0).tag == "SO2"
+    assert isinstance(cell_energy(grid, 0), Known)
+    assert cell_energy(grid, 0).value.value == pytest.approx(0.0)
     assert grid.fs.shape == (1, 2, 2)
     with pytest.raises(PreconditionError):
         region_map(ORTHO, 3.0, 0)
@@ -95,7 +96,7 @@ def test_region_map_orthogonal_has_no_double_compression():
     grid = region_map(ORTHO, 3.0, 41)
     assert all(tag != "N1capN2" for tag in grid.tags)
     # orthogonal envelope is closed-form everywhere on the manifold
-    assert all(isinstance(grid.energy(k), Known) for k in range(len(grid)))
+    assert all(isinstance(cell_energy(grid, k), Known) for k in range(len(grid)))
 
 
 def test_region_map_general_structure():
@@ -103,7 +104,7 @@ def test_region_map_general_structure():
     tags = set(grid.tags)
     assert {"A", "APerp", "N1only", "N2only"} <= tags
     for k, tag in enumerate(grid.tags):
-        energy = grid.energy(k)
+        energy = cell_energy(grid, k)
         if tag in ("A", "APerp", "N1capN2", "SO2", "M1", "M2"):
             assert isinstance(energy, Known)
         elif tag in ("N1only", "N2only"):
@@ -129,8 +130,8 @@ def assert_grid_matches_scalar(s, bc_range, n, tol):
     for k, (b, c) in enumerate(zip(grid.b.tolist(), grid.c.tolist())):
         f = bc_to_matrix(b, c)
         assert np.array_equal(grid.fs[k], f)
-        assert grid.label(k) == classify(f, s, tol), (b, c)
-        assert same_record(grid.energy(k), w_hom(f, s, tol)), (b, c)
+        assert cell_label(grid, k) == classify(f, s, tol), (b, c)
+        assert same_record(cell_energy(grid, k), w_hom(f, s, tol)), (b, c)
     return grid
 
 
@@ -147,6 +148,48 @@ def test_region_map_equals_scalar_api_with_boundary_cells(theta):
     s = SlipSystem.from_theta(theta, 0.5)
     grid = assert_grid_matches_scalar(s, 3.0, 61, 1e-2)
     assert np.count_nonzero(grid.boundary) > 0
+
+
+def test_region_map_raises_at_the_first_disagreeing_cell_of_any_block():
+    # the grid runs in blocks of _BLOCK_CELLS cells; its BranchDisagreement
+    # names the first cell in row-major order where the scalar w_hom raises,
+    # here in the second of three blocks, where two cells fail
+    s = SlipSystem.from_theta(0.45 * math.pi, 0.5)
+    n = 101
+    grid = region_map(s, 3.0, n, 1e-2)  # the same cells at a tolerance that passes
+    assert len(grid) > _BLOCK_CELLS
+    first = None
+    for k, (b, c) in enumerate(zip(grid.b.tolist(), grid.c.tolist())):
+        try:
+            w_hom(bc_to_matrix(b, c), s, 5e-2)
+        except BranchDisagreement as exc:
+            first = (k, str(exc))
+            break
+    assert first is not None and first[0] >= _BLOCK_CELLS
+    with pytest.raises(BranchDisagreement) as raised:
+        region_map(s, 3.0, n, 5e-2)
+    assert str(raised.value) == first[1]
+
+
+def test_region_map_working_memory_does_not_grow_with_cells():
+    # beyond its output arrays a grid holds one block's temporaries, however
+    # many cells it has (one pass over a 181^2 grid held ~7 MB more)
+    s = SlipSystem.from_theta(0.3 * math.pi, 0.5)
+    region_map(s, 3.0, 3)
+
+    def overhead(n):
+        tracemalloc.start()
+        try:
+            grid = region_map(s, 3.0, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return peak - sum(getattr(grid, name).nbytes for name in
+                          ("b", "c", "code", "boundary", "whom", "lower", "upper"))
+
+    one_block = overhead(64)
+    assert 64 * 64 == _BLOCK_CELLS
+    assert overhead(181) - one_block < one_block / 2
 
 
 def near_boundary_stack(rng, s, count):
@@ -205,7 +248,7 @@ def test_nonfinite_matrix_is_off_manifold(theta, f):
     with pytest.raises(OffManifold):
         decompose(f, s)
     with pytest.raises(OffManifold):
-        wlc_numeric(f, s)
+        oracle(f[None], s)
 
 
 # det exactly 1 (or within rounding of it), but |F|^2 overflows to inf
@@ -224,7 +267,7 @@ def test_overflowing_frobenius_norm_is_off_manifold(theta, f):
     with pytest.raises(OffManifold, match="overflows"):
         decompose(f, s)
     with pytest.raises(OffManifold):
-        wlc_numeric(f, s, n_dirs=8)
+        oracle(f[None], s, n_dirs=8)
     # the array path of region_map and the oracle reads the same test
     fs = np.stack([np.eye(2), f])
     with np.errstate(over="ignore", invalid="ignore"):
