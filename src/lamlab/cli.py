@@ -66,6 +66,23 @@ class Settings:
     n_dirs: int
 
 
+def _config_float(value, key: str) -> float:
+    """float(value) of the config entry `key`; a ValueError that names the
+    key for a string that is not a number."""
+    try:
+        return float(value)
+    except ValueError:
+        raise ValueError(f"config: {key}: {value!r} is not a number") from None
+
+
+def _config_vector(value, key: str):
+    """A config slip vector with each string in it read by _config_float;
+    the other entries are left to SlipSystem's shape and frame checks."""
+    if isinstance(value, list):
+        return [_config_vector(entry, key) for entry in value]
+    return _config_float(value, key) if isinstance(value, str) else value
+
+
 def read_settings(args) -> Settings:
     """DEFAULTS <- the JSON config file <- the flags, checked.
 
@@ -93,15 +110,16 @@ def read_settings(args) -> Settings:
         flat["oracle"] = {"n_dirs": args.n_dirs}
     cfg = _merge(cfg, flat)
     try:
-        slip, lam = cfg["slip"], float(cfg["lambda"])
+        slip, lam = cfg["slip"], _config_float(cfg["lambda"], "lambda")
         if "v1" in slip and "v2" in slip:
-            s = SlipSystem.from_vectors(slip["v1"], slip["v2"], lam)
+            s = SlipSystem.from_vectors(_config_vector(slip["v1"], "slip.v1"),
+                                        _config_vector(slip["v2"], "slip.v2"), lam)
         else:
-            s = SlipSystem.from_theta(float(slip["theta"]), lam)
-        tol = float(cfg["tolerances"]["manifold"])
-        bc_range = float(cfg["grid"]["range"])
-        n = float(cfg["grid"]["n"])
-        n_dirs = float(cfg["oracle"]["n_dirs"])
+            s = SlipSystem.from_theta(_config_float(slip["theta"], "slip.theta"), lam)
+        tol = _config_float(cfg["tolerances"]["manifold"], "tolerances.manifold")
+        bc_range = _config_float(cfg["grid"]["range"], "grid.range")
+        n = _config_float(cfg["grid"]["n"], "grid.n")
+        n_dirs = _config_float(cfg["oracle"]["n_dirs"], "oracle.n_dirs")
     except (LamlabError, TypeError) as exc:
         raise ValueError(f"config: {exc}") from None
     # comparisons with nan are false, so each check also rejects nan

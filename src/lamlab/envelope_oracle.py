@@ -521,8 +521,9 @@ class EnvelopeScan:
 
     Boundary-band and off-manifold cells are skipped: nan in every column
     below.  `closed` is the Known envelope value (nan on Bounds cells),
-    `discrepancy` = |oracle - closed| on Known cells, and `slack_lo` =
-    oracle - lower, `slack_hi` = upper - oracle on Bounds cells.
+    `discrepancy` = |oracle - closed| on Known cells (0 where both are the
+    same infinity), and `slack_lo` = oracle - lower, `slack_hi` = upper -
+    oracle on Bounds cells.
     """
 
     grid: RegionMap
@@ -549,5 +550,6 @@ def envelope_scan(s: SlipSystem, bc_range: float, n: int, n_dirs: int = DEFAULT_
     closed = np.where(skipped, np.nan, grid.whom)
     with np.errstate(invalid="ignore"):
         return EnvelopeScan(grid=grid, skipped=skipped, closed=closed, oracle=values,
-                            discrepancy=np.abs(values - closed),
+                            discrepancy=np.where(values == closed, 0.0,
+                                                 np.abs(values - closed)),
                             slack_lo=values - grid.lower, slack_hi=grid.upper - values)

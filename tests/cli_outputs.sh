@@ -113,17 +113,16 @@ for range in 0:1 0:1:2:3 0:1:1e3 0:1:-1; do
 done
 run homogenize homogenize --gamma-bands=0.2:0.3,-0.5:0.6,0.4:1 --eps-list 1/8,1/16,1/32 \
     --out "$out/homogenize.csv"
-# eps = 1/128 runs at the 4096^2 grid cap; 1/3 and 1/5 put no two soft rows
-# at the same height within their layer periods
+# eps = 1/128 runs at the 4096^2 grid cap; 1/3 and 1/5 are layer periods
+# that no float holds exactly
 run homogenize-cap homogenize --gamma-bands=0.2:0.3,-0.5:0.6,0.4:1 --eps-list 1/64,1/128 \
     --out "$out/homogenize-cap.csv"
 run homogenize-non-dyadic homogenize --gamma-bands=0.2:0.3,-0.5:0.6,0.4:1 --eps-list 1/3,1/5 \
     --out "$out/homogenize-non-dyadic.csv"
-# one band at the grid cap: its raster and interface count span several
-# blocks of the element budget
+# one band at the grid cap: its soft layers reach every column
 run homogenize-single-fine homogenize --gamma-bands=0.4:1 --eps-list 1/32,1/64 \
     --out "$out/homogenize-single-fine.csv"
-# eps = 1/100 at the 4096^2 cap: 2,048 soft rows at 1,104 distinct heights
+# eps = 1/100 at the 4096^2 cap: a layer period of 40.96 grid rows
 run homogenize-non-dyadic-cap homogenize --gamma-bands=0.2:0.3,-0.5:0.6,0.4:1 --eps-list 1/100 \
     --out "$out/homogenize-non-dyadic-cap.csv"
 # the quotient cells-per-feature / finest feature overflows: a clean error, exit 3
@@ -170,3 +169,11 @@ run usage-number-hlam homogenize --gamma-bands=0.4:1 --eps-list 1/4 --hlam x \
 run usage-number-bc classify --bc=x,0
 run usage-number-matrix classify --matrix=1,0,0,x
 run usage-number-gamma-range whomgamma --gamma-range=0:x:3 --out "$out/usage-number-gamma-range.csv"
+# a config value that is not a number names its key
+i=0
+for config in '{"lambda": "x"}' '{"grid": {"n": "x"}}' '{"tolerances": {"manifold": "x"}}' \
+              '{"slip": {"v1": ["x", 0], "v2": [0, 1]}}'; do
+    i=$((i + 1))
+    printf '%s\n' "$config" >"$out/config-number-$i.json"
+    run "usage-config-number-$i" --config "$out/config-number-$i.json" classify --bc=0,0
+done

@@ -224,12 +224,13 @@ def test_overflowing_envelope_value_exit_code(capsys):
     ("regionmap", "b,c,region,boundary,whom,lower,upper",
      "3.3333333333333337e+153,0,APerp,,inf,,"),
     ("verify-envelope", "b,c,region,closed,oracle,discrepancy,slack_lo,slack_hi",
-     "3.3333333333333337e+153,0,APerp,inf,inf,,,"),
+     "3.3333333333333337e+153,0,APerp,inf,inf,0,,"),
 ], ids=["regionmap", "verify-envelope"])
 def test_grid_past_the_float_range_writes_inf(command, header, cell, tmp_path, capsys):
     # one cell of this grid has a finite |F|^2 and a closed-form value past
     # the float range: the grid writes it inf, as whomgamma does, where it
-    # exited 3; classify of that matrix still exits 3
+    # exited 3, and a certified inf has discrepancy 0, not the empty field of
+    # a skipped cell; classify of that matrix still exits 3
     out = tmp_path / "grid.csv"
     argv = ["--theta", "1.413716694115407", "--range", "5e153", "--n", "3"]
     with warnings.catch_warnings():
@@ -375,17 +376,24 @@ def test_homogenize_csv(tmp_path):
     assert len(lines) == 3
 
 
-def test_homogenize_band_limit(tmp_path, capsys):
-    # 16,400 bands overflow the int16 label rows (band k writes label 2k + 2);
-    # the option is too long for a command line, so main runs in-process
+def test_homogenize_band_limit(tmp_path):
+    # 16,400 bands score as any others; the option is too long for a
+    # command line, so main runs in-process.  All bands but the last lie
+    # within the first layer period and snap to none of its columns
     n = 16399
     bands = ",".join(f"0.4:{(k + 1) / (4 * (n + 1))!r}" for k in range(n)) + ",0.4:1"
     out = tmp_path / "sweep.csv"
     code = main(["homogenize", f"--gamma-bands={bands}", "--eps-list", "1/4",
                  "--out", str(out)])
-    assert code == 3
-    assert capsys.readouterr().err.startswith("error: 16400 bands")
-    assert not out.exists()
+    assert code == 0
+    header, row, end = out.read_text().split("\n")
+    assert (header, end) == ("epsilon,hlam,e_eps,target,rel_error,flagged_area", "")
+    eps, _, e_eps, target, _, _ = map(float, row.split(","))
+    s = SlipSystem.from_theta(math.pi / 4, 0.5)
+    whom = w_hom(np.array([[1.0, 0.4 / 0.5], [0.0, 1.0]]), s).value.as_float()
+    assert eps == 0.25
+    assert target == pytest.approx(0.5 * whom, rel=1e-12)
+    assert e_eps == pytest.approx(0.75 * 0.5 * whom, rel=1e-12)
 
 
 @pytest.mark.parametrize("flags", (["--eps-list", "1e-310"],
@@ -757,6 +765,38 @@ def test_bad_config_is_usage_error(tmp_path):
                   ["--eps-list", "1/4", "--cells-per-feature", "0"],
                   ["--eps-list", "1/4", "--cells-per-feature", "3"]):
         assert main([*sweep, *flags]) == 2, flags
+
+
+@pytest.mark.parametrize("config,key,value", [
+    ({"lambda": "x"}, "lambda", "x"),
+    ({"grid": {"n": "x"}}, "grid.n", "x"),
+    ({"grid": {"range": "3 cm"}}, "grid.range", "3 cm"),
+    ({"tolerances": {"manifold": "x"}}, "tolerances.manifold", "x"),
+    ({"oracle": {"n_dirs": ""}}, "oracle.n_dirs", ""),
+    ({"slip": {"theta": "x"}}, "slip.theta", "x"),
+    ({"slip": {"v1": ["x", 0], "v2": [0, 1]}}, "slip.v1", "x"),
+    ({"slip": {"v1": [1, 0], "v2": [0, "y"]}}, "slip.v2", "y"),
+], ids=["lambda", "grid.n", "grid.range", "tolerances.manifold", "oracle.n_dirs",
+        "slip.theta", "slip.v1", "slip.v2"])
+def test_config_non_number_names_its_key(config, key, value, tmp_path, capsys):
+    # a string that is not a number exits 2 naming the file's key, where
+    # Python's float() message named neither the file nor the key
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    for command in (["classify", "--bc=0,0"], ["regionmap", "--out", str(tmp_path / "m.csv")]):
+        assert main(["--config", str(path), *command]) == 2
+        assert capsys.readouterr().err == f"error: config: {key}: {value!r} is not a number\n"
+    assert not (tmp_path / "m.csv").exists()
+
+
+def test_config_numeric_strings_are_read(tmp_path):
+    # a number spelt as a string is read as before
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"lambda": "0.25", "grid": {"n": "7"},
+                                "slip": {"v1": ["1", 0], "v2": [0, "1.0"]}}))
+    cfg = cli.read_settings(cli.build_parser().parse_args(["--config", str(path), "classify"]))
+    assert (cfg.slip.lam, cfg.n, cfg.slip.v1.tolist(), cfg.slip.v2.tolist()) == (
+        0.25, 7, [1.0, 0.0], [0.0, 1.0])
 
 
 @pytest.mark.parametrize("argv,message", [

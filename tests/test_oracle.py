@@ -248,6 +248,18 @@ def test_scan_rows_and_known_agreement():
         assert scan.closed[k] == pytest.approx(ref)
 
 
+def test_scan_discrepancy_of_a_certified_infinity_is_zero():
+    # the APerp cell (3.33e153, 0) has a finite |F|^2 and a closed form and
+    # oracle value both past the float range: a discrepancy of 0, not the
+    # nan of a skipped cell
+    scan = envelope_scan(SlipSystem.from_theta(1.413716694115407, 0.5), 5e153, 3)
+    both_inf = np.isinf(scan.closed) & np.isinf(scan.oracle)
+    assert np.flatnonzero(both_inf).tolist() == [5]
+    assert scan.discrepancy[5] == 0.0
+    assert np.isnan(scan.discrepancy[scan.skipped]).all()
+    assert not np.isnan(scan.discrepancy[~scan.skipped & ~np.isnan(scan.closed)]).any()
+
+
 def test_scan_bounds_cells_general():
     s = SlipSystem.from_theta(math.pi / 3, 0.5)
     scan = envelope_scan(s, 2.0, 15, n_dirs=240)
