@@ -20,12 +20,12 @@ import numpy as np
 
 from .algebra import bc_to_matrix
 from .energy import (DEFAULT_TOL, Bounds, Known, SlipSystem, h, h_perp, h_perp_star, h_star,
-                     matrix_state, slip_state, w_hom, w_hom_arrays)
-from .envelope_oracle import DEFAULT_N_DIRS, envelope_scan
+                     slip_state, w_hom, w_hom_arrays)
+from .envelope_oracle import DEFAULT_N_DIRS, MAX_N_DIRS, envelope_scan
 from .errors import LamlabError, PreconditionError
-from .homogenize import run_sweep
+from .homogenize import DOMAIN_SIDE, EDGE_TOL, run_sweep
 from .laminate import decompose, verify_decomposition
-from .regions import adjacent_tags, classify_arrays, region_label, region_map
+from .regions import adjacent_tags, classify, region_map
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -133,6 +133,9 @@ def read_settings(args) -> Settings:
         raise ValueError(f"config: the grid resolution must be at most {math.isqrt(MAX_ROWS)}")
     if not (8.0 <= n_dirs < math.inf and n_dirs == int(n_dirs)):
         raise ValueError("config: the oracle direction count must be an integer >= 8")
+    if n_dirs > MAX_N_DIRS:
+        raise ValueError(f"config: the oracle direction count must be an integer from 8 to "
+                         f"{MAX_N_DIRS}")
     return Settings(s, tol, bc_range, int(n), int(n_dirs))
 
 
@@ -254,9 +257,7 @@ def _write_csv(path: str, columns: dict) -> None:
 
 def cmd_classify(args, cfg: Settings) -> int:
     f = _matrix_from_args(args)
-    # one slip state for the label and the envelope value: w_hom reads the one
-    # that matrix_state keeps
-    label = region_label(*classify_arrays(matrix_state(f, cfg.slip), cfg.tol))
+    label = classify(f, cfg.slip, cfg.tol)
     # on Python floats: past the float range the residual is inf or nan, with no warning
     (a, b), (c, d) = f.tolist()
     residual = abs(a * d - b * c - 1.0)
@@ -333,10 +334,16 @@ def cmd_homogenize(args, cfg: Settings) -> int:
         # the soft layers carry the shear gamma / lambda
         if not math.isfinite(bands[-1][0] / cfg.slip.lam):
             raise ValueError(f"--gamma-bands: band {chunk!r}: gamma / lambda is not finite")
+    # the layout MicrostructureSpec requires, checked here as a usage error
+    edges = [edge for _, edge in bands]
+    if any(b <= a for a, b in zip([0.0] + edges[:-1], edges)):
+        raise ValueError("--gamma-bands: the right edges must increase strictly from above 0")
+    if abs(edges[-1] - DOMAIN_SIDE) > EDGE_TOL:
+        raise ValueError(f"--gamma-bands: the last right edge must be {DOMAIN_SIDE:g}")
     eps_list = [_parse_number(tok, "--eps-list") for tok in args.eps_list.split(",")]
     hlam = _parse_number(args.hlam, "--hlam")
-    if not all(eps > 0.0 for eps in eps_list):
-        raise ValueError("--eps-list entries must be positive")
+    if not all(0.0 < eps <= DOMAIN_SIDE for eps in eps_list):
+        raise ValueError(f"--eps-list entries must lie in (0, {DOMAIN_SIDE:g}]")
     if not hlam > 0.0:
         raise ValueError("--hlam must be positive")
     if args.cells_per_feature < 4:

@@ -15,17 +15,19 @@ One NumPy kernel evaluates a stack of matrices against their directions, in
 three parts: the per-matrix factors (`_prepare`), the per-direction factors
 (`_directions`) and the per-pair core (`_core`), which writes into buffers
 its caller owns (`_Workspace`).  The grid scan prepares every certified cell
-once; one direction scan (`_coarse_scan`), in chunks of fixed size through
-one reused workspace, serves the four laminate directions, the rescan and
-each level of its zoom.  `_direction_energy` composes the three parts for a
-single call.  `oracle` is the one entry point, on a stack of matrices: one
-matrix is `oracle(f[None], s)[0]`.
+once; one `_core` call per block of the dual bound serves the four laminate
+directions and the dual's laminates, and one direction scan (`_coarse_scan`),
+in chunks through one reused workspace, the rescan and each level of its
+zoom.  `_direction_energy` composes the three parts for a single call.
+`oracle` is the one entry point, on a stack of matrices: one matrix is
+`oracle(f[None], s)[0]`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral
 from typing import NamedTuple
 
 import numpy as np
@@ -48,14 +50,15 @@ _ROOT_EPS = 1e-13
 _ZOOM = 16
 _REFINE_WIDTH = 1e-8
 
-# Cell x direction elements per coarse-scan chunk (16 cells at 720 directions,
-# 2880 at the four laminate directions, one cell and a span of as many
-# directions beyond them), so that --n-dirs cannot grow the working set.  With
-# every cell of a 61^2 grid scanned at 720 directions (2-vCPU Xeon VM, NumPy
-# 2.4.6), 16 to 128 cells per chunk lay within 12 % of each other in oracle
-# time, less than the spread between sets of runs, 256 cells 24-37 % above
-# 16, and peak RSS grew from 32.1 MB at 16 cells to 48.0 MB at 256.
+# Cell x direction elements per coarse-scan chunk: 16 cells at 720 directions,
+# one cell at MAX_N_DIRS, the most directions a scan takes, so that --n-dirs
+# cannot grow the working set.  With every cell of a 61^2 grid scanned at 720
+# directions (2-vCPU Xeon VM, NumPy 2.4.6), 16 to 128 cells per chunk lay
+# within 12 % of each other in oracle time, less than the spread between sets
+# of runs, 256 cells 24-37 % above 16, and peak RSS grew from 32.1 MB at 16
+# cells to 48.0 MB at 256.
 _CHUNK_ELEMENTS = 16 * 720
+MAX_N_DIRS = _CHUNK_ELEMENTS
 
 # The relative gap to the dual bound within which a value stands without the
 # n_dirs scan, and the cells per block of the dual bound.  A block pays ~100
@@ -164,8 +167,8 @@ class _Workspace(NamedTuple):
         floats = np.empty((len(_Workspace._fields) - 1,) + shape)
         return _Workspace(*floats, np.empty(shape, dtype=bool))
 
-    def block(self, n: int, k: int) -> "_Workspace":
-        return _Workspace(*(x[:n, :k] for x in self))
+    def block(self, n: int) -> "_Workspace":
+        return _Workspace(*(x[:n] for x in self))
 
 
 def _nearest(neg, pos, t, mask):
@@ -253,44 +256,33 @@ def _direction_energy(fs: np.ndarray, cos, sin, s: SlipSystem, pair: bool = Fals
     return ws.energy
 
 
-def _coarse_scan(cells: _Cells, s: SlipSystem, directions):
-    """The best of `directions` per matrix, as (energy, phi): a count n of the
-    uniformly spaced angles k pi / n on [0, pi), an array of angles shared by
-    every matrix, or an [N, K] table of them, one row per matrix.
+def _coarse_scan(cells: _Cells, s: SlipSystem, phis):
+    """The best of the angles `phis` per matrix, as (energy, phi): a row of
+    angles shared by every matrix, or an [N, K] table of them, one row per
+    matrix.
 
-    The scan runs in blocks of at most _CHUNK_ELEMENTS cell x direction
-    elements, all in one workspace: as many cells as fit against every
-    direction, or, beyond _CHUNK_ELEMENTS directions, one cell at a time
-    against one span of directions.  A shared span's direction factors are
-    formed once, a table's per block.  The first span sets every best; a
-    later one replaces it only where it is strictly lower, so ties keep the
-    first direction, as argmin does.
+    The scan runs in chunks of as many cells as fit against every angle in
+    _CHUNK_ELEMENTS cell x direction elements (at least one cell), all in one
+    workspace, and each cell takes the argmin of its row: ties keep the first
+    angle.  A shared row's direction factors are formed once, a table's per
+    chunk.
     """
-    uniform = np.ndim(directions) == 0
-    n_dirs = int(directions) if uniform else np.shape(directions)[-1]
-    n = len(cells.w0)
-    width = min(n_dirs, _CHUNK_ELEMENTS)
-    chunk = max(1, _CHUNK_ELEMENTS // n_dirs)
-    coarse, phi_coarse = np.full(n, np.inf), np.zeros(n)
-    work = _Workspace.of((min(chunk, n), width))
-    for first in range(0, n_dirs, width):
-        stop = min(first + width, n_dirs)
-        span = (np.arange(first, stop)[None] * (math.pi / n_dirs) if uniform
-                else np.atleast_2d(directions)[:, first:stop])
-        shared = _directions(np.cos(span), np.sin(span), s) if len(span) == 1 else None
-        for start in range(0, n, chunk):
-            part = slice(start, min(start + chunk, n))
-            phis = span if shared else span[part]
-            ws = work.block(part.stop - start, stop - first)
-            _core(cells.rows(part), shared or _directions(np.cos(phis), np.sin(phis), s), ws)
-            i_best = np.argmin(ws.energy, axis=1)
-            k = np.arange(len(i_best))
-            best = ws.energy[k, i_best]
-            lower = (best < coarse[part]) | (first == 0)
-            coarse[part] = np.where(lower, best, coarse[part])
-            phi_coarse[part] = np.where(lower, np.broadcast_to(phis, ws.energy.shape)[k, i_best],
-                                        phi_coarse[part])
-    return coarse, phi_coarse
+    phis = np.atleast_2d(phis)
+    n, k_dirs = len(cells.w0), phis.shape[1]
+    chunk = max(1, _CHUNK_ELEMENTS // k_dirs)
+    shared = _directions(np.cos(phis), np.sin(phis), s) if len(phis) == 1 else None
+    energy, phi = np.empty(n), np.empty(n)
+    work = _Workspace.of((min(chunk, n), k_dirs))
+    for start in range(0, n, chunk):
+        part = slice(start, min(start + chunk, n))
+        rows = phis if shared else phis[part]
+        ws = work.block(part.stop - start)
+        _core(cells.rows(part), shared or _directions(np.cos(rows), np.sin(rows), s), ws)
+        i_best = np.argmin(ws.energy, axis=1)
+        k = np.arange(len(i_best))
+        energy[part] = ws.energy[k, i_best]
+        phi[part] = np.broadcast_to(rows, ws.energy.shape)[k, i_best]
+    return energy, phi
 
 
 def _laminate_angles(s: SlipSystem) -> np.ndarray:
@@ -311,7 +303,7 @@ def _scan(cells: _Cells, s: SlipSystem, n_dirs: int):
     levels after 720 directions).  Every level contains its centre, so its
     best is never above the one before.
     """
-    energy, phi = _coarse_scan(cells, s, n_dirs)
+    energy, phi = _coarse_scan(cells, s, np.arange(n_dirs) * (math.pi / n_dirs))
     steps = np.arange(-(_ZOOM // 2), _ZOOM // 2 + 1)
     half = math.pi / n_dirs
     while half > _REFINE_WIDTH:
@@ -456,30 +448,6 @@ def dual_lower(fs: np.ndarray, f_minus: np.ndarray, f_plus: np.ndarray,
     return (b * fs.reshape(n, 4).T).sum(axis=0) + _inner_min(b, s)
 
 
-def _endpoints(fs: np.ndarray, cells: _Cells, s: SlipSystem, phi: np.ndarray,
-               point: np.ndarray):
-    """The laminate endpoints F (I + t m (x) m_perp) at the nearest roots of
-    direction phi, or F itself where `point` is set or no pair exists."""
-    ws = _Workspace.of((len(fs), 1))
-    _core(cells, _directions(np.cos(phi)[:, None], np.sin(phi)[:, None], s), ws)
-    fm = np.stack([ws.fm0, ws.fm1], axis=1)                        # [N, 2, 1]
-    mp = np.stack([-np.sin(phi), np.cos(phi)], axis=1)[:, None]    # [N, 1, 2]
-    keep = (ws.ok & ~point[:, None])[:, :, None]
-    return tuple(fs + np.where(keep, t[:, :, None], 0.0) * fm * mp for t in (ws.neg, ws.pos))
-
-
-def _scan_dual(fs: np.ndarray, cells: _Cells, s: SlipSystem, phi: np.ndarray,
-               point: np.ndarray) -> np.ndarray:
-    """`dual_lower` at the laminates of the directions phi (at F itself where
-    `point` is set), in blocks of _DUAL_CELLS cells."""
-    dual = np.empty(len(fs))
-    for start in range(0, len(fs), _DUAL_CELLS):
-        part = slice(start, start + _DUAL_CELLS)
-        ends = _endpoints(fs[part], cells.rows(part), s, phi[part], point[part])
-        dual[part] = dual_lower(fs[part], *ends, s)
-    return dual
-
-
 def oracle(fs: np.ndarray, s: SlipSystem, n_dirs: int = DEFAULT_N_DIRS,
            tol: float = DEFAULT_TOL) -> np.ndarray:
     """Numeric lamination envelope of a stack of unit-determinant matrices
@@ -489,11 +457,14 @@ def oracle(fs: np.ndarray, s: SlipSystem, n_dirs: int = DEFAULT_N_DIRS,
     (`_laminate_angles`), without refinement, and takes the single-point
     candidate W(F) where it lies on a slip manifold.  A matrix whose value
     the dual bound at the best of them meets within _CERTIFY_RTOL is done;
-    the others get the scan of n_dirs uniformly spaced directions on
-    [0, pi) with its refinement (`_scan`) and keep the smaller value.
+    the others get the scan of n_dirs (8 to MAX_N_DIRS) uniformly spaced
+    directions on [0, pi) with its refinement (`_scan`) and keep the
+    smaller value.
     """
-    if n_dirs < 8:
-        raise PreconditionError("the direction grid needs at least 8 points")
+    # bools fail the range as well
+    if not (isinstance(n_dirs, Integral) and 8 <= n_dirs <= MAX_N_DIRS):
+        raise PreconditionError(f"the direction count must be an integer from 8 to "
+                                f"{MAX_N_DIRS}, not {n_dirs!r}")
     with np.errstate(invalid="ignore", over="ignore"):
         st = slip_state(fs[:, 0, 0], fs[:, 0, 1], fs[:, 1, 0], fs[:, 1, 1], s)
     if np.any(off_manifold(st, tol)):
@@ -501,10 +472,29 @@ def oracle(fs: np.ndarray, s: SlipSystem, n_dirs: int = DEFAULT_N_DIRS,
 
     cells = _prepare(fs, s)
     single = w_on_manifold(st, tol)
-    scanned, phi = _coarse_scan(cells, s, _laminate_angles(s))
-    value = np.minimum(scanned, single)
+    angles = _laminate_angles(s)
+    four = _directions(np.cos(angles), np.sin(angles), s)
+    value, dual = np.empty(len(fs)), np.empty(len(fs))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        dual = _scan_dual(fs, cells, s, phi, single <= scanned)
+        for start in range(0, len(fs), _DUAL_CELLS):
+            part = slice(start, start + _DUAL_CELLS)
+            f = fs[part]
+            # dropped before dual_lower: kept, it would raise the oracle's peak
+            ws = _Workspace.of((len(f), len(angles)))
+            _core(cells.rows(part), four, ws)
+            i_best = np.argmin(ws.energy, axis=1)
+            k = np.arange(len(f))
+            scanned = ws.energy[k, i_best]
+            value[part] = np.minimum(scanned, single[part])
+            # the dual's laminate F (I + t m (x) m_perp) at the roots t of the best
+            # m, read from this call: F itself where no pair or W(F) is no worse
+            keep = (ws.ok[k, i_best] & ~(single[part] <= scanned))[:, None, None]
+            fm = np.stack([ws.fm0[k, i_best], ws.fm1[k, i_best]], axis=1)[:, :, None]
+            mp = np.stack([-four.sin[0, i_best], four.cos[0, i_best]], axis=1)[:, None]
+            ends = [f + np.where(keep, t[k, i_best][:, None, None], 0.0) * fm * mp
+                    for t in (ws.neg, ws.pos)]
+            del ws
+            dual[part] = dual_lower(f, *ends, s)
         rows = np.flatnonzero(~(value - dual <= _CERTIFY_RTOL * np.maximum(1.0, value)))
     if rows.size:
         value[rows] = np.minimum(value[rows], _scan(cells.rows(rows), s, n_dirs)[0])

@@ -24,8 +24,10 @@ from .errors import PreconditionError
 
 CELL_ENERGY_TOL = 1e-6
 
-# the side of the square domain: every microstructure fills the unit square
+# the side of the square domain: every microstructure fills the unit square,
+# and the last band edge lies within EDGE_TOL of it
 DOMAIN_SIDE = 1.0
+EDGE_TOL = 1e-12
 
 # the most cells per side of a run_sweep grid
 GRID_CAP = 4096
@@ -59,7 +61,7 @@ class MicrostructureSpec:
         if not 0.0 < self.laminate_period < math.inf:
             raise PreconditionError("laminate period fraction must be positive and finite")
         edges = [t for _, t in self.gammas]
-        if not edges or abs(edges[-1] - DOMAIN_SIDE) > 1e-12:
+        if not edges or abs(edges[-1] - DOMAIN_SIDE) > EDGE_TOL:
             raise PreconditionError("band edges must end at the domain side")
         if any(b <= a for a, b in zip([0.0] + edges[:-1], edges)):
             raise PreconditionError("band edges must be strictly increasing")

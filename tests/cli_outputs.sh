@@ -52,10 +52,9 @@ done
 run verify-envelope-0.9424777960769379-dirs8 --theta 0.9424777960769379 --range 3 --n 21 \
     --n-dirs 8 verify-envelope --out "$out/verify-envelope-0.9424777960769379-dirs8.csv"
 # direction counts of the rescan: 24 and 25; coarse-scan chunk edges: 1001
-# directions put 11 cells in a chunk, 12000 one, 11521 one cell and two
-# direction spans
+# directions put 11 cells in a chunk, 11520 (the cap) one
 for theta in 0.7853981633974483 1.413716694115407; do
-    for dirs in 24 25 1001 11521 12000; do
+    for dirs in 24 25 1001 11520; do
         run "verify-envelope-$theta-dirs$dirs" --theta "$theta" --n 9 --n-dirs "$dirs" verify-envelope \
             --out "$out/verify-envelope-$theta-dirs$dirs.csv"
     done
@@ -150,12 +149,15 @@ run config-theta-regionmap --config "$out/config-theta.json" --n 21 regionmap \
 run usage-tol --tol 0 classify --bc=0,0
 run usage-n --n 0 regionmap --out "$out/usage-n.csv"
 run usage-bc classify --bc=1,2,3
-# the CLI rejects a tolerance outside (0, inf), a direction count below 8 and
-# a nan range before the library sees them
+# the CLI rejects a tolerance outside (0, inf), a direction count outside
+# [8, 11520] and a nan range before the library sees them
 run usage-tol-nan --tol nan classify --bc=0,0
 run usage-tol-inf --tol inf classify --bc=0,0
 run usage-tol-negative --tol -1 classify --bc=0,0
 run usage-n-dirs --n-dirs 7 verify-envelope --out "$out/usage-n-dirs.csv"
+run usage-n-dirs-cap --n-dirs 11521 verify-envelope --out "$out/usage-n-dirs-cap.csv"
+run usage-n-dirs-huge --n-dirs 1000000000000000 verify-envelope \
+    --out "$out/usage-n-dirs-huge.csv"
 run usage-range-nan --range nan regionmap --out "$out/usage-range-nan.csv"
 # a malformed number names its option; a band without its edge names the form
 run usage-gamma-bands-edge homogenize --gamma-bands=0.4 --eps-list 1/4 \
@@ -169,6 +171,13 @@ run usage-number-hlam homogenize --gamma-bands=0.4:1 --eps-list 1/4 --hlam x \
 run usage-number-bc classify --bc=x,0
 run usage-number-matrix classify --matrix=1,0,0,x
 run usage-number-gamma-range whomgamma --gamma-range=0:x:3 --out "$out/usage-number-gamma-range.csv"
+# a band layout or layer period the microstructure cannot take names its option
+run usage-gamma-bands-order homogenize --gamma-bands=0.4:1,0.2:1 --eps-list 1/4 \
+    --out "$out/usage-gamma-bands-order.csv"
+run usage-gamma-bands-end homogenize --gamma-bands=0.4:0.5 --eps-list 1/4 \
+    --out "$out/usage-gamma-bands-end.csv"
+run usage-eps-list-above homogenize --gamma-bands=0.4:1 --eps-list 2 \
+    --out "$out/usage-eps-list-above.csv"
 # a config value that is not a number names its key
 i=0
 for config in '{"lambda": "x"}' '{"grid": {"n": "x"}}' '{"tolerances": {"manifold": "x"}}' \

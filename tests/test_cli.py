@@ -23,6 +23,7 @@ from lamlab.cli import (_GROUP_MIN, _WRITE_ROWS, MAX_ROWS, _format_column, _writ
                         build_parser, main,
                         read_settings)
 from lamlab.energy import SlipSystem, slip_state, w_hom, w_hom_arrays
+from lamlab.envelope_oracle import MAX_N_DIRS
 from lamlab.errors import BranchDisagreement, DomainError
 from lamlab.regions import region_map
 
@@ -462,6 +463,15 @@ MALFORMED_NUMBERS = [
      "--hlam: 'x' is not a number"),
     (["homogenize", "--gamma-bands=0.4:1", "--eps-list", "1/4", "--hlam", "inf"],
      "--hlam: 'inf' is not a finite number"),
+    # band layouts and layer periods that MicrostructureSpec would reject
+    (["homogenize", "--gamma-bands=0.4:1,0.2:1", "--eps-list", "1/4"],
+     "--gamma-bands: the right edges must increase strictly from above 0"),
+    (["homogenize", "--gamma-bands=0.4:0,0.2:1", "--eps-list", "1/4"],
+     "--gamma-bands: the right edges must increase strictly from above 0"),
+    (["homogenize", "--gamma-bands=0.4:0.5", "--eps-list", "1/4"],
+     "--gamma-bands: the last right edge must be 1"),
+    (["homogenize", "--gamma-bands=0.4:1", "--eps-list", "1/4,2"],
+     "--eps-list entries must lie in (0, 1]"),
     (["classify", "--bc=x,0"], "--bc: 'x' is not a number"),
     (["laminate", "--matrix=1,0,0,x"], "--matrix: 'x' is not a number"),
     (["whomgamma", "--gamma-range=x:1:3"], "--gamma-range: 'x' is not a number"),
@@ -826,6 +836,23 @@ def test_work_cap_is_checked_before_allocating(argv, message, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_n_dirs_past_the_cap_is_usage_error(monkeypatch, tmp_path, capsys):
+    # a direction count past MAX_N_DIRS, from a flag or the config file,
+    # exits 2 before any scan; 10^15 was accepted and ran on past 20 s
+    def unreachable(*args, **kwargs):
+        raise AssertionError("envelope_scan was called")
+    monkeypatch.setattr(cli, "envelope_scan", unreachable)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"oracle": {"n_dirs": 1e15}}))
+    for flags in (["--n-dirs", "11521"], ["--n-dirs", "1000000000000000"],
+                  ["--config", str(config)]):
+        assert main([*flags, "verify-envelope", "--out", os.devnull]) == 2, flags
+        assert capsys.readouterr().err == ("error: config: the oracle direction count must be "
+                                           "an integer from 8 to 11520\n")
+    args = build_parser().parse_args(["--n-dirs", "11520", "verify-envelope", "--out", "o.csv"])
+    assert read_settings(args).n_dirs == MAX_N_DIRS == 11520
+
+
 def test_work_cap_admits_its_bound(monkeypatch):
     args = build_parser().parse_args(["--n", "1000", "regionmap", "--out", "map.csv"])
     assert read_settings(args).n == 1000
@@ -1076,9 +1103,9 @@ MAX_N = math.isqrt(MAX_ROWS)
 RANGE_VALUES = (0.0, -0.0, 5e-324, 1e-310, 3.0, 1e150, 1e308, math.nan, math.inf, -math.inf,
                 -1.0)
 # --n: none, one, two, three, the cap and past it; --n-dirs: below the
-# least, the least, and large
+# least, the least, the cap and past it
 GRID_N = (0, 1, 2, 3, MAX_N, MAX_N + 1, -1)
-N_DIRS = (7, 8, 9, 720, 12000)
+N_DIRS = (7, 8, 9, 720, MAX_N_DIRS, MAX_N_DIRS + 1)
 
 
 @st.composite
@@ -1119,7 +1146,6 @@ GRID_HEADERS = {"regionmap": "b,c,region,boundary,whom,lower,upper",
 
 @settings(max_examples=300, derandomize=True, deadline=None)
 @given(case=grid_argv())
-@example(case=(["--range=1e308", "--n=3", "--n-dirs=12000", "verify-envelope"], None, 3))
 @example(case=(["--n-dirs=8", "verify-envelope"], {"grid": {"range": 1e150, "n": 2},
                                                    "slip": rotated_frame(2.0)}, 2))
 @example(case=(["--theta=1.5707963267948963", "--range=3.0", "--n=3", "regionmap"], None, 3))

@@ -16,8 +16,8 @@ from lamlab.algebra import RankOneLine, bc_to_matrix, perp
 from lamlab.energy import (DEFAULT_TOL, SlipSystem, h, h_perp, matrix_state,
                            slip_state, w_condensed, w_hom, w_on_manifold)
 from lamlab.envelope_oracle import (_CERTIFY_RTOL, _CHUNK_ELEMENTS, DEFAULT_N_DIRS,
-                                    _coarse_scan, _direction_energy, _inner_min,
-                                    _laminate_angles, _prepare, _scan, _scan_dual, dual_lower,
+                                    MAX_N_DIRS, _coarse_scan, _direction_energy, _inner_min,
+                                    _laminate_angles, _prepare, _scan, dual_lower,
                                     envelope_scan, oracle)
 from lamlab.errors import LamlabError, OffManifold, PreconditionError
 from lamlab.laminate import decompose, laminate_on_line, verify_decomposition
@@ -183,8 +183,11 @@ def test_identity_single_point():
 def test_rejects_bad_inputs():
     with pytest.raises(OffManifold):
         oracle_at(np.diag([2.0, 1.0]), ORTHO)
-    with pytest.raises(PreconditionError):
-        oracle_at(np.eye(2), ORTHO, n_dirs=4)
+    # the direction count is an integer from 8 to MAX_N_DIRS
+    for n_dirs in (4, 7, MAX_N_DIRS + 1, 720.0, True):
+        with pytest.raises(PreconditionError):
+            oracle_at(np.eye(2), ORTHO, n_dirs=n_dirs)
+    assert oracle_at(np.eye(2), ORTHO, n_dirs=np.int64(MAX_N_DIRS)) == 0.0
 
 
 def test_matches_closed_form_samples():
@@ -292,6 +295,11 @@ class PerCell(int):
     """A direction count K for an [N, K] table of angles, one row per cell."""
 
 
+def uniform_angles(n_dirs):
+    """The n_dirs angles k pi / n_dirs on [0, pi) that `_scan` scans."""
+    return np.arange(n_dirs) * (math.pi / n_dirs)
+
+
 @pytest.mark.parametrize("theta", (math.pi / 4, 0.45 * math.pi))
 @pytest.mark.parametrize("n, n_dirs", [
     (1, 720),       # one cell
@@ -299,11 +307,9 @@ class PerCell(int):
     (37, 720),      # 2 full chunks and a part chunk
     (37, 8),        # the fewest directions; every cell in one chunk
     (37, 1001),     # odd n_dirs: 11 cells per chunk, 3 full chunks and a part
-    (3, _CHUNK_ELEMENTS + 480),  # more directions than a chunk holds: one cell each
-    (2, 2 * _CHUNK_ELEMENTS - 1),  # two direction spans, the second one short
-    (2, 2 * _CHUNK_ELEMENTS + 1),  # three spans, the last of one direction
+    (3, MAX_N_DIRS),  # the most directions: one cell per chunk
     # per-cell tables, as the rescan's zoom scans them: 677 cells per chunk,
-    # one cell, and two spans of one cell each
+    # one cell, and a table wider than a chunk, one cell per chunk
     pytest.param(700, PerCell(17), id="700-table17"),
     pytest.param(1, PerCell(17), id="1-table17"),
     pytest.param(3, PerCell(_CHUNK_ELEMENTS + 480), id="3-table11520+480"),
@@ -322,10 +328,9 @@ def test_coarse_scan_chunks_match_one_kernel_call(theta, n, n_dirs):
     if isinstance(n_dirs, PerCell):
         fs[-1] = np.eye(2)  # no laminate at any direction: argmin takes the row's first
         phis = rng.uniform(-0.1, math.pi + 0.1, size=(n, n_dirs))
-        coarse, phi = _coarse_scan(_prepare(fs, s), s, phis)
     else:
-        phis = np.arange(n_dirs) * (math.pi / n_dirs)
-        coarse, phi = _coarse_scan(_prepare(fs, s), s, n_dirs)
+        phis = uniform_angles(n_dirs)
+    coarse, phi = _coarse_scan(_prepare(fs, s), s, phis)
     energy = _direction_energy(fs, np.cos(phis), np.sin(phis), s)
     i_best = np.argmin(energy, axis=1)
     k = np.arange(n)
@@ -419,24 +424,6 @@ def test_upper_bound_laminates_meet_criterion_03(theta):
     assert checked >= 30
 
 
-@pytest.mark.parametrize("theta", (math.pi / 4, 0.45 * math.pi))
-def test_coarse_scan_ties_across_direction_spans_keep_the_first(theta):
-    # diag(0.6, 1/0.6) has its least energy at directions 11519 and 11520 of
-    # 2 * _CHUNK_ELEMENTS - 1, one in each span; the identity has no laminate
-    # at any direction (inf everywhere, argmin 0)
-    s = SlipSystem.from_theta(theta, 0.5)
-    fs = np.array([np.diag([0.6, 1.0 / 0.6]), np.eye(2)])
-    n_dirs = 2 * _CHUNK_ELEMENTS - 1
-    phis = np.arange(n_dirs) * (math.pi / n_dirs)
-    energy = _direction_energy(fs, np.cos(phis), np.sin(phis), s)
-    ties = np.flatnonzero(energy[0] == energy[0].min())
-    assert ties[0] < _CHUNK_ELEMENTS <= ties[-1]
-    coarse, phi = _coarse_scan(_prepare(fs, s), s, n_dirs)
-    i_best = np.argmin(energy, axis=1)
-    assert np.array_equal(coarse.view(np.int64), energy[[0, 1], i_best].view(np.int64))
-    assert np.array_equal(phi.view(np.int64), phis[i_best].view(np.int64))
-
-
 @pytest.mark.parametrize("theta", ANGLES)
 def test_zoom_is_never_above_the_scan(theta):
     # each zoom level contains its centre, so the refined value is at most
@@ -444,7 +431,7 @@ def test_zoom_is_never_above_the_scan(theta):
     s = SlipSystem.from_theta(theta, 0.5)
     grid, live = live_cells(s, 3.0, 61)
     cells = _prepare(grid.fs[live], s)
-    coarse, _ = _coarse_scan(cells, s, 720)
+    coarse, _ = _coarse_scan(cells, s, uniform_angles(720))
     refined, _ = _scan(cells, s, 720)
     assert np.all(refined.view(np.int64) <= coarse.view(np.int64))
 
@@ -457,7 +444,7 @@ def test_zoom_meets_a_dense_scan_of_the_bracket(theta):
     grid, live = live_cells(s, 3.0, 31)
     fs = grid.fs[live]
     cells = _prepare(fs, s)
-    _, phi = _coarse_scan(cells, s, 720)
+    _, phi = _coarse_scan(cells, s, uniform_angles(720))
     refined, _ = _scan(cells, s, 720)
     offsets = np.linspace(-1.0, 1.0, 4097) * (math.pi / 720)
     for start in range(0, len(fs), 64):
@@ -479,20 +466,25 @@ def test_scan_past_the_float_range_is_quiet(theta):
 
 
 def test_coarse_scan_memory_is_bounded_in_n_dirs():
-    # beyond _CHUNK_ELEMENTS directions the scan works span by span: ten times
-    # as many directions take no more memory than one chunk's worth
+    # at MAX_N_DIRS a chunk holds one cell: the scan's working set does not
+    # grow with the cell count, and it stays within twice that of a 16-cell
+    # chunk at 720 directions, the same element count; the rest is the one
+    # cell's own direction factors and far-root gathers, 11,520 entries each
     s = SlipSystem.from_theta(0.45 * math.pi, 0.5)
     rng = np.random.default_rng(48)
-    cells = _prepare(np.array([random_det1(rng, spread=2.0) for _ in range(4)]), s)
+    fs = np.array([random_det1(rng, spread=2.0) for _ in range(16)])
+    assert MAX_N_DIRS == _CHUNK_ELEMENTS == 16 * 720
     peaks = []
-    for n_dirs in (_CHUNK_ELEMENTS, 10 * _CHUNK_ELEMENTS):
+    for n, n_dirs in ((16, 720), (1, MAX_N_DIRS), (16, MAX_N_DIRS)):
+        cells, phis = _prepare(fs[:n], s), uniform_angles(n_dirs)
         tracemalloc.start()
         try:
-            _coarse_scan(cells, s, n_dirs)
+            _coarse_scan(cells, s, phis)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-    assert peaks[1] <= 1.25 * peaks[0]
+    assert peaks[1] <= 2.0 * peaks[0]
+    assert peaks[2] <= 1.25 * peaks[1]
 
 
 # ---------------------------------------------------------------------------
@@ -527,19 +519,56 @@ def from_pq(p, q, v):
     return frame @ inner @ frame.T
 
 
+def laminate_ends(fs, s, phi, point):
+    """The laminate endpoints F (I + t m (x) m_perp) at the nearest roots t
+    of each target's direction m = (cos phi, sin phi), from the pair output
+    of `_direction_energy`, or F itself where `point` is set or no pair
+    exists.  F m is formed as the kernel forms it, so the endpoints have the
+    bits of those the oracle hands `dual_lower`."""
+    cos, sin = np.cos(phi), np.sin(phi)
+    _, lo, hi = _direction_energy(fs, cos[:, None], sin[:, None], s, pair=True)
+    fm = np.stack([fs[:, 0, 0] * cos + fs[:, 0, 1] * sin,
+                   fs[:, 1, 0] * cos + fs[:, 1, 1] * sin], axis=1)[:, :, None]
+    mp = np.stack([-sin, cos], axis=1)[:, None]
+    keep = ~(np.isnan(lo[:, 0]) | point)
+    return tuple(fs + np.where(keep, t[:, 0], 0.0)[:, None, None] * fm * mp for t in (lo, hi))
+
+
+def four_direction_pass(fs, s):
+    """Each target's best of the four laminate directions, as (energy, phi),
+    and whether its single-point candidate W(F) is no worse."""
+    st = slip_state(fs[:, 0, 0], fs[:, 0, 1], fs[:, 1, 0], fs[:, 1, 1], s)
+    scanned, phi = _coarse_scan(_prepare(fs, s), s, _laminate_angles(s))
+    return scanned, phi, w_on_manifold(st, DEFAULT_TOL) <= scanned
+
+
 def oracle_dual(fs, s, n_dirs=24):
     """The value of every target after the scan of n_dirs directions and its
     refinement, or with n_dirs None at the four laminate directions alone, as
     the oracle forms it before it decides which targets to scan again; and
     `dual_lower` at its laminate."""
-    cells = _prepare(fs, s)
     st = slip_state(fs[:, 0, 0], fs[:, 0, 1], fs[:, 1, 0], fs[:, 1, 1], s)
     single = w_on_manifold(st, DEFAULT_TOL)
     if n_dirs is None:
-        scanned, phi = _coarse_scan(cells, s, _laminate_angles(s))
+        scanned, phi = _coarse_scan(_prepare(fs, s), s, _laminate_angles(s))
     else:
-        scanned, phi = _scan(cells, s, n_dirs)
-    return np.minimum(scanned, single), _scan_dual(fs, cells, s, phi, single <= scanned)
+        scanned, phi = _scan(_prepare(fs, s), s, n_dirs)
+    with np.errstate(invalid="ignore", over="ignore"):
+        ends = laminate_ends(fs, s, phi, single <= scanned)
+        return np.minimum(scanned, single), dual_lower(fs, *ends, s)
+
+
+def spy_dual(monkeypatch):
+    """Record each `dual_lower` call of the oracle: (fs, f_minus, f_plus,
+    bound)."""
+    calls = []
+
+    def spy(fs, f_minus, f_plus, s):
+        bound = dual_lower(fs, f_minus, f_plus, s)
+        calls.append((fs, f_minus, f_plus, bound))
+        return bound
+    monkeypatch.setattr(envelope_oracle, "dual_lower", spy)
+    return calls
 
 
 def live_cells(s, bc_range, n):
@@ -559,9 +588,8 @@ def test_inner_min_is_exact_on_the_circle(theta):
     # B of the oracle's own laminates, the B the fit starts from: both
     # endpoints are stationary points of W - <B, .>
     fs = np.array([random_det1(rng, spread=3.0) for _ in range(20)])
-    cells = _prepare(fs, s)
-    _, phi = _coarse_scan(cells, s, _laminate_angles(s))
-    f_minus, f_plus = envelope_oracle._endpoints(fs, cells, s, phi, np.zeros(len(fs), dtype=bool))
+    _, phi, _ = four_direction_pass(fs, s)
+    f_minus, f_plus = laminate_ends(fs, s, phi, np.zeros(len(fs), dtype=bool))
     bs.append(f_minus + f_plus)
     # symmetric B diagonal in the frame of v1: g' vanishes at a = 0 and a = pi
     # (for both slips at pi/4), so in t = tan(a / 2) the quartic of g' = 0
@@ -653,20 +681,52 @@ def test_dual_lies_in_the_bounds_band(theta):
 
 @pytest.mark.parametrize("theta", ANGLES)
 def test_dual_does_not_depend_on_its_block_size(monkeypatch, theta):
-    # the blocks bound the dual's memory, not its values: `_lstsq` reduces
-    # each system alone and `_circle_min` stops each entry on its own
-    # tolerance, so blocks of 97 cells, of 480, of the default size and one
-    # block of every cell give the same bits
+    # the blocks bound the dual's memory, not its values: the kernel is
+    # elementwise, `_lstsq` reduces each system alone and `_circle_min` stops
+    # each entry on its own tolerance, so the oracle's blocks of 97 cells, of
+    # 480, of the default size and one block of every cell give the same
+    # bounds and values, bit for bit
     s = SlipSystem.from_theta(theta, 0.5)
     grid, live = live_cells(s, 3.0, 61)
     fs = grid.fs[live]
     default = envelope_oracle._DUAL_CELLS
     assert len(fs) > default
-    duals = []
+    duals, values = [], []
     for cells in (97, 480, default, len(fs)):
         monkeypatch.setattr(envelope_oracle, "_DUAL_CELLS", cells)
-        duals.append(oracle_dual(fs, s, n_dirs=None)[1].view(np.int64))
+        calls = spy_dual(monkeypatch)
+        values.append(oracle(fs, s, 8).view(np.int64))
+        assert len(calls) == -(-len(fs) // cells)
+        duals.append(np.concatenate([bound for *_, bound in calls]).view(np.int64))
     assert all(np.array_equal(dual, duals[0]) for dual in duals[1:])
+    assert all(np.array_equal(value, values[0]) for value in values[1:])
+
+
+@pytest.mark.parametrize("theta", ANGLES)
+def test_the_dual_reads_the_laminates_of_the_four_direction_pass(monkeypatch, theta):
+    # the oracle hands `dual_lower` the endpoints that `_direction_energy`'s
+    # root pair gives at the best of the four laminate directions, bit for
+    # bit, and F itself where W(F) is no worse or no pair exists: cells of
+    # a 61^2 grid in two blocks, targets past the float range, targets on a
+    # slip manifold and the identity, which has no pair at any direction
+    s = SlipSystem.from_theta(theta, 0.5)
+    grid, live = live_cells(s, 3.0, 61)
+    far, far_live = live_cells(s, 1e150, 5)
+    rng = np.random.default_rng(54)
+    on = [rotation(rng.uniform(0.0, 2.0 * math.pi))
+          @ (np.eye(2) + rng.uniform(-2.0, 2.0) * np.outer(v, perp(v)))
+          for v in (s.v1, s.v2) for _ in range(5)]
+    fs = np.concatenate([grid.fs[live], far.fs[far_live], on, [np.eye(2)]])
+    calls = spy_dual(monkeypatch)
+    oracle(fs, s, 8)
+    assert len(calls) == 2
+    got = [np.concatenate(parts) for parts in zip(*calls)]
+    _, phi, point = four_direction_pass(fs, s)
+    assert point[-11:].all() and not point.all()
+    with np.errstate(invalid="ignore", over="ignore"):
+        ends = laminate_ends(fs, s, phi, point)
+    for x, y in zip(got, (fs, *ends)):
+        assert np.array_equal(x.view(np.int64), y.view(np.int64))
 
 
 @pytest.mark.parametrize("theta", ANGLES)
